@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands: solve, verify, compare, transform, gen.  Exit codes: 0 on
-success, 1 when a check is refuted or solvers disagree, 2 on usage
-errors and exceeded limits.  All output is byte-deterministic for a
-given input and flag set.  The oracle budget can be overridden through
-the PGSOLVE_ORACLE_BUDGET environment variable.
+success, 1 when a check is refuted, solvers disagree or a solver fails
+its own certification (CertificationError, reported on stderr as
+``error: <diagnostic>``), 2 on usage errors and exceeded limits.  All
+output is byte-deterministic for a given input and flag set.  The
+oracle budget can be overridden through the PGSOLVE_ORACLE_BUDGET
+environment variable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .oracle import (
 )
 from .pgfile import ParseError, emit_game, emit_solution, parse_game, parse_solution
 from .solver_constructive import solve_constructive
-from .solver_short import solve_short
+from .solver_short import CertificationError, solve_short
 from .transforms import (
     RestrictionError,
     remove_unfair_win,
@@ -98,17 +100,29 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _solve_checked(game: ParityGame, algo: str) -> tuple[Solution | None, str | None]:
+    """Run one solver and check its answer: (solution, failure or None).
+
+    A solver that raises gives no solution; the failure line names it.
+    """
+    try:
+        solution = _SOLVERS[algo](game)
+    except Exception as exc:  # noqa: BLE001 - a crashing solver is a finding
+        return None, f"error: {algo}: {type(exc).__name__}: {exc}"
+    diagnostic = check_solution(game, solution)
+    if diagnostic is not None:
+        return solution, f"refuted: {algo}: {diagnostic}"
+    return solution, None
+
+
 def _disagrees(game: ParityGame, algos: list[str]) -> bool:
-    regions = []
+    regions = set()
     for algo in algos:
-        try:
-            solution = _SOLVERS[algo](game)
-        except Exception:  # noqa: BLE001 - any failure counts as disagreement
+        solution, failure = _solve_checked(game, algo)
+        if failure is not None:
             return True
-        if check_solution(game, solution) is not None:
-            return True
-        regions.append((solution.w0, solution.w1))
-    return any(r != regions[0] for r in regions[1:])
+        regions.add((solution.w0, solution.w1))
+    return len(regions) > 1
 
 
 def _minimize(game: ParityGame, algos: list[str]) -> ParityGame:
@@ -137,23 +151,20 @@ def _cmd_compare(args) -> int:
     algos = ["short", "constructive"]
     if profile_count(game) <= _budget():
         algos.append("oracle")
-    solutions: dict[str, Solution] = {}
-    for algo in algos:
-        solutions[algo] = _SOLVERS[algo](game)
+    regions = set()
     failures = []
-    for algo, solution in solutions.items():
-        diagnostic = check_solution(game, solution)
-        if diagnostic is not None:
-            failures.append(f"{algo}: {diagnostic}")
-    first = solutions[algos[0]]
-    agree = all(
-        (s.w0, s.w1) == (first.w0, first.w1) for s in solutions.values()
-    )
+    for algo in algos:
+        solution, failure = _solve_checked(game, algo)
+        if failure is not None:
+            failures.append(failure)
+        if solution is not None:
+            regions.add((solution.w0, solution.w1))
+    agree = len(regions) <= 1
     if agree and not failures:
         print(f"agreed: {', '.join(algos)}")
         return 0
     for failure in failures:
-        print(f"refuted: {failure}", file=sys.stderr)
+        print(failure, file=sys.stderr)
     if not agree:
         print("solvers disagree; minimized counterexample:", file=sys.stderr)
         sys.stdout.write(emit_game(_minimize(game, algos)))
@@ -235,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     except StrategyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -65,7 +65,10 @@ class ParityGame:
             Order is preserved from construction; duplicates are legal
             and ignored where only the edge set matters.
         names: optional display name per vertex, None when unnamed.
-            Names survive transforms but never influence semantics.
+            Names survive transforms but never influence semantics.  A
+            name may not contain a double quote or a line break (any
+            character ``str.splitlines`` splits on), so that every game
+            survives the text format.
     """
 
     owners: tuple[Player, ...]
@@ -93,6 +96,11 @@ class ParityGame:
         for v, p in enumerate(self.priorities):
             if p < 0:
                 raise GameError(f"vertex {v} has negative priority {p}")
+        for v, name in enumerate(self.names):
+            if name is not None and ('"' in name or "".join(name.splitlines()) != name):
+                raise GameError(
+                    f"vertex {v} name {name!r} contains a double quote or a line break"
+                )
 
     @classmethod
     def from_vertices(cls, rows: Iterable[Sequence]) -> "ParityGame":

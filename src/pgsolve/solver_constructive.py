@@ -12,9 +12,12 @@ original game.  P1's strategy on earlier rounds' regions is frozen the
 moment a vertex first enters, which is what makes it a single
 memoryless witness.
 
-Each round is recorded as a FixpointState.  Monotone growth and
-strategy stability are asserted every round; the two verifier checks
-run every round in debug mode and always on the final round.
+Each round is recorded as a FixpointState.  Monotone growth, strategy
+stability and, at the fixpoint, the equivalence between bumped copies
+and losing originals are asserted in every run.  ``solve_constructive``
+certifies the solution it returns with one ``check_solution``; the
+per-round verifier checks and the checks of every nested solution run
+only with ``debug=True``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ from .game import (
     Strategy,
     relevant_priorities,
 )
-from .solver_short import CertificationError, base_case_solve
+from .solver_short import (
+    CertificationError,
+    _base_case,
+    _certified,
+    _require_solution,
+)
 from .transforms import (
     SplitGame,
     merge_strategy,
@@ -40,7 +48,7 @@ from .transforms import (
     split_top,
     swap_solution,
 )
-from .verification import check_solution, verify_strategy
+from .verification import verify_strategy
 
 
 @dataclass(frozen=True)
@@ -82,12 +90,7 @@ def preprocess(game: ParityGame) -> TransformRecord:
     return TransformRecord(game, reduced, absorbed, delooped)
 
 
-def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
-    """Read a solution of the reduced game as one of the original.
-
-    Regions carry over unchanged.  A vertex forced in the reduced game
-    may branch in the original, so the forced move is materialized.
-    """
+def _lift(record: TransformRecord, solution: Solution) -> Solution:
     original = record.original
     reduced = record.reduced
     strategies = {}
@@ -99,12 +102,20 @@ def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
             if len(original.choices_at(v)) > 1 and len(reduced.choices_at(v)) == 1:
                 choices[v] = reduced.choices_at(v)[0]
         strategies[player] = Strategy(player, choices)
-    lifted = Solution(
+    return Solution(
         solution.w0, solution.w1, strategies[Player.P0], strategies[Player.P1]
     )
-    diagnostic = check_solution(original, lifted)
-    if diagnostic is not None:
-        raise CertificationError(f"lifted solution failed its check: {diagnostic}")
+
+
+def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
+    """Read a solution of the reduced game as one of the original.
+
+    Regions carry over unchanged.  A vertex forced in the reduced game
+    may branch in the original, so the forced move is materialized.
+    The lifted solution is certified before it is returned.
+    """
+    lifted = _lift(record, solution)
+    _require_solution(record.original, lifted, "lifted solution")
     return lifted
 
 
@@ -154,9 +165,9 @@ def _check_round(
     """Assert the per-round guarantees, dumping the history on failure.
 
     Always: regions grow monotonically and the strategy never changes
-    on an earlier region.  When ``thorough``: the round strategy wins
-    its whole region in the bumped game, and merged back it wins the
-    region's originals in the base game.
+    on an earlier region.  When ``thorough`` (debug mode): the round
+    strategy wins its whole region in the bumped game, and merged back
+    it wins the region's originals in the base game.
     """
 
     def fail(reason: str) -> None:
@@ -195,20 +206,9 @@ def _check_round(
         fail(f"round {state.alpha}: merged tau loses in the base game: {witness}")
 
 
-def fixpoint_solve(
-    game: ParityGame,
-    *,
-    debug: bool = False,
-    history_out: list[FixpointState] | None = None,
+def _fixpoint(
+    game: ParityGame, debug: bool, history_out: list[FixpointState] | None = None
 ) -> Solution:
-    """Solve a loop-normalized game by the bumping fixpoint.
-
-    Requires that only absorbing vertices carry self-loops (run
-    ``preprocess`` first, or use ``solve_constructive``).  When
-    ``history_out`` is given, the top-level rounds are appended to it;
-    for an odd top priority those rounds describe the shifted and
-    swapped game.
-    """
     for v in game.vertices:
         options = game.choices_at(v)
         if v in options and len(options) > 1:
@@ -218,12 +218,14 @@ def fixpoint_solve(
             )
     relevant = relevant_priorities(game)
     if not relevant:
-        return base_case_solve(game)
+        return _base_case(game, debug)
     k = max(relevant)
     if k % 2 == 1:
-        return swap_solution(
-            fixpoint_solve(shift_and_swap(game), debug=debug, history_out=history_out)
-        )
+        shifted = shift_and_swap(game)
+        flipped = _fixpoint(shifted, debug, history_out)
+        if debug:
+            _require_solution(shifted, flipped, "shifted fixpoint solution")
+        return swap_solution(flipped)
     split = split_top(game, k)
     history: list[FixpointState] = []
     solved: dict[tuple[int, ...], Solution] = {}
@@ -237,14 +239,15 @@ def fixpoint_solve(
         if pi in solved:
             inner = solved[pi]
         else:
-            inner = fixpoint_solve(arena, debug=debug)
+            inner = _fixpoint(arena, debug)
+            if debug:
+                _require_solution(arena, inner, f"round {alpha} split-game solution")
             solved[pi] = inner
         tau = compose_tau(history, inner.w1, inner.tau)
         state = FixpointState(alpha, x, pi, tau, inner.w1)
-        done = inner.w1 == x
-        _check_round(split, arena, history, state, thorough=debug or done)
+        _check_round(split, arena, history, state, thorough=debug)
         history.append(state)
-        if done:
+        if inner.w1 == x:
             break
         x = inner.w1
     final = history[-1]
@@ -256,15 +259,37 @@ def fixpoint_solve(
                 f"bumped={bumped}, losing={v in final.w1}"
             )
     w1 = frozenset(v for v in final.w1 if v < game.n)
-    solution = Solution(
+    if history_out is not None:
+        history_out.extend(history)
+    return Solution(
         frozenset(game.vertices) - w1,
         w1,
         merge_strategy(split, inner.sigma),
         merge_strategy(split, final.tau),
     )
-    diagnostic = check_solution(game, solution)
-    if diagnostic is not None:
-        raise CertificationError(f"fixpoint solution failed its check: {diagnostic}")
+
+
+def fixpoint_solve(
+    game: ParityGame,
+    *,
+    debug: bool = False,
+    history_out: list[FixpointState] | None = None,
+) -> Solution:
+    """Solve a loop-normalized game by the bumping fixpoint.
+
+    Requires that only absorbing vertices carry self-loops (run
+    ``preprocess`` first, or use ``solve_constructive``).  When
+    ``history_out`` is given, the top-level rounds are appended to it;
+    for an odd top priority those rounds describe the shifted and
+    swapped game.  The solution is certified before it is returned.
+    """
+    history: list[FixpointState] = []
+    solution = _certified(
+        game,
+        lambda g, d: _fixpoint(g, d, history),
+        debug,
+        "fixpoint solution",
+    )
     if history_out is not None:
         history_out.extend(history)
     return solution
@@ -276,7 +301,22 @@ def solve_constructive(
     debug: bool = False,
     history_out: list[FixpointState] | None = None,
 ) -> Solution:
-    """Normalize loops, run the bumping fixpoint, lift the result back."""
-    record = preprocess(game)
-    inner = fixpoint_solve(record.reduced, debug=debug, history_out=history_out)
-    return lift_solution(record, inner)
+    """Normalize loops, run the bumping fixpoint, lift the result back.
+
+    The lifted solution is certified once before it is returned;
+    ``debug=True`` also runs every per-round check and certifies every
+    nested solution.  Raises CertificationError when a check fails.
+    """
+    history: list[FixpointState] = []
+
+    def solve(game: ParityGame, debug: bool) -> Solution:
+        record = preprocess(game)
+        inner = _fixpoint(record.reduced, debug, history)
+        if debug:
+            _require_solution(record.reduced, inner, "fixpoint solution")
+        return _lift(record, inner)
+
+    solution = _certified(game, solve, debug, "lifted solution")
+    if history_out is not None:
+        history_out.extend(history)
+    return solution

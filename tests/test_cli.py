@@ -2,8 +2,16 @@ from pathlib import Path
 
 import pytest
 
-from pgsolve import ParityGame, Player, Solution, Strategy, emit_game, parse_game
-from pgsolve import cli
+from pgsolve import (
+    CertificationError,
+    ParityGame,
+    Player,
+    Solution,
+    Strategy,
+    emit_game,
+    parse_game,
+)
+from pgsolve import cli, solver_short
 from games import chain_game
 
 DATA = Path(__file__).parent / "data"
@@ -197,3 +205,40 @@ def test_usage_error_unknown_algo(chain_file):
     with pytest.raises(SystemExit) as err:
         cli.main(["solve", "--algo", "magic", chain_file])
     assert err.value.code == 2
+
+
+def test_solve_reports_certification_error(chain_file, capsys, monkeypatch):
+    def failing(game):
+        raise CertificationError("final solution failed its check: boom")
+
+    monkeypatch.setitem(cli._SOLVERS, "short", failing)
+    assert cli.main(["solve", chain_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: final solution failed its check: boom\n"
+
+
+def test_solve_reports_a_real_inner_failure(tmp_path, capsys, monkeypatch):
+    def drop_choices(split, strategy):
+        return Strategy(strategy.player, {})
+
+    monkeypatch.setattr(solver_short, "merge_strategy", drop_choices)
+    game = ParityGame.from_vertices([(0, 0, (0, 1)), (1, 1, (0, 1))])
+    path = tmp_path / "core.pg"
+    path.write_text(emit_game(game))
+    assert cli.main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: final solution failed its check")
+    assert "core failed verification" in err
+
+
+def test_compare_reports_a_raising_solver(chain_file, capsys, monkeypatch):
+    def failing(game):
+        raise CertificationError("boom")
+
+    monkeypatch.setitem(cli._SOLVERS, "constructive", failing)
+    assert cli.main(["compare", chain_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constructive: CertificationError: boom\n"
+    assert cli._disagrees(chain_game(), ["short", "constructive"])

@@ -130,3 +130,17 @@ def test_names_survive_and_default():
     assert game.names == ("u", "v", "w")
     bare = ParityGame.from_vertices([(0, 0, (0,))])
     assert bare.names == (None,)
+
+
+@pytest.mark.parametrize(
+    "name", ['say "hi"', "a\nb", "a\r", "\x0b", "x\x85", "x\u2028y", "\x1c"]
+)
+def test_rejects_names_the_text_format_cannot_hold(name):
+    with pytest.raises(GameError, match="double quote or a line break"):
+        ParityGame.from_vertices([(0, 0, (0,), name)])
+
+
+def test_accepts_names_with_other_characters():
+    names = ("", " spaced ", "tab\there", "ümlaut;", "\x00")
+    game = ParityGame.from_vertices([(0, 0, (v,), n) for v, n in enumerate(names)])
+    assert game.names == names

@@ -23,7 +23,12 @@ from pgsolve import (
     split_top,
 )
 
-NAME_CHARS = st.characters(min_codepoint=32, max_codepoint=126, exclude_characters='"')
+# Every code point a name may hold: all but surrogates, the double quote
+# and the characters str.splitlines treats as line breaks.
+NAME_CHARS = st.characters(
+    exclude_categories=("Cs",),
+    exclude_characters='"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029',
+)
 
 
 @st.composite
