@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 
@@ -29,11 +30,20 @@ class Player(IntEnum):
 
     @property
     def opponent(self) -> "Player":
-        return Player(1 - self)
+        return _PLAYERS[1 - self]
 
     def favours(self, priority: int) -> bool:
         """True when seeing ``priority`` forever wins for this player."""
         return priority % 2 == int(self)
+
+
+# Index by 0 or 1: a tuple lookup, not an enum call.
+_PLAYERS = (Player.P0, Player.P1)
+
+
+def _as_player(value) -> Player:
+    """``value`` itself when it is a Player, else ``Player(value)``."""
+    return value if value.__class__ is Player else Player(value)
 
 
 class VertexClass(Enum):
@@ -77,7 +87,11 @@ class ParityGame:
     names: tuple[str | None, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "owners", tuple(Player(o) for o in self.owners))
+        object.__setattr__(
+            self,
+            "owners",
+            tuple(o if o.__class__ is Player else Player(o) for o in self.owners),
+        )
         object.__setattr__(self, "priorities", tuple(int(p) for p in self.priorities))
         object.__setattr__(self, "successors", tuple(tuple(s) for s in self.successors))
         n = len(self.owners)
@@ -122,16 +136,38 @@ class ParityGame:
         return range(self.n)
 
     @cached_property
-    def _has_incoming(self) -> tuple[bool, ...]:
-        seen = [False] * self.n
-        for succ in self.successors:
-            for u in succ:
-                seen[u] = True
-        return tuple(seen)
-
-    @cached_property
     def _choices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(dict.fromkeys(succ)) for succ in self.successors)
+
+    @cached_property
+    def _classes(self) -> tuple[VertexClass, ...]:
+        incoming = set(chain.from_iterable(self.successors))
+        return tuple(
+            VertexClass.ABSORBING
+            if options == (v,)
+            else VertexClass.RELEVANT
+            if v in incoming
+            else VertexClass.VANISHING
+            for v, options in enumerate(self._choices)
+        )
+
+    @cached_property
+    def _relevant(self) -> frozenset[int]:
+        priorities = self.priorities
+        return frozenset(
+            priorities[v]
+            for v, cls in enumerate(self._classes)
+            if cls is VertexClass.RELEVANT
+        )
+
+    @cached_property
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct predecessors of every vertex, in ascending order."""
+        preds: list[list[int]] = [[] for _ in self.successors]
+        for v, options in enumerate(self._choices):
+            for u in options:
+                preds[u].append(v)
+        return tuple(map(tuple, preds))
 
     def choices_at(self, v: int) -> tuple[int, ...]:
         """Distinct successors of v in first-occurrence order."""
@@ -146,23 +182,19 @@ def classify(game: ParityGame, v: int) -> VertexClass:
 
     The classes partition the vertex set: an absorbing vertex is its own
     predecessor through the self-loop, so it can never be vanishing.
+    The classes of all vertices are computed once per arena and cached.
     """
     if not 0 <= v < game.n:
         raise IndexError(f"vertex {v} out of range 0..{game.n - 1}")
-    if game.choices_at(v) == (v,):
-        return VertexClass.ABSORBING
-    if not game._has_incoming[v]:
-        return VertexClass.VANISHING
-    return VertexClass.RELEVANT
+    return game._classes[v]
 
 
 def relevant_priorities(game: ParityGame) -> frozenset[int]:
-    """Priorities carried by at least one relevant vertex."""
-    return frozenset(
-        game.priorities[v]
-        for v in game.vertices
-        if classify(game, v) is VertexClass.RELEVANT
-    )
+    """Priorities carried by at least one relevant vertex.
+
+    Computed once per arena and cached.
+    """
+    return game._relevant
 
 
 @dataclass(frozen=True)
@@ -173,7 +205,7 @@ class Strategy:
     choices: Mapping[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "player", Player(self.player))
+        object.__setattr__(self, "player", _as_player(self.player))
         object.__setattr__(self, "choices", dict(self.choices))
 
     def validate(self, game: ParityGame) -> None:
@@ -200,7 +232,7 @@ class Strategy:
 
 
 def empty_strategy(player: Player) -> Strategy:
-    return Strategy(Player(player), {})
+    return Strategy(player, {})
 
 
 @dataclass(frozen=True)
@@ -260,10 +292,10 @@ class PartialSolution:
             raise GameError(f"regions intersect: {sorted(self.w0 & self.w1)}")
 
     def region(self, player: Player) -> frozenset[int]:
-        return self.w0 if Player(player) is Player.P0 else self.w1
+        return self.w0 if _as_player(player) is Player.P0 else self.w1
 
     def strategy(self, player: Player) -> Strategy:
-        return self.sigma if Player(player) is Player.P0 else self.tau
+        return self.sigma if _as_player(player) is Player.P0 else self.tau
 
 
 def empty_partial() -> PartialSolution:

@@ -31,7 +31,7 @@ from .game import (
     Strategy,
     StrategyError,
     VertexClass,
-    classify,
+    _PLAYERS,
     empty_partial,
     relevant_priorities,
 )
@@ -114,9 +114,9 @@ def _base_case(game: ParityGame, debug: bool) -> Solution:
     regions = {Player.P0: set(), Player.P1: set()}
     chosen = {Player.P0: {}, Player.P1: {}}
     vanishing = []
-    for v in game.vertices:
-        if classify(game, v) is VertexClass.ABSORBING:
-            regions[Player(game.priorities[v] % 2)].add(v)
+    for v, cls in enumerate(game._classes):
+        if cls is VertexClass.ABSORBING:
+            regions[_PLAYERS[game.priorities[v] % 2]].add(v)
         else:
             vanishing.append(v)
     for v in vanishing:

@@ -10,6 +10,7 @@ copies back is what both solvers are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .game import (
@@ -20,7 +21,6 @@ from .game import (
     Solution,
     Strategy,
     VertexClass,
-    classify,
 )
 
 
@@ -52,10 +52,11 @@ def split_top(game: ParityGame, k: int) -> SplitGame:
     redirected to its copy, including self-loops of the original.
     Raises GameError when no relevant vertex carries priority k.
     """
+    classes = game._classes
     split = [
         v
-        for v in game.vertices
-        if game.priorities[v] == k and classify(game, v) is VertexClass.RELEVANT
+        for v, p in enumerate(game.priorities)
+        if p == k and classes[v] is VertexClass.RELEVANT
     ]
     if not split:
         raise GameError(f"priority {k} is carried by no relevant vertex")
@@ -241,40 +242,86 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
     move lands in the opponent's region joins the opponent.  Rule (a) is
     exhausted before rule (b) in every round, until neither applies.
 
+    Runs as a worklist over the arena's cached predecessor lists, with a
+    count per undecided vertex of its successors outside the opponent's
+    region, in O((n + m) log n).  The result is the one an ascending
+    sweep over the undecided vertices gives, pass after pass, with
+    strategy entries included: each pass takes its eligible vertices
+    from a min-heap, a vertex made eligible above the current one joins
+    the pass and one below waits for the next pass, and a grabbed
+    vertex's target is chosen when it is popped.
+
     Keeps both strategies certified when the input regions were; on
     return no undecided vertex can move into its owner's region and
     every undecided vertex keeps an undecided successor.
     """
-    regions = {Player.P0: set(partial.w0), Player.P1: set(partial.w1)}
-    chosen = {
-        Player.P0: dict(partial.sigma.choices),
-        Player.P1: dict(partial.tau.choices),
-    }
-    undecided = set(game.vertices) - regions[Player.P0] - regions[Player.P1]
-    changed = True
-    while changed:
-        changed = False
-        grabbing = True
-        while grabbing:
-            grabbing = False
-            for v in sorted(undecided):
-                owner = game.owners[v]
-                into_own = [u for u in game.choices_at(v) if u in regions[owner]]
-                if into_own:
-                    regions[owner].add(v)
-                    chosen[owner][v] = min(into_own)
-                    undecided.discard(v)
-                    grabbing = changed = True
-        for v in sorted(undecided):
-            owner = game.owners[v]
-            other = regions[owner.opponent]
-            if all(u in other for u in game.choices_at(v)):
-                other.add(v)
-                undecided.discard(v)
-                changed = True
+    owners = game.owners
+    choices = game._choices
+    predecessors = game._predecessors
+    regions = (set(partial.w0), set(partial.w1))
+    chosen = (dict(partial.sigma.choices), dict(partial.tau.choices))
+    undecided = [v not in regions[0] and v not in regions[1] for v in game.vertices]
+    queued = [False] * game.n  # eligible for rule (a), in some queue
+    outside = [0] * game.n  # successors outside the opponent's region
+    pending_a: list[int] = []  # rule (a) vertices for the next pass
+    pending_b: list[int] = []  # rule (b) vertices for the next pass
+    for v, open_ in enumerate(undecided):
+        if not open_:
+            continue
+        own, other = regions[owners[v]], regions[1 - owners[v]]
+        if any(u in own for u in choices[v]):
+            queued[v] = True
+            pending_a.append(v)
+        outside[v] = sum(u not in other for u in choices[v])
+        if not outside[v]:
+            pending_b.append(v)
+
+    def join(v, player, a_heap, b_heap):
+        """Put v in ``player``'s region and queue what it made eligible.
+
+        A vertex above v goes on the heap of the running pass when that
+        pass applies its rule, anything else on the next pass's list.
+        """
+        regions[player].add(v)
+        undecided[v] = False
+        for w in predecessors[v]:
+            if not undecided[w]:
+                continue
+            if owners[w] == player:
+                if not queued[w]:
+                    queued[w] = True
+                    if a_heap is not None and w > v:
+                        heappush(a_heap, w)
+                    else:
+                        pending_a.append(w)
+            else:
+                outside[w] -= 1
+                if not outside[w]:
+                    if b_heap is not None and w > v:
+                        heappush(b_heap, w)
+                    else:
+                        pending_b.append(w)
+
+    while pending_a or pending_b:
+        while pending_a:
+            heap = pending_a
+            pending_a = []
+            heapify(heap)
+            while heap:
+                v = heappop(heap)
+                owner = owners[v]
+                own = regions[owner]
+                chosen[owner][v] = min(u for u in choices[v] if u in own)
+                join(v, owner, heap, None)
+        heap = pending_b
+        pending_b = []
+        heapify(heap)
+        while heap:
+            v = heappop(heap)
+            join(v, 1 - owners[v], None, heap)
     return PartialSolution(
-        frozenset(regions[Player.P0]),
-        frozenset(regions[Player.P1]),
-        Strategy(Player.P0, chosen[Player.P0]),
-        Strategy(Player.P1, chosen[Player.P1]),
+        frozenset(regions[0]),
+        frozenset(regions[1]),
+        Strategy(Player.P0, chosen[0]),
+        Strategy(Player.P1, chosen[1]),
     )

@@ -65,3 +65,8 @@ def random_corpus(count: int, max_n: int) -> list[ParityGame]:
         gen_random(1 + seed % max_n, seed % 6, 1 + seed % 3, seed)
         for seed in range(count)
     ]
+
+
+def cycle(n: int) -> ParityGame:
+    """Vertex v has owner v % 2, priority v and one edge to v + 1 mod n."""
+    return ParityGame.from_vertices([(v % 2, v, ((v + 1) % n,)) for v in range(n)])
