@@ -3,10 +3,12 @@
 Subcommands: solve, verify, compare, transform, gen.  Exit codes: 0 on
 success, 1 when a check is refuted, solvers disagree or a solver fails
 its own certification (CertificationError, reported on stderr as
-``error: <diagnostic>``), 2 on usage errors and exceeded limits.  All
-output is byte-deterministic for a given input and flag set.  The
-oracle budget can be overridden through the PGSOLVE_ORACLE_BUDGET
-environment variable.
+``error: <diagnostic>``), 2 on usage errors and exceeded limits.  A
+game too deep for the recursive solvers (RecursionError) counts as an
+exceeded limit: stderr gets ``error: <what happened>`` and the exit
+code is 2.  All output is byte-deterministic for a given input and
+flag set.  The oracle budget can be overridden through the
+PGSOLVE_ORACLE_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -249,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        print(f"error: game too deep for the recursive solver: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

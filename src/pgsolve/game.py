@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 
@@ -62,6 +62,62 @@ class StrategyError(ValueError):
     def __init__(self, message: str, vertex: int):
         super().__init__(message)
         self.vertex = vertex
+
+
+class _EdgeTables:
+    """Per-vertex tables that depend on the edges alone.
+
+    Computed lazily, once per edge table: arenas that differ from
+    their parent only in owners or priorities share the parent's
+    instance (see ``ParityGame._relabelled``).
+    """
+
+    def __init__(self, successors: tuple[tuple[int, ...], ...]):
+        self.successors = successors
+
+    @cached_property
+    def choices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(dict.fromkeys(succ)) for succ in self.successors)
+
+    @cached_property
+    def classes(self) -> tuple[VertexClass, ...]:
+        incoming = set(chain.from_iterable(self.successors))
+        return tuple(
+            VertexClass.ABSORBING
+            if options == (v,)
+            else VertexClass.RELEVANT
+            if v in incoming
+            else VertexClass.VANISHING
+            for v, options in enumerate(self.choices)
+        )
+
+    @cached_property
+    def relevant(self) -> tuple[bool, ...]:
+        """Per vertex, whether its class is RELEVANT."""
+        return tuple(cls is VertexClass.RELEVANT for cls in self.classes)
+
+    @cached_property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct predecessors of every vertex, in ascending order."""
+        preds: list[list[int]] = [[] for _ in self.successors]
+        for v, options in enumerate(self.choices):
+            for u in options:
+                preds[u].append(v)
+        return tuple(map(tuple, preds))
+
+    @cached_property
+    def mixed_loops(self) -> tuple[int, ...]:
+        """Vertices with a self-loop next to proper edges, ascending."""
+        return tuple(
+            v
+            for v, options in enumerate(self.choices)
+            if v in options and len(options) > 1
+        )
+
+
+def _shared(name: str) -> cached_property:
+    """A ParityGame attribute read once from its shared edge tables."""
+    return cached_property(lambda self: getattr(self._edges, name))
 
 
 @dataclass(frozen=True)
@@ -136,38 +192,54 @@ class ParityGame:
         return range(self.n)
 
     @cached_property
-    def _choices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(dict.fromkeys(succ)) for succ in self.successors)
+    def _edges(self) -> _EdgeTables:
+        return _EdgeTables(self.successors)
 
-    @cached_property
-    def _classes(self) -> tuple[VertexClass, ...]:
-        incoming = set(chain.from_iterable(self.successors))
-        return tuple(
-            VertexClass.ABSORBING
-            if options == (v,)
-            else VertexClass.RELEVANT
-            if v in incoming
-            else VertexClass.VANISHING
-            for v, options in enumerate(self._choices)
-        )
+    _choices = _shared("choices")
+    _classes = _shared("classes")
+    _predecessors = _shared("predecessors")
+    _mixed_loops = _shared("mixed_loops")
 
     @cached_property
     def _relevant(self) -> frozenset[int]:
-        priorities = self.priorities
-        return frozenset(
-            priorities[v]
-            for v, cls in enumerate(self._classes)
-            if cls is VertexClass.RELEVANT
-        )
+        return frozenset(compress(self.priorities, self._edges.relevant))
 
-    @cached_property
-    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct predecessors of every vertex, in ascending order."""
-        preds: list[list[int]] = [[] for _ in self.successors]
-        for v, options in enumerate(self._choices):
-            for u in options:
-                preds[u].append(v)
-        return tuple(map(tuple, preds))
+    def _relabelled(
+        self,
+        owners: Sequence | None = None,
+        priorities: Sequence[int] | None = None,
+    ) -> "ParityGame":
+        """This arena with new owners and/or priorities, same edges.
+
+        The result keeps ``successors`` and ``names`` and shares the
+        edge tables (``_choices``, ``_classes``, ``_predecessors``,
+        ``_mixed_loops``) with this arena, so none of them is computed
+        twice.  Only the changed labels are checked: owners are coerced
+        to Player and priorities must be nonnegative ints, one per
+        vertex.
+        """
+        if owners is None:
+            owners = self.owners
+        else:
+            owners = tuple(o if o.__class__ is Player else Player(o) for o in owners)
+        if priorities is None:
+            priorities = self.priorities
+        else:
+            priorities = tuple(map(int, priorities))
+            if priorities and min(priorities) < 0:
+                v = next(v for v, p in enumerate(priorities) if p < 0)
+                raise GameError(f"vertex {v} has negative priority {priorities[v]}")
+        if not len(owners) == len(priorities) == self.n:
+            raise GameError("vertex tables differ in length")
+        arena = object.__new__(ParityGame)
+        vars(arena).update(
+            owners=owners,
+            priorities=priorities,
+            successors=self.successors,
+            names=self.names,
+            _edges=self._edges,
+        )
+        return arena
 
     def choices_at(self, v: int) -> tuple[int, ...]:
         """Distinct successors of v in first-occurrence order."""

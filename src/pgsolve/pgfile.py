@@ -9,9 +9,12 @@ Game files follow the widespread PGSolver layout::
 
 one record per vertex: id, priority, owner, comma-separated successors,
 optional quoted name.  Vertex ids must form 0..n-1 but may appear in
-any order.  Emission is canonical: records sorted by id, single spaces,
-no space after commas, so emit(parse(text)) normalizes any valid file
-and is a fixed point on its own output.
+any order.  The header number is read as a hint and not enforced: the
+records alone decide n, so a header that disagrees with them parses to
+the same game.  Emission always writes ``max id``, that is n-1.
+Emission is canonical: records sorted by id, single spaces, no space
+after commas, so emit(parse(text)) normalizes any valid file and is a
+fixed point on its own output.
 
 Solution files are one line per vertex: ``id winner choice`` with ``-``
 for a vertex where the owner's strategy has no explicit choice.

@@ -22,7 +22,7 @@ only with ``debug=True``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .game import (
@@ -81,12 +81,9 @@ def preprocess(game: ParityGame) -> TransformRecord:
     """
     halfway, absorbed = remove_unfair_win(game)
     reduced, delooped = remove_useless_self_loops(halfway)
-    for v in reduced.vertices:
-        options = reduced.choices_at(v)
-        if v in options and len(options) > 1:
-            raise CertificationError(
-                f"vertex {v} kept a self-loop next to proper edges"
-            )
+    if reduced._mixed_loops:
+        v = reduced._mixed_loops[0]
+        raise CertificationError(f"vertex {v} kept a self-loop next to proper edges")
     return TransformRecord(game, reduced, absorbed, delooped)
 
 
@@ -122,9 +119,10 @@ def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
 def bump_priorities(split: SplitGame, x: Iterable[int]) -> tuple[int, ...]:
     """Priorities with every copy of an x-member raised from k to k+1."""
     x = set(x)
+    n = split.plus.n
     for v in x:
-        if not 0 <= v < split.plus.n:
-            raise GameError(f"vertex {v} out of range 0..{split.plus.n - 1}")
+        if not 0 <= v < n:
+            raise GameError(f"vertex {v} out of range 0..{n - 1}")
     priorities = list(split.plus.priorities)
     for v in sorted(split.split_set & x):
         priorities[split.copy_for[v]] = split.k + 1
@@ -209,13 +207,11 @@ def _check_round(
 def _fixpoint(
     game: ParityGame, debug: bool, history_out: list[FixpointState] | None = None
 ) -> Solution:
-    for v in game.vertices:
-        options = game.choices_at(v)
-        if v in options and len(options) > 1:
-            raise GameError(
-                f"vertex {v} has a self-loop next to proper edges; "
-                "normalize loops first"
-            )
+    if game._mixed_loops:
+        v = game._mixed_loops[0]
+        raise GameError(
+            f"vertex {v} has a self-loop next to proper edges; normalize loops first"
+        )
     relevant = relevant_priorities(game)
     if not relevant:
         return _base_case(game, debug)
@@ -235,7 +231,7 @@ def _fixpoint(
         if alpha > split.plus.n + 1:
             raise CertificationError("fixpoint failed to converge in |V+|+1 rounds")
         pi = bump_priorities(split, x)
-        arena = replace(split.plus, priorities=pi)
+        arena = split.plus._relabelled(priorities=pi)
         if pi in solved:
             inner = solved[pi]
         else:

@@ -105,11 +105,8 @@ def remove_unfair_win(game: ParityGame) -> tuple[ParityGame, frozenset[int]]:
     """
     changed = []
     successors = list(game.successors)
-    for v in game.vertices:
-        options = game.choices_at(v)
-        if v in options and len(options) > 1 and game.owners[v].favours(
-            game.priorities[v]
-        ):
+    for v in game._mixed_loops:
+        if game.owners[v].favours(game.priorities[v]):
             successors[v] = (v,)
             changed.append(v)
     if not changed:
@@ -126,11 +123,8 @@ def remove_useless_self_loops(game: ParityGame) -> tuple[ParityGame, frozenset[i
     """
     changed = []
     successors = list(game.successors)
-    for v in game.vertices:
-        options = game.choices_at(v)
-        if v in options and len(options) > 1 and not game.owners[v].favours(
-            game.priorities[v]
-        ):
+    for v in game._mixed_loops:
+        if not game.owners[v].favours(game.priorities[v]):
             successors[v] = tuple(u for u in game.successors[v] if u != v)
             changed.append(v)
     if not changed:
@@ -143,9 +137,11 @@ def shift_and_swap(game: ParityGame) -> ParityGame:
 
     Self-inverse on winners: the regions swap and strategies carry over
     unchanged, which is how odd top priorities are reduced to even ones.
+    The edges do not change, so the result shares ``successors``,
+    ``names`` and the edge tables (choices, vertex classes, predecessors,
+    mixed self-loops) with ``game``; only the new labels are checked.
     """
-    return replace(
-        game,
+    return game._relabelled(
         owners=tuple(o.opponent for o in game.owners),
         priorities=tuple(p + 1 for p in game.priorities),
     )
@@ -207,13 +203,19 @@ class Subgame:
 def restrict(game: ParityGame, keep: Iterable[int]) -> Subgame:
     """Induced subgame on ``keep``, renumbered densely in index order.
 
-    Raises RestrictionError naming the first vertex left without a
-    successor inside ``keep``.
+    When ``keep`` is every vertex the subgame is ``game`` itself, with
+    identity maps, so it shares every table ``game`` has computed.  Any
+    other restriction builds and validates a new arena.  Raises
+    RestrictionError naming the first vertex left without a successor
+    inside ``keep``.
     """
     to_old = tuple(sorted(set(keep)))
-    for v in to_old:
-        if not 0 <= v < game.n:
-            raise GameError(f"vertex {v} out of range 0..{game.n - 1}")
+    n = game.n
+    if to_old and not (0 <= to_old[0] and to_old[-1] < n):
+        bad = next(v for v in to_old if not 0 <= v < n)
+        raise GameError(f"vertex {bad} out of range 0..{n - 1}")
+    if len(to_old) == n:
+        return Subgame(game, to_old, dict(zip(to_old, to_old)))
     to_new = {v: i for i, v in enumerate(to_old)}
     kept = set(to_old)
     successors = []

@@ -11,6 +11,8 @@ from dataclasses import replace
 import pytest
 
 from pgsolve import (
+    CertificationError,
+    GameError,
     ParityGame,
     PartialSolution,
     Player,
@@ -18,13 +20,17 @@ from pgsolve import (
     VertexClass,
     bump_priorities,
     classify,
+    fixpoint_solve,
+    preprocess,
     relevant_priorities,
     restrict,
     shift_and_swap,
+    solve_constructive,
     split_top,
 )
+from pgsolve import solver_constructive
 from pgsolve.transforms import RestrictionError
-from games import random_corpus
+from games import cycle, ladder_game, random_corpus
 
 
 def scratch_class(game: ParityGame, v: int) -> VertexClass:
@@ -120,3 +126,139 @@ def test_strategy_and_partial_coerce_players():
         partial.region(2)
     with pytest.raises(ValueError):
         partial.strategy(2)
+
+
+# Tables that depend on the edges alone; arenas that only relabel owners
+# or priorities share them with their parent.
+EDGE_TABLES = ("_choices", "_classes", "_predecessors", "_mixed_loops")
+
+
+def assert_edge_tables(game: ParityGame):
+    assert_tables(game)
+    assert game._choices == tuple(
+        tuple(dict.fromkeys(succ)) for succ in game.successors
+    )
+    assert game._mixed_loops == tuple(
+        v
+        for v in game.vertices
+        if v in game.successors[v] and set(game.successors[v]) != {v}
+    )
+
+
+def assert_shares_edges(derived: ParityGame, parent: ParityGame):
+    assert derived.successors is parent.successors
+    assert derived.names is parent.names
+    for table in EDGE_TABLES:
+        assert getattr(derived, table) is getattr(parent, table), table
+    assert_edge_tables(derived)
+
+
+def test_shift_and_swap_shares_the_edge_tables():
+    for game in [DUPLICATES, *random_corpus(120, 10)]:
+        assert_shares_edges(shift_and_swap(game), game)
+
+
+def test_sharing_does_not_depend_on_which_arena_asks_first():
+    for game in random_corpus(40, 10):
+        fresh = ParityGame(game.owners, game.priorities, game.successors)
+        shifted = shift_and_swap(fresh)
+        assert "_choices" not in vars(fresh)
+        twice = shift_and_swap(shifted)
+        assert twice.owners == fresh.owners
+        for table in EDGE_TABLES:
+            assert getattr(twice, table) is getattr(fresh, table)
+        assert_shares_edges(shifted, fresh)
+
+
+def test_bumped_split_games_share_the_split_games_tables():
+    for game in random_corpus(60, 10):
+        relevant = relevant_priorities(game)
+        if not relevant:
+            continue
+        split = split_top(game, max(relevant))
+        bumped = split.plus._relabelled(
+            priorities=bump_priorities(split, split.split_set)
+        )
+        assert bumped == replace(
+            split.plus, priorities=bump_priorities(split, split.split_set)
+        )
+        assert_shares_edges(bumped, split.plus)
+
+
+def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
+    splits: list = []
+    arenas: list[ParityGame] = []
+    real_split, real_fixpoint = split_top, solver_constructive._fixpoint
+
+    def recording_split(game, k):
+        splits.append(real_split(game, k))
+        return splits[-1]
+
+    def recording_fixpoint(game, *args):
+        arenas.append(game)
+        return real_fixpoint(game, *args)
+
+    monkeypatch.setattr(solver_constructive, "split_top", recording_split)
+    monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
+    for game in (cycle(7), ladder_game(3)):
+        solve_constructive(game)
+    bumped = 0
+    for arena in arenas:
+        for split in splits:
+            if arena.successors is split.plus.successors:
+                assert_shares_edges(arena, split.plus)
+                bumped += arena.priorities != split.plus.priorities
+    assert bumped > 0
+
+
+def test_restrict_to_every_vertex_is_the_game_itself():
+    for game in [DUPLICATES, *random_corpus(60, 10)]:
+        sub = restrict(game, reversed(game.vertices))
+        assert sub.game is game
+        assert sub.to_old == tuple(game.vertices)
+        assert sub.to_new == {v: v for v in game.vertices}
+
+
+def test_restrict_still_rejects_out_of_range_vertices():
+    for keep in ([0, 4], [-1, 0, 1, 2, 3], [0, 1, 2, 3, 4]):
+        with pytest.raises(GameError, match="out of range"):
+            restrict(DUPLICATES, keep)
+
+
+def test_relabel_checks_the_labels_it_changes():
+    game = DUPLICATES
+    with pytest.raises(GameError, match="negative priority"):
+        game._relabelled(priorities=(1, 2, -3, 4))
+    with pytest.raises(ValueError):
+        game._relabelled(owners=(0, 1, 2, 0))
+    with pytest.raises(GameError, match="differ in length"):
+        game._relabelled(priorities=(1, 2, 3))
+    with pytest.raises(GameError, match="differ in length"):
+        game._relabelled(owners=(0, 1, 0, 1, 0))
+    relabelled = game._relabelled(owners=(1, True, 0, 0), priorities=(5, 6, 7, 8))
+    assert all(type(o) is Player for o in relabelled.owners)
+    assert relabelled == ParityGame(
+        (Player.P1, Player.P1, Player.P0, Player.P0),
+        (5, 6, 7, 8),
+        game.successors,
+        game.names,
+    )
+
+
+def test_fixpoint_solve_still_rejects_a_mixed_self_loop():
+    game = ParityGame.from_vertices(
+        [(0, 1, (1,)), (0, 2, (2,)), (1, 3, (0, 2, 2)), (0, 0, (2,))]
+    )
+    assert game._mixed_loops == (2,)
+    with pytest.raises(GameError, match="vertex 2 has a self-loop"):
+        fixpoint_solve(game)
+    assert preprocess(game).reduced._mixed_loops == ()
+
+
+def test_preprocess_still_guards_its_own_output(monkeypatch):
+    game = ParityGame.from_vertices([(0, 1, (0, 1)), (1, 2, (1,))])
+    monkeypatch.setattr(
+        solver_constructive, "remove_useless_self_loops", lambda g: (g, frozenset())
+    )
+    with pytest.raises(CertificationError, match="vertex 0 kept a self-loop"):
+        preprocess(game)

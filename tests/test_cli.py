@@ -242,3 +242,17 @@ def test_compare_reports_a_raising_solver(chain_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == "error: constructive: CertificationError: boom\n"
     assert cli._disagrees(chain_game(), ["short", "constructive"])
+
+
+def test_solve_reports_a_recursion_limit(chain_file, capsys, monkeypatch):
+    def too_deep(game):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._SOLVERS, "short", too_deep)
+    assert cli.main(["solve", chain_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: game too deep for the recursive solver: "
+        "maximum recursion depth exceeded\n"
+    )

@@ -38,6 +38,14 @@ def test_parse_normalizes_order_and_whitespace():
     assert emit_game(parse_game(scrambled)) == CHAIN_TEXT
 
 
+def test_header_number_is_a_hint_only():
+    body = CHAIN_TEXT.split("\n", 1)[1]
+    for header in ("parity 0;", "parity 7;", "parity 100;"):
+        game = parse_game(f"{header}\n{body}")
+        assert game == parse_game(CHAIN_TEXT)
+        assert emit_game(game) == CHAIN_TEXT
+
+
 def test_records_without_names():
     game = parse_game("parity 1;\n0 2 1 0,1;\n1 1 0 1;\n")
     assert game.names == (None, None)
