@@ -2,7 +2,9 @@
 
 Two solvers (a lean recursive one and a fixpoint one that constructs
 both witness strategies), an independent brute-force oracle, and a
-polynomial verifier that certifies every returned solution.
+polynomial verifier that certifies every returned solution.  The names
+below are the ones README.md documents; internals stay importable from
+their modules.
 """
 
 from .game import (
@@ -14,37 +16,13 @@ from .game import (
     Solution,
     Strategy,
     StrategyError,
-    VertexClass,
-    classify,
     play,
-    relevant_priorities,
 )
 from .generate import gen_random
-from .oracle import (
-    DEFAULT_PROFILE_BUDGET,
-    BudgetExceededError,
-    brute_force_solve,
-    profile_count,
-)
+from .oracle import BudgetExceededError, brute_force_solve
 from .pgfile import ParseError, emit_game, emit_solution, parse_game, parse_solution
-from .solver_constructive import (
-    FixpointState,
-    TransformRecord,
-    bump_priorities,
-    compose_tau,
-    fixpoint_solve,
-    lift_solution,
-    preprocess,
-    solve_constructive,
-)
-from .solver_short import (
-    CertificationError,
-    WinningCore,
-    base_case_solve,
-    combine_strategies,
-    nonempty_step,
-    solve_short,
-)
+from .solver_constructive import FixpointState, solve_constructive
+from .solver_short import CertificationError, solve_short
 from .transforms import (
     RestrictionError,
     SplitGame,
@@ -56,7 +34,6 @@ from .transforms import (
     restrict,
     shift_and_swap,
     split_top,
-    swap_solution,
 )
 from .verification import (
     BadCycleWitness,
@@ -69,7 +46,6 @@ __all__ = [
     "BadCycleWitness",
     "BudgetExceededError",
     "CertificationError",
-    "DEFAULT_PROFILE_BUDGET",
     "Diagnostic",
     "FixpointState",
     "GameError",
@@ -84,30 +60,16 @@ __all__ = [
     "Strategy",
     "StrategyError",
     "Subgame",
-    "TransformRecord",
-    "VertexClass",
-    "WinningCore",
-    "base_case_solve",
     "brute_force_solve",
-    "bump_priorities",
     "check_solution",
-    "classify",
     "closure",
-    "combine_strategies",
-    "compose_tau",
     "emit_game",
     "emit_solution",
-    "fixpoint_solve",
     "gen_random",
-    "lift_solution",
     "merge_strategy",
-    "nonempty_step",
     "parse_game",
     "parse_solution",
     "play",
-    "preprocess",
-    "profile_count",
-    "relevant_priorities",
     "remove_unfair_win",
     "remove_useless_self_loops",
     "restrict",
@@ -115,6 +77,5 @@ __all__ = [
     "solve_constructive",
     "solve_short",
     "split_top",
-    "swap_solution",
     "verify_strategy",
 ]

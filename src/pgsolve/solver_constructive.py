@@ -162,10 +162,12 @@ def _check_round(
 ) -> None:
     """Assert the per-round guarantees, dumping the history on failure.
 
-    Always: regions grow monotonically and the strategy never changes
-    on an earlier region.  When ``thorough`` (debug mode): the round
-    strategy wins its whole region in the bumped game, and merged back
-    it wins the region's originals in the base game.
+    Always: the region grows monotonically and the strategy never
+    changes on the previous round's region.  Each round is compared
+    with the previous one only; by transitivity the chain covers every
+    earlier round.  When ``thorough`` (debug mode): the round strategy
+    wins its whole region in the bumped game, and merged back it wins
+    the region's originals in the base game.
     """
 
     def fail(reason: str) -> None:
@@ -174,17 +176,18 @@ def _check_round(
 
     if not state.x <= state.w1:
         fail(f"round {state.alpha}: region dropped vertices {sorted(state.x - state.w1)}")
-    for earlier in history:
-        if not earlier.w1 <= state.w1:
+    if history:
+        previous = history[-1]
+        if not previous.w1 <= state.w1:
             fail(
                 f"round {state.alpha}: lost vertices "
-                f"{sorted(earlier.w1 - state.w1)} won in round {earlier.alpha}"
+                f"{sorted(previous.w1 - state.w1)} won in round {previous.alpha}"
             )
-        for v in earlier.w1:
-            if state.tau.choices.get(v) != earlier.tau.choices.get(v):
+        for v in previous.w1:
+            if state.tau.choices.get(v) != previous.tau.choices.get(v):
                 fail(
                     f"round {state.alpha}: choice at {v} drifted from "
-                    f"round {earlier.alpha}"
+                    f"round {previous.alpha}"
                 )
     if not thorough:
         return
@@ -239,7 +242,9 @@ def _fixpoint(
             if debug:
                 _require_solution(arena, inner, f"round {alpha} split-game solution")
             solved[pi] = inner
-        tau = compose_tau(history, inner.w1, inner.tau)
+        # regions only grow (checked below), so the last round's tau
+        # already holds the earliest choice on every earlier region
+        tau = compose_tau(history[-1:], inner.w1, inner.tau)
         state = FixpointState(alpha, x, pi, tau, inner.w1)
         _check_round(split, arena, history, state, thorough=debug)
         history.append(state)

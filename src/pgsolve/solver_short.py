@@ -1,12 +1,13 @@
 """Recursive solver peeling one relevant priority per split.
 
-The step: take the top relevant priority k (first shifting priorities
-and swapping owners when k is odd), split its vertices, and solve the
-split game, which has strictly fewer relevant priorities.  Either P0
-wins the whole split game and the merged strategy wins everywhere, or
-P1's split-game region, merged back, is a winning core for P1.  The
-main loop accumulates cores, grows them with the closure rules, and
-recurses on the undecided rest.
+The step: take the top relevant priority k, whose parity favours one
+player, split its vertices, and solve the split game, which has
+strictly fewer relevant priorities.  Either the favoured player wins
+the whole split game and the merged strategy wins everywhere, or the
+opponent's split-game region, merged back, is a winning core for the
+opponent.  The step is the same for both parities; no priority is
+shifted.  The main loop accumulates cores, grows them with the closure
+rules, and recurses on the undecided rest.
 
 ``solve_short`` certifies the partition it returns with one
 ``check_solution``; that single check is a complete proof, so the
@@ -39,7 +40,6 @@ from .transforms import (
     closure,
     merge_strategy,
     restrict,
-    shift_and_swap,
     split_top,
 )
 from .verification import check_solution, verify_strategy
@@ -157,28 +157,6 @@ def base_case_solve(game: ParityGame) -> Solution:
     return _base_case(game, debug=True)
 
 
-def _fused(
-    game: ParityGame,
-    player: Player,
-    parts: Sequence[tuple[Strategy, frozenset[int]]],
-) -> tuple[Strategy, frozenset[int]]:
-    """Every union vertex takes its choice from the first part holding it."""
-    union: set[int] = set()
-    for _, region in parts:
-        union |= region
-    choices = {}
-    for v in sorted(union):
-        if game.owners[v] is not player:
-            continue
-        for strategy, region in parts:
-            if v in region:
-                move = strategy.choices.get(v)
-                if move is not None:
-                    choices[v] = move
-                break
-    return Strategy(player, choices), frozenset(union)
-
-
 def combine_strategies(
     game: ParityGame,
     player: Player,
@@ -200,11 +178,24 @@ def combine_strategies(
             raise CertificationError(
                 f"part {rank} is not winning on its region: {witness}"
             )
-    fused, union = _fused(game, player, parts)
+    union: set[int] = set()
+    for _, region in parts:
+        union |= region
+    choices = {}
+    for v in sorted(union):
+        if game.owners[v] is not player:
+            continue
+        for strategy, region in parts:
+            if v in region:
+                move = strategy.choices.get(v)
+                if move is not None:
+                    choices[v] = move
+                break
+    fused = Strategy(player, choices)
     witness = verify_strategy(game, player, fused, union)
     if witness is not None:
         raise CertificationError(f"fused strategy is not winning: {witness}")
-    return fused, union
+    return fused, frozenset(union)
 
 
 def _nonempty_step(game: ParityGame, debug: bool) -> WinningCore:
@@ -212,31 +203,27 @@ def _nonempty_step(game: ParityGame, debug: bool) -> WinningCore:
     if not relevant:
         raise GameError("nonempty_step needs at least one relevant vertex")
     k = max(relevant)
-    if k % 2 == 1:
-        flipped = _nonempty_step(shift_and_swap(game), debug)
-        return WinningCore(
-            flipped.player.opponent,
-            flipped.region,
-            Strategy(flipped.player.opponent, dict(flipped.strategy.choices)),
-        )
+    favoured = _PLAYERS[k % 2]
     split = split_top(game, k)
     inner = _solve_short(split.plus, debug)
     if debug:
         _require_solution(split.plus, inner, "split-game solution")
-    copies = frozenset(split.copy_of)
-    if not inner.w1:
+    opponent = favoured.opponent
+    lost = inner.region(opponent)
+    if not lost:
         core = WinningCore(
-            Player.P0,
+            favoured,
             frozenset(game.vertices),
-            merge_strategy(split, inner.sigma),
+            merge_strategy(split, inner.strategy(favoured)),
         )
     else:
-        if inner.w1 & copies:
+        if not lost.isdisjoint(split.copy_of):
             raise CertificationError(
-                "a copy of the top even priority ended up in the P1 region"
+                f"a copy of the top priority {k} ended up in the "
+                f"{opponent.name} region"
             )
         core = WinningCore(
-            Player.P1, inner.w1, merge_strategy(split, inner.tau)
+            opponent, lost, merge_strategy(split, inner.strategy(opponent))
         )
     if debug:
         _require_winning(
@@ -248,12 +235,12 @@ def _nonempty_step(game: ParityGame, debug: bool) -> WinningCore:
 def nonempty_step(game: ParityGame) -> WinningCore:
     """Produce one certified winning core of a game with relevant vertices.
 
-    Splits the top relevant priority (made even by shift_and_swap if
-    needed) and fully solves the split game.  If P0 wins it everywhere
-    the merged strategy wins the whole base game; otherwise P1's split
-    region never contains a copy, and merged back it is a P1 core.  The
-    core, and every result it is built from, is certified before it is
-    returned.
+    Splits the top relevant priority, which favours the player of its
+    parity, and fully solves the split game.  If that player wins it
+    everywhere the merged strategy wins the whole base game; otherwise
+    the opponent's split region never contains a copy, and merged back
+    it is a core for the opponent.  The core, and every result it is
+    built from, is certified before it is returned.
     """
     return _nonempty_step(game, debug=True)
 
@@ -266,17 +253,18 @@ def _fuse(
     region: frozenset[int],
     debug: bool,
 ) -> PartialSolution:
-    """Fold a freshly lifted core into the accumulated partial solution.
+    """Add a freshly lifted core to the accumulated partial solution.
 
-    The core was certified inside its residual subgame; on the full game
-    its adversary edges may escape into the earlier regions where only
-    the accumulated strategy knows the moves, so parts are not
-    re-verified individually, only the fused pair is, in debug mode.
+    The core lies inside the undecided vertices, so it is disjoint from
+    the accumulated regions and the fused pair is the union of regions
+    and of choices.  The core was certified inside its residual
+    subgame; on the full game its adversary edges may escape into the
+    earlier regions where only the accumulated strategy knows the
+    moves, so only the fused pair is verified, in debug mode.
     """
-    fused, union = _fused(
-        game,
-        player,
-        [(accumulated.strategy(player), accumulated.region(player)), (strategy, region)],
+    union = accumulated.region(player) | region
+    fused = Strategy(
+        player, {**accumulated.strategy(player).choices, **strategy.choices}
     )
     if debug:
         _require_winning(game, player, fused, union, "fused strategy is not winning")

@@ -44,15 +44,20 @@ class BadCycleWitness:
     max_priority: int
 
 
-def _restricted_edges(
-    game: ParityGame, player: Player, strategy: Strategy, vertices: Iterable[int]
+def _reachable(
+    game: ParityGame, player: Player, strategy: Strategy, region: Iterable[int]
 ) -> dict[int, tuple[int, ...]]:
-    """Outgoing edges after pinning the player's choices.
+    """Restricted adjacency of everything reachable from the region.
 
-    Raises StrategyError at a branching player vertex with no choice.
+    The player's vertices keep only the chosen edge, adversary vertices
+    keep every edge.  Raises StrategyError at a reached branching player
+    vertex with no choice.
     """
-    edges = {}
-    for v in vertices:
+    edges: dict[int, tuple[int, ...]] = {}
+    queue = deque(sorted(set(region)))
+    seen = set(queue)
+    while queue:
+        v = queue.popleft()
         if game.owners[v] is player:
             move = strategy.move_at(game, v)
             if move is None:
@@ -62,19 +67,6 @@ def _restricted_edges(
             edges[v] = (move,)
         else:
             edges[v] = game.choices_at(v)
-    return edges
-
-
-def _reachable(
-    game: ParityGame, player: Player, strategy: Strategy, region: Iterable[int]
-) -> dict[int, tuple[int, ...]]:
-    """Restricted adjacency of everything reachable from the region."""
-    edges: dict[int, tuple[int, ...]] = {}
-    queue = deque(sorted(set(region)))
-    seen = set(queue)
-    while queue:
-        v = queue.popleft()
-        edges.update(_restricted_edges(game, player, strategy, [v]))
         for u in edges[v]:
             if u not in seen:
                 seen.add(u)

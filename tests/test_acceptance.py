@@ -14,10 +14,8 @@ from pgsolve import (
     Strategy,
     brute_force_solve,
     check_solution,
-    combine_strategies,
     emit_game,
     parse_game,
-    profile_count,
     remove_unfair_win,
     remove_useless_self_loops,
     shift_and_swap,
@@ -25,6 +23,8 @@ from pgsolve import (
     solve_short,
     verify_strategy,
 )
+from pgsolve.oracle import profile_count
+from pgsolve.solver_short import combine_strategies
 from games import chain_game, ladder_game, random_corpus
 
 

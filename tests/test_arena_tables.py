@@ -17,17 +17,13 @@ from pgsolve import (
     PartialSolution,
     Player,
     Strategy,
-    VertexClass,
-    bump_priorities,
-    classify,
-    fixpoint_solve,
-    preprocess,
-    relevant_priorities,
     restrict,
     shift_and_swap,
     solve_constructive,
     split_top,
 )
+from pgsolve.game import VertexClass, classify, relevant_priorities
+from pgsolve.solver_constructive import bump_priorities, fixpoint_solve, preprocess
 from pgsolve import solver_constructive
 from pgsolve.transforms import RestrictionError
 from games import cycle, ladder_game, random_corpus

@@ -17,13 +17,11 @@ from pgsolve import (
     Solution,
     Strategy,
     emit_solution,
-    fixpoint_solve,
-    lift_solution,
-    nonempty_step,
-    preprocess,
     solve_constructive,
     solve_short,
 )
+from pgsolve.solver_constructive import fixpoint_solve, lift_solution, preprocess
+from pgsolve.solver_short import nonempty_step
 from pgsolve.transforms import merge_strategy
 from games import chain_game, ladder_game, random_corpus
 

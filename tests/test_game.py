@@ -1,16 +1,7 @@
 import pytest
 
-from pgsolve import (
-    GameError,
-    ParityGame,
-    Player,
-    Strategy,
-    StrategyError,
-    VertexClass,
-    classify,
-    play,
-    relevant_priorities,
-)
+from pgsolve import GameError, ParityGame, Player, Strategy, StrategyError, play
+from pgsolve.game import VertexClass, classify, relevant_priorities
 from games import chain_game, two_cycle_game
 
 

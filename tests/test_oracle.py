@@ -10,9 +10,9 @@ from pgsolve import (
     brute_force_solve,
     check_solution,
     play,
-    profile_count,
     verify_strategy,
 )
+from pgsolve.oracle import profile_count
 from games import chain_game, random_corpus, two_cycle_game
 
 

@@ -7,21 +7,19 @@ from pgsolve import (
     ParityGame,
     Player,
     Strategy,
-    VertexClass,
     brute_force_solve,
     check_solution,
-    classify,
     gen_random,
     merge_strategy,
     parse_game,
     emit_game,
     play,
-    relevant_priorities,
     shift_and_swap,
     solve_constructive,
     solve_short,
     split_top,
 )
+from pgsolve.game import VertexClass, classify, relevant_priorities
 
 # Every code point a name may hold: all but surrogates, the double quote
 # and the characters str.splitlines treats as line breaks.

@@ -1,0 +1,84 @@
+"""The package namespace is what README.md documents, and every function
+the benchmark's tracer wraps still exists in its module."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pgsolve
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The benchmark (perfbench/workloads.py, perfbench/test_perfbench.py)
+# imports some of these from the package itself.
+PUBLIC = [
+    "BadCycleWitness",
+    "BudgetExceededError",
+    "CertificationError",
+    "Diagnostic",
+    "FixpointState",
+    "GameError",
+    "Lasso",
+    "ParityGame",
+    "ParseError",
+    "PartialSolution",
+    "Player",
+    "RestrictionError",
+    "Solution",
+    "SplitGame",
+    "Strategy",
+    "StrategyError",
+    "Subgame",
+    "brute_force_solve",
+    "check_solution",
+    "closure",
+    "emit_game",
+    "emit_solution",
+    "gen_random",
+    "merge_strategy",
+    "parse_game",
+    "parse_solution",
+    "play",
+    "remove_unfair_win",
+    "remove_useless_self_loops",
+    "restrict",
+    "shift_and_swap",
+    "solve_constructive",
+    "solve_short",
+    "split_top",
+    "verify_strategy",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(pgsolve.__all__) == PUBLIC
+
+
+def test_every_export_resolves():
+    for name in pgsolve.__all__:
+        assert hasattr(pgsolve, name), name
+
+
+def test_readme_names_every_export():
+    readme = (ROOT / "README.md").read_text()
+    missing = [
+        name for name in pgsolve.__all__ if not re.search(rf"\b{name}\b", readme)
+    ]
+    assert not missing, f"exported but not in README.md: {missing}"
+
+
+def _tracer_targets():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def test_tracer_targets_resolve():
+    for module_name, attribute in _tracer_targets():
+        owner = importlib.import_module(f"pgsolve.{module_name}")
+        for part in attribute.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attribute)
+

@@ -7,14 +7,16 @@ from pgsolve import (
     Player,
     Strategy,
     brute_force_solve,
-    bump_priorities,
     check_solution,
-    compose_tau,
-    fixpoint_solve,
-    preprocess,
     solve_constructive,
     solve_short,
     split_top,
+)
+from pgsolve.solver_constructive import (
+    bump_priorities,
+    compose_tau,
+    fixpoint_solve,
+    preprocess,
 )
 from games import chain_game, random_corpus, two_cycle_game
 

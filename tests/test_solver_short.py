@@ -6,15 +6,15 @@ from pgsolve import (
     ParityGame,
     Player,
     Strategy,
-    base_case_solve,
     brute_force_solve,
     check_solution,
-    combine_strategies,
-    nonempty_step,
+    shift_and_swap,
     solve_short,
     verify_strategy,
 )
-from games import chain_game, random_corpus, two_cycle_game
+from pgsolve.game import relevant_priorities
+from pgsolve.solver_short import base_case_solve, combine_strategies, nonempty_step
+from games import chain_game, cycle, random_corpus, two_cycle_game
 
 
 def test_base_case_absorbing_split_by_parity():
@@ -174,3 +174,28 @@ def test_solve_short_matches_oracle():
         reference = brute_force_solve(game)
         assert (solved.w0, solved.w1) == (reference.w0, reference.w1)
         assert check_solution(game, solved) is None
+
+
+def test_nonempty_step_commutes_with_shift_and_swap():
+    # the step reads the favoured player off the top priority's parity,
+    # so shifting and swapping the game only swaps the core's player
+    checked = 0
+    for game in random_corpus(300, 8):
+        if not relevant_priorities(game):
+            continue
+        core = nonempty_step(game)
+        swapped = nonempty_step(shift_and_swap(game))
+        assert swapped.player is core.player.opponent
+        assert swapped.strategy.player is swapped.player
+        assert swapped.region == core.region
+        assert swapped.strategy.choices == core.strategy.choices
+        checked += 1
+    assert checked > 200
+
+
+def test_solve_short_deep_cycle_within_default_recursion_limit():
+    # one split per distinct priority: 400 nested steps
+    game = cycle(400)
+    solved = solve_short(game)
+    assert check_solution(game, solved) is None
+    assert solved.w1 == frozenset(game.vertices)

@@ -7,18 +7,16 @@ from pgsolve import (
     Player,
     RestrictionError,
     Strategy,
-    VertexClass,
     brute_force_solve,
-    classify,
     closure,
     merge_strategy,
-    relevant_priorities,
     remove_unfair_win,
     remove_useless_self_loops,
     restrict,
     shift_and_swap,
     split_top,
 )
+from pgsolve.game import VertexClass, classify, relevant_priorities
 from games import chain_game, two_cycle_game
 
 
