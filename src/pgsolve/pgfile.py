@@ -75,17 +75,21 @@ def parse_game(text: str) -> ParityGame:
                 column = line.index(";") + 1 if ";" in line else len(line) + 1
                 raise ParseError(line_no, column, "empty successor list")
             raise _fail_column(line, line_no, "malformed record")
-        vid = int(match.group("id"))
+        succ_text = match.group("successors")
+        try:
+            vid = int(match.group("id"))
+            owner = int(match.group("owner"))
+            priority = int(match.group("priority"))
+            successors = tuple(int(tok) for tok in succ_text.replace(" ", "").split(","))
+        except ValueError as exc:  # more digits than int() converts
+            raise _fail_column(line, line_no, str(exc)) from None
         if vid in records:
             raise _fail_column(line, line_no, f"duplicate id {vid}")
-        owner = int(match.group("owner"))
         if owner not in (0, 1):
             raise _fail_column(line, line_no, f"owner must be 0 or 1, got {owner}")
-        succ_text = match.group("successors")
-        successors = tuple(int(tok) for tok in succ_text.replace(" ", "").split(","))
         for u in successors:
             successor_sites.append((vid, u, line_no))
-        records[vid] = (int(match.group("priority")), owner, successors, match.group("name"))
+        records[vid] = (priority, owner, successors, match.group("name"))
     if not records:
         raise ParseError(header_no, 1, "no vertex records after the header")
     n = max(records) + 1
@@ -131,17 +135,22 @@ def parse_solution(text: str, game: ParityGame) -> Solution:
         match = _SOLUTION_LINE.match(line)
         if match is None:
             raise _fail_column(line, line_no, "malformed solution line")
-        vid = int(match.group("id"))
+        choice = match.group("choice")
+        try:
+            vid = int(match.group("id"))
+            winner = int(match.group("winner"))
+            move = None if choice == "-" else int(choice)
+        except ValueError as exc:  # more digits than int() converts
+            raise _fail_column(line, line_no, str(exc)) from None
         if vid >= game.n:
             raise _fail_column(line, line_no, f"unknown vertex {vid}")
         if vid in winners:
             raise _fail_column(line, line_no, f"duplicate vertex {vid}")
-        winner = int(match.group("winner"))
         if winner not in (0, 1):
             raise _fail_column(line, line_no, f"winner must be 0 or 1, got {winner}")
         winners[vid] = winner
-        if match.group("choice") != "-":
-            choices[game.owners[vid]][vid] = int(match.group("choice"))
+        if move is not None:
+            choices[game.owners[vid]][vid] = move
     missing = [v for v in game.vertices if v not in winners]
     if missing:
         raise ParseError(1, 1, f"missing verdict for vertices {missing}")

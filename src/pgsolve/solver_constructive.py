@@ -217,7 +217,7 @@ def _fixpoint(
         )
     relevant = relevant_priorities(game)
     if not relevant:
-        return _base_case(game, debug)
+        return _base_case(game, debug, game.vertices)
     k = max(relevant)
     if k % 2 == 1:
         shifted = shift_and_swap(game)

@@ -9,12 +9,18 @@ opponent.  The step is the same for both parities; no priority is
 shifted.  The main loop accumulates cores, grows them with the closure
 rules, and recurses on the undecided rest.
 
+A step never builds the subarena of the undecided vertices.  Its
+relevant vertices and its base case are read off the game, with the
+undecided list as a mask; its split game, the one arena a step builds,
+comes straight from the game, and the core maps back through one map.
+
 ``solve_short`` certifies the partition it returns with one
 ``check_solution``; that single check is a complete proof, so the
 recursion below it does not re-verify.  With ``debug=True`` every
-intermediate result is certified as well (base cases, cores, fused
-pairs and nested solutions), which points at the first step that went
-wrong.  A failed check means a bug, not a losing position, and raises
+intermediate result is certified as well (base cases and cores on the
+undecided subarena, built for that alone, fused pairs and nested
+solutions), which points at the first step that went wrong.  A failed
+check means a bug, not a losing position, and raises
 CertificationError.
 """
 
@@ -31,16 +37,16 @@ from .game import (
     Solution,
     Strategy,
     StrategyError,
-    VertexClass,
     _PLAYERS,
     empty_partial,
     relevant_priorities,
 )
 from .transforms import (
+    SplitGame,
+    _split_rest,
     closure,
     merge_strategy,
     restrict,
-    split_top,
 )
 from .verification import check_solution, verify_strategy
 
@@ -64,8 +70,19 @@ def _require_winning(
     strategy: Strategy,
     region: frozenset[int],
     what: str,
+    keep: Sequence[int] | None = None,
 ) -> None:
-    """Raise CertificationError, prefixed by ``what``, unless the pair wins."""
+    """Raise CertificationError, prefixed by ``what``, unless the pair wins.
+
+    With ``keep`` the pair is checked on the subarena ``keep`` induces.
+    """
+    if keep is not None:
+        sub = restrict(game, keep)
+        game, to_new = sub.game, sub.to_new
+        region = frozenset(map(to_new.__getitem__, region))
+        strategy = Strategy(
+            player, {to_new[v]: to_new[u] for v, u in strategy.choices.items()}
+        )
     try:
         witness = verify_strategy(game, player, strategy, region)
     except StrategyError as exc:
@@ -108,23 +125,24 @@ def _certified(
     raise CertificationError(message)
 
 
-def _base_case(game: ParityGame, debug: bool) -> Solution:
-    if relevant_priorities(game):
-        raise GameError("base case called with relevant vertices present")
+def _base_case(game: ParityGame, debug: bool, keep: Sequence[int]) -> Solution:
+    """``base_case_solve`` on the subarena ``keep`` (ascending) induces.
+
+    The answer is in ``game``'s indices, with a choice wherever it branches.
+    """
+    owners, priorities, choices = game.owners, game.priorities, game._choices
+    options = choices
+    if len(keep) < game.n:
+        inside = set(keep)
+        options = {v: [u for u in choices[v] if u in inside] for v in keep}
     regions = {Player.P0: set(), Player.P1: set()}
     chosen = {Player.P0: {}, Player.P1: {}}
-    vanishing = []
-    for v, cls in enumerate(game._classes):
-        if cls is VertexClass.ABSORBING:
-            regions[_PLAYERS[game.priorities[v] % 2]].add(v)
-        else:
-            vanishing.append(v)
-    for v in vanishing:
-        owner = game.owners[v]
-        good = [u for u in game.choices_at(v) if owner.favours(game.priorities[u])]
+    for v in keep:
+        owner = owners[v]
+        good = [u for u in options[v] if priorities[u] % 2 == owner]
         if good:
             regions[owner].add(v)
-            if len(game.choices_at(v)) > 1:
+            if len(choices[v]) > 1:
                 chosen[owner][v] = min(good)
         else:
             regions[owner.opponent].add(v)
@@ -142,6 +160,7 @@ def _base_case(game: ParityGame, debug: bool) -> Solution:
                 solution.strategy(player),
                 solution.region(player),
                 "base case failed its own check",
+                keep,
             )
     return solution
 
@@ -154,7 +173,9 @@ def base_case_solve(game: ParityGame) -> Solution:
     successor has the owner's parity, taking the least-index one.  Both
     strategies are certified before the solution is returned.
     """
-    return _base_case(game, debug=True)
+    if relevant_priorities(game):
+        raise GameError("base case called with relevant vertices present")
+    return _base_case(game, True, game.vertices)
 
 
 def combine_strategies(
@@ -198,36 +219,40 @@ def combine_strategies(
     return fused, frozenset(union)
 
 
-def _nonempty_step(game: ParityGame, debug: bool) -> WinningCore:
-    relevant = relevant_priorities(game)
-    if not relevant:
-        raise GameError("nonempty_step needs at least one relevant vertex")
-    k = max(relevant)
+def _nonempty_step(split: SplitGame, debug: bool) -> WinningCore:
+    """The core of the split subarena, in ``split.base`` indices.
+
+    A move the subarena forces where ``split.base`` branches is named.
+    """
+    game, kept, k = split.base, split._kept, split.k
     favoured = _PLAYERS[k % 2]
-    split = split_top(game, k)
     inner = _solve_short(split.plus, debug)
     if debug:
         _require_solution(split.plus, inner, "split-game solution")
-    opponent = favoured.opponent
-    lost = inner.region(opponent)
-    if not lost:
-        core = WinningCore(
-            favoured,
-            frozenset(game.vertices),
-            merge_strategy(split, inner.strategy(favoured)),
+    player = favoured.opponent
+    domain = inner.region(player)
+    if not domain:
+        player, domain = favoured, range(split.plus.n - len(split.copy_of))
+    elif not domain.isdisjoint(split.copy_of):
+        raise CertificationError(
+            f"a copy of the top priority {k} ended up in the {player.name} region"
         )
-    else:
-        if not lost.isdisjoint(split.copy_of):
-            raise CertificationError(
-                f"a copy of the top priority {k} ended up in the "
-                f"{opponent.name} region"
-            )
-        core = WinningCore(
-            opponent, lost, merge_strategy(split, inner.strategy(opponent))
-        )
+    choices = dict(inner.strategy(player).choices)
+    if kept is not None:
+        forced = split.plus._choices
+        for v in domain:
+            original = kept[v]
+            if game.owners[original] is player and len(forced[v]) == 1:
+                if len(game._choices[original]) > 1:
+                    choices.setdefault(v, forced[v][0])
+    core = WinningCore(
+        player,
+        frozenset(map(split.merge, domain)),
+        merge_strategy(split, Strategy(player, choices)),
+    )
     if debug:
         _require_winning(
-            game, core.player, core.strategy, core.region, "core failed verification"
+            game, player, core.strategy, core.region, "core failed verification", kept
         )
     return core
 
@@ -242,7 +267,10 @@ def nonempty_step(game: ParityGame) -> WinningCore:
     it is a core for the opponent.  The core, and every result it is
     built from, is certified before it is returned.
     """
-    return _nonempty_step(game, debug=True)
+    split = _split_rest(game, game.vertices)
+    if split is None:
+        raise GameError("nonempty_step needs at least one relevant vertex")
+    return _nonempty_step(split, debug=True)
 
 
 def _fuse(
@@ -253,7 +281,7 @@ def _fuse(
     region: frozenset[int],
     debug: bool,
 ) -> PartialSolution:
-    """Add a freshly lifted core to the accumulated partial solution.
+    """Add a core, in the game's indices, to the accumulated partial solution.
 
     The core lies inside the undecided vertices, so it is disjoint from
     the accumulated regions and the fused pair is the union of regions
@@ -276,31 +304,26 @@ def _fuse(
 def _solve_short(game: ParityGame, debug: bool) -> Solution:
     accumulated = empty_partial()
     while True:
-        undecided = sorted(set(game.vertices) - accumulated.w0 - accumulated.w1)
-        if not undecided:
+        w0, w1 = accumulated.w0, accumulated.w1
+        keep = [v for v in game.vertices if v not in w0 and v not in w1]
+        if not keep:
             break
-        sub = restrict(game, undecided)
-        if not relevant_priorities(sub.game):
-            base = _base_case(sub.game, debug)
+        split = _split_rest(game, keep)
+        if split is None:
+            base = _base_case(game, debug, keep)
             for player in (Player.P0, Player.P1):
-                region = base.region(player)
                 accumulated = _fuse(
                     game,
                     accumulated,
                     player,
-                    sub.lift_strategy(game, base.strategy(player), region),
-                    sub.lift_vertices(region),
+                    base.strategy(player),
+                    base.region(player),
                     debug,
                 )
             break
-        core = _nonempty_step(sub.game, debug)
+        core = _nonempty_step(split, debug)
         accumulated = _fuse(
-            game,
-            accumulated,
-            core.player,
-            sub.lift_strategy(game, core.strategy, core.region),
-            sub.lift_vertices(core.region),
-            debug,
+            game, accumulated, core.player, core.strategy, core.region, debug
         )
         accumulated = closure(game, accumulated)
     return Solution(
@@ -311,10 +334,11 @@ def _solve_short(game: ParityGame, debug: bool) -> Solution:
 def solve_short(game: ParityGame, *, debug: bool = False) -> Solution:
     """Solve a game by repeated winning cores and closure.
 
-    Each round restricts to the undecided vertices (a legal subgame by
-    the closure guarantees), extracts one core there, lifts it back,
-    fuses it with the matching accumulated pair and closes off.  The
-    base case finishes the last residual.  The final partition is
+    Each round takes the subarena of the undecided vertices (a legal
+    subgame by the closure guarantees), splits it straight from the
+    game, extracts one core in the game's vertices, fuses it with the
+    matching accumulated pair and closes off.  The base case finishes
+    the last residual.  The final partition is
     certified once before being returned; ``debug=True`` also certifies
     every intermediate result.  Raises CertificationError when a check
     fails.

@@ -9,9 +9,10 @@ copies back is what both solvers are built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 from .game import (
     GameError,
@@ -20,7 +21,6 @@ from .game import (
     Player,
     Solution,
     Strategy,
-    VertexClass,
 )
 
 
@@ -28,8 +28,10 @@ from .game import (
 class SplitGame:
     """A game, its split version, and the correspondence between them.
 
-    Copies are appended after the original vertices in ascending order
-    of their originals, so every original keeps its index.
+    Copies follow the originals, in ascending order of their originals.
+    ``split_set``, ``copy_of`` and ``copy_for`` name originals by their
+    ``base`` index.  ``split_top`` keeps every original's index; a split
+    of the subarena some vertices induce numbers its originals densely.
     """
 
     base: ParityGame
@@ -38,10 +40,79 @@ class SplitGame:
     split_set: frozenset[int]
     copy_of: Mapping[int, int]  # copy index -> original index
     copy_for: Mapping[int, int]  # original index -> copy index
+    # base index of each original of plus, None when all are kept
+    _kept: Sequence[int] | None = field(default=None, init=False, repr=False)
 
     def merge(self, v: int) -> int:
-        """The merge map: identity on originals, copy back to original."""
-        return self.copy_of.get(v, v)
+        """The merge map: a vertex of plus to its base vertex."""
+        if v in self.copy_of:
+            return self.copy_of[v]
+        return v if self._kept is None else self._kept[v]
+
+
+def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> ParityGame:
+    """The arena ``keep`` induces, each vertex of ``split`` split off.
+
+    ``keep`` is ascending, ``split`` an ascending part of it.  Kept
+    vertices are numbered densely in order, then their copies follow.
+    Raises RestrictionError at the first kept vertex left without a
+    successor.
+    """
+    order = (*keep, *split)
+    target = dict(zip(order, range(len(order))))  # a split vertex: its copy
+    inside, moved = target.__contains__, target.__getitem__
+    successors = [tuple(map(moved, filter(inside, game.successors[v]))) for v in keep]
+    if not all(successors):
+        v = keep[successors.index(())]
+        raise RestrictionError(f"vertex {v} keeps no successor in the restriction", v)
+    successors.extend((target[v],) for v in split)
+    names = game.names
+    return ParityGame(
+        tuple(map(game.owners.__getitem__, order)),
+        tuple(map(game.priorities.__getitem__, order)),
+        tuple(successors),
+        (
+            *map(names.__getitem__, keep),
+            *(None if names[v] is None else f"{names[v]}~" for v in split),
+        ),
+    )
+
+
+def _split_rest(
+    game: ParityGame, keep: Sequence[int], k: int | None = None
+) -> SplitGame | None:
+    """``split_top`` of the subarena ``keep`` (ascending) induces, or None.
+
+    k defaults to the subarena's top relevant priority.  A kept vertex
+    is relevant there when a kept vertex moves to it and it can move to
+    a kept vertex other than itself; only the split game is built.
+    """
+    priorities, m = game.priorities, len(keep)
+    if m == game.n:
+        relevant = list(compress(keep, game._edges.relevant))
+    else:
+        inside = [False] * game.n
+        for v in keep:
+            inside[v] = True
+        choices, predecessors = game._choices, game._predecessors
+        relevant = [
+            v
+            for v in keep
+            if any(inside[w] for w in predecessors[v])
+            and any(inside[u] and u != v for u in choices[v])
+        ]
+    if k is None and relevant:
+        k = max(priorities[v] for v in relevant)
+    split = [v for v in relevant if priorities[v] == k]
+    if not split:
+        return None
+    copy_for = dict(zip(split, range(m, m + len(split))))
+    copy_of = dict(zip(copy_for.values(), split))
+    plus = _induced(game, keep, split)
+    result = SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
+    if m < game.n:
+        object.__setattr__(result, "_kept", keep)
+    return result
 
 
 def split_top(game: ParityGame, k: int) -> SplitGame:
@@ -52,34 +123,10 @@ def split_top(game: ParityGame, k: int) -> SplitGame:
     redirected to its copy, including self-loops of the original.
     Raises GameError when no relevant vertex carries priority k.
     """
-    classes = game._classes
-    split = [
-        v
-        for v, p in enumerate(game.priorities)
-        if p == k and classes[v] is VertexClass.RELEVANT
-    ]
-    if not split:
+    split = _split_rest(game, game.vertices, k)
+    if split is None:
         raise GameError(f"priority {k} is carried by no relevant vertex")
-    n = game.n
-    copy_for = {v: n + i for i, v in enumerate(split)}
-    copy_of = {c: v for v, c in copy_for.items()}
-    in_split = set(split)
-    successors = [
-        tuple(copy_for[u] if u in in_split else u for u in game.successors[v])
-        for v in game.vertices
-    ]
-    owners = list(game.owners)
-    priorities = list(game.priorities)
-    names = list(game.names)
-    for v in split:
-        successors.append((copy_for[v],))
-        owners.append(game.owners[v])
-        priorities.append(k)
-        names.append(f"{game.names[v]}~" if game.names[v] is not None else None)
-    plus = ParityGame(
-        tuple(owners), tuple(priorities), tuple(successors), tuple(names)
-    )
-    return SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
+    return split
 
 
 def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
@@ -88,9 +135,10 @@ def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
     Sound because an edge into a copy exists exactly when the original
     edge does, and copies only ever loop on themselves.
     """
-    n = split.base.n
+    originals = split.plus.n - len(split.copy_of)
+    merge = split.merge
     choices = {
-        v: split.merge(u) for v, u in strategy.choices.items() if v < n
+        merge(v): merge(u) for v, u in strategy.choices.items() if v < originals
     }
     merged = Strategy(strategy.player, choices)
     merged.validate(split.base)
@@ -173,32 +221,6 @@ class Subgame:
     to_old: tuple[int, ...]  # new index -> old index
     to_new: Mapping[int, int]  # old index -> new index
 
-    def lift_vertices(self, vertices: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.to_old[v] for v in vertices)
-
-    def lift_strategy(self, parent: ParityGame, strategy: Strategy,
-                      domain: Iterable[int]) -> Strategy:
-        """Map a subgame strategy to parent indices over ``domain``.
-
-        A move forced in the subgame may be a real decision in the
-        parent, where dropped edges reappear, so such moves are
-        materialized as explicit entries.
-        """
-        choices = {}
-        for v in domain:
-            if self.game.owners[v] is not strategy.player:
-                continue
-            move = strategy.choices.get(v)
-            if move is None:
-                options = self.game.choices_at(v)
-                if len(options) == 1 and len(parent.choices_at(self.to_old[v])) > 1:
-                    move = options[0]
-            if move is not None:
-                choices[self.to_old[v]] = self.to_old[move]
-        lifted = Strategy(strategy.player, choices)
-        lifted.validate(parent)
-        return lifted
-
 
 def restrict(game: ParityGame, keep: Iterable[int]) -> Subgame:
     """Induced subgame on ``keep``, renumbered densely in index order.
@@ -214,25 +236,10 @@ def restrict(game: ParityGame, keep: Iterable[int]) -> Subgame:
     if to_old and not (0 <= to_old[0] and to_old[-1] < n):
         bad = next(v for v in to_old if not 0 <= v < n)
         raise GameError(f"vertex {bad} out of range 0..{n - 1}")
+    to_new = dict(zip(to_old, range(len(to_old))))
     if len(to_old) == n:
-        return Subgame(game, to_old, dict(zip(to_old, to_old)))
-    to_new = {v: i for i, v in enumerate(to_old)}
-    kept = set(to_old)
-    successors = []
-    for v in to_old:
-        inside = tuple(to_new[u] for u in game.successors[v] if u in kept)
-        if not inside:
-            raise RestrictionError(
-                f"vertex {v} keeps no successor in the restriction", v
-            )
-        successors.append(inside)
-    sub = ParityGame(
-        tuple(game.owners[v] for v in to_old),
-        tuple(game.priorities[v] for v in to_old),
-        tuple(successors),
-        tuple(game.names[v] for v in to_old),
-    )
-    return Subgame(sub, to_old, to_new)
+        return Subgame(game, to_old, to_new)
+    return Subgame(_induced(game, to_old, ()), to_old, to_new)
 
 
 def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:

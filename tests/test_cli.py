@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,3 +259,38 @@ def test_solve_reports_a_recursion_limit(chain_file, capsys, monkeypatch):
         "error: game too deep for the recursive solver: "
         "maximum recursion depth exceeded\n"
     )
+
+
+def test_number_too_long_for_int_is_a_usage_error(chain_file, tmp_path, capsys):
+    too_long = "9" * (sys.get_int_max_str_digits() + 1)
+    game = tmp_path / "huge.pg"
+    game.write_text(f"parity 0;\n0 {too_long} 0 0;\n")
+    claim = tmp_path / "huge.sol"
+    claim.write_text(f"0 1 -\n1 1 {too_long}\n2 1 -\n")
+    for argv in (["solve", str(game)], ["verify", chain_file, str(claim)]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "line 2, column 1" in capsys.readouterr().err
+
+
+def run_module(*args):
+    """``python -m pgsolve`` in a fresh interpreter that finds this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "pgsolve", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    generated = run_module("gen", "--n", "3")
+    assert generated.returncode == 0
+    assert parse_game(generated.stdout).n == 3
+    usage = run_module()
+    assert usage.returncode == 2
+    assert "usage: pgsolve" in usage.stderr

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from pgsolve import (
 from games import chain_game, random_corpus, two_cycle_game
 
 DATA = Path(__file__).parent / "data"
+
+# One digit more than ``int`` converts from text.
+TOO_LONG = "9" * (sys.get_int_max_str_digits() + 1)
 
 CHAIN_TEXT = 'parity 2;\n0 3 0 1 "u";\n1 4 0 2 "v";\n2 1 0 2 "w";\n'
 
@@ -190,3 +194,29 @@ def test_solution_error_missing_verdict():
     with pytest.raises(ParseError) as err:
         parse_solution("0 1 -\n2 1 -\n", chain_game())
     assert "missing verdict for vertices [1]" in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        f"  {TOO_LONG} 3 0 1;",  # id
+        f"  0 {TOO_LONG} 0 1;",  # priority
+        f"  0 3 {TOO_LONG} 1;",  # owner
+        f"  0 3 0 1, {TOO_LONG};",  # successor
+    ],
+)
+def test_error_number_too_long_for_int(record):
+    with pytest.raises(ParseError) as err:
+        parse_game(f"parity 1;\n{record}\n1 2 1 0;\n")
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert f"value has {len(TOO_LONG)} digits" in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "line", [f" {TOO_LONG} 1 -", f" 1 {TOO_LONG} -", f" 1 1 {TOO_LONG}"]
+)
+def test_solution_error_number_too_long_for_int(line):
+    with pytest.raises(ParseError) as err:
+        parse_solution(f"0 1 -\n{line}\n2 1 -\n", chain_game())
+    assert (err.value.line, err.value.column) == (2, 2)
+    assert f"value has {len(TOO_LONG)} digits" in err.value.reason

@@ -12,6 +12,7 @@ from pgsolve import (
     solve_short,
     verify_strategy,
 )
+from pgsolve import solver_short, transforms
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_short import base_case_solve, combine_strategies, nonempty_step
 from games import chain_game, cycle, random_corpus, two_cycle_game
@@ -125,8 +126,8 @@ def test_nonempty_step_two_cycle_yields_whole_game():
 
 
 def test_nonempty_step_odd_top_priority_flips():
-    # single relevant priority 1: shift_and_swap makes it 2 and P1 the
-    # beneficiary of the original odd loop
+    # single relevant priority 1: odd, so the step favours P1, who wins
+    # the whole split game and with it the whole game
     game = ParityGame.from_vertices(
         [(0, 1, (1,), "u"), (1, 1, (0,), "v")]
     )
@@ -199,3 +200,31 @@ def test_solve_short_deep_cycle_within_default_recursion_limit():
     solved = solve_short(game)
     assert check_solution(game, solved) is None
     assert solved.w1 == frozenset(game.vertices)
+
+
+def test_solve_short_builds_one_arena_per_core_step(monkeypatch):
+    # a core step builds the split game of the undecided rest straight
+    # from the parent; the undecided subarena itself is never built
+    games = [*random_corpus(200, 8), cycle(48)]
+    counts = {"arenas": 0, "steps": 0}
+    init, step = ParityGame.__post_init__, solver_short._nonempty_step
+
+    def counting_init(self):
+        counts["arenas"] += 1
+        init(self)
+
+    def counting_step(split, debug):
+        counts["steps"] += 1
+        return step(split, debug)
+
+    def no_restrict(game, keep):
+        raise AssertionError("restrict called in default mode")
+
+    monkeypatch.setattr(ParityGame, "__post_init__", counting_init)
+    monkeypatch.setattr(solver_short, "_nonempty_step", counting_step)
+    monkeypatch.setattr(solver_short, "restrict", no_restrict)
+    monkeypatch.setattr(transforms, "restrict", no_restrict)
+    for game in games:
+        solve_short(game)
+    assert counts["steps"] > 200
+    assert counts["arenas"] == counts["steps"]
