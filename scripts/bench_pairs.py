@@ -1,0 +1,104 @@
+"""Alternating before/after benchmark pairs, summarised per metric.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --pr 7 \\
+        --workloads short_random,short_deep,constructive,certify --seeds 1 2 3
+
+PARENT and CHANGE are two checkouts of this repository.  For every seed
+and workload the script runs ``perfbench/run.py --trace 0`` once in each
+checkout, one after the other, and swaps which of the two goes first
+from one pair to the next, so a drift in machine speed hits both sides
+alike.  Runs are sequential: one benchmark process at a time.
+
+The output, ``BENCH_<pr>.json`` in the current directory, holds per
+workload and metric the parent's and the change's median, min and max
+over the pairs, the change's median over the parent's, and every run's
+value; plus per workload the attempted and failed op counts of each
+side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py --trace 0`` run in ``checkout``: its JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
+def summarise(runs: dict[str, list[dict]]) -> dict:
+    """Per-metric medians, min and max of both sides, and their ratio."""
+    metrics = {}
+    for name, first in runs["parent"][0]["metrics"].items():
+        values = {side: [run["metrics"][name]["value"] for run in runs[side]]
+                  for side in SIDES}
+        entry = {"unit": first["unit"]}
+        for side in SIDES:
+            entry[side] = {**summary(values[side]), "runs": values[side]}
+        parent = entry["parent"]["median"]
+        entry["change_over_parent"] = entry["change"]["median"] / parent if parent else None
+        metrics[name] = entry
+    ops = {side: {"attempted": sum(run["attempted"] for run in runs[side]),
+                  "failed": sum(run["failed"] for run in runs[side])}
+           for side in SIDES}
+    return {"pairs": len(runs["parent"]), "ops": ops, "metrics": metrics}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
+    parser.add_argument("--workloads", required=True,
+                        help="comma-separated perfbench workload names")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, default=20)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    workloads = [w for w in args.workloads.split(",") if w]
+    results = {}
+    pair = 0
+    for workload in workloads:
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for seed in args.seeds:
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            pair += 1
+            for side in order:
+                runs[side].append(run_once(checkouts[side], workload, seed, args.seconds))
+                print(f"{workload} seed {seed} {side}: "
+                      f"ops_per_s {runs[side][-1]['metrics']['ops_per_s']['value']:.4g}",
+                      flush=True)
+        results[workload] = summarise(runs)
+    record = {
+        "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
+        "seeds": args.seeds,
+        "order": "alternating: the side that runs first swaps from pair to pair",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "workloads": results,
+    }
+    out = Path(f"BENCH_{args.pr}.json")
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"written {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

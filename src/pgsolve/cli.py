@@ -187,9 +187,9 @@ def _cmd_transform(args) -> int:
             transformed = shift_and_swap(game)
         else:
             _usage_error(f"unknown transform {op!r}")
+        sys.stdout.write(emit_game(transformed))
     except (GameError, ValueError) as exc:
         _usage_error(str(exc))
-    sys.stdout.write(emit_game(transformed))
     return 0
 
 
@@ -258,3 +258,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -46,6 +46,17 @@ def _as_player(value) -> Player:
     return value if value.__class__ is Player else Player(value)
 
 
+def _coerced(values: Iterable, kind: type) -> tuple:
+    """``values`` as a tuple of exact ``kind`` instances.
+
+    Only a table holding some other type is converted, value by value.
+    """
+    values = tuple(values)
+    if {*map(type, values)} <= {kind}:
+        return values
+    return tuple(map(kind, values))
+
+
 class VertexClass(Enum):
     ABSORBING = "absorbing"  # only outgoing edge is the self-loop
     VANISHING = "vanishing"  # no incoming edge at all
@@ -106,6 +117,17 @@ class _EdgeTables:
         return tuple(map(tuple, preds))
 
     @cached_property
+    def splits(self) -> dict[tuple[int, ...], "ParityGame"]:
+        """Split arenas built on these edges, by their split vertices.
+
+        Filled by ``transforms.split_top``.  A split arena's structure
+        depends on the edges and the split set alone, and arenas that
+        share edge tables share names too, so a later split of the same
+        set only relabels the stored arena.
+        """
+        return {}
+
+    @cached_property
     def mixed_loops(self) -> tuple[int, ...]:
         """Vertices with a self-loop next to proper edges, ascending."""
         return tuple(
@@ -143,12 +165,8 @@ class ParityGame:
     names: tuple[str | None, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "owners",
-            tuple(o if o.__class__ is Player else Player(o) for o in self.owners),
-        )
-        object.__setattr__(self, "priorities", tuple(int(p) for p in self.priorities))
+        object.__setattr__(self, "owners", _coerced(self.owners, Player))
+        object.__setattr__(self, "priorities", _coerced(self.priorities, int))
         object.__setattr__(self, "successors", tuple(tuple(s) for s in self.successors))
         n = len(self.owners)
         if not self.names:
@@ -218,14 +236,11 @@ class ParityGame:
         to Player and priorities must be nonnegative ints, one per
         vertex.
         """
-        if owners is None:
-            owners = self.owners
-        else:
-            owners = tuple(o if o.__class__ is Player else Player(o) for o in owners)
+        owners = self.owners if owners is None else _coerced(owners, Player)
         if priorities is None:
             priorities = self.priorities
         else:
-            priorities = tuple(map(int, priorities))
+            priorities = _coerced(priorities, int)
             if priorities and min(priorities) < 0:
                 v = next(v for v, p in enumerate(priorities) if p < 0)
                 raise GameError(f"vertex {v} has negative priority {priorities[v]}")

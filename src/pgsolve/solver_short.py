@@ -128,29 +128,41 @@ def _certified(
 def _base_case(game: ParityGame, debug: bool, keep: Sequence[int]) -> Solution:
     """``base_case_solve`` on the subarena ``keep`` (ascending) induces.
 
-    The answer is in ``game``'s indices, with a choice wherever it branches.
+    The answer is in ``game``'s indices, with a choice wherever it
+    branches.  A vertex with one move inside ``keep`` (every absorbing
+    vertex among them) goes to the player its target's priority
+    favours.  Any other vertex goes to its owner, moving to the least
+    target whose priority favours the owner, when there is one, and
+    else to the opponent.
     """
     owners, priorities, choices = game.owners, game.priorities, game._choices
     options = choices
     if len(keep) < game.n:
         inside = set(keep)
         options = {v: [u for u in choices[v] if u in inside] for v in keep}
-    regions = {Player.P0: set(), Player.P1: set()}
-    chosen = {Player.P0: {}, Player.P1: {}}
+    regions = (set(), set())
+    chosen = ({}, {})
     for v in keep:
+        targets = options[v]
+        if len(targets) == 1:
+            u = targets[0]
+            winner = priorities[u] % 2
+            regions[winner].add(v)
+            if winner == owners[v] and len(choices[v]) > 1:
+                chosen[winner][v] = u
+            continue
         owner = owners[v]
-        good = [u for u in options[v] if priorities[u] % 2 == owner]
+        good = [u for u in targets if priorities[u] % 2 == owner]
         if good:
             regions[owner].add(v)
-            if len(choices[v]) > 1:
-                chosen[owner][v] = min(good)
+            chosen[owner][v] = min(good)
         else:
-            regions[owner.opponent].add(v)
+            regions[1 - owner].add(v)
     solution = Solution(
-        frozenset(regions[Player.P0]),
-        frozenset(regions[Player.P1]),
-        Strategy(Player.P0, chosen[Player.P0]),
-        Strategy(Player.P1, chosen[Player.P1]),
+        frozenset(regions[0]),
+        frozenset(regions[1]),
+        Strategy(Player.P0, chosen[0]),
+        Strategy(Player.P1, chosen[1]),
     )
     if debug:
         for player in (Player.P0, Player.P1):

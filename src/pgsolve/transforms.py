@@ -106,9 +106,21 @@ def _split_rest(
     split = [v for v in relevant if priorities[v] == k]
     if not split:
         return None
+    return _split_game(game, keep, k, split, _induced(game, keep, split))
+
+
+def _split_game(
+    game: ParityGame,
+    keep: Sequence[int],
+    k: int,
+    split: Sequence[int],
+    plus: ParityGame,
+) -> SplitGame:
+    """The SplitGame of ``plus``, which is ``_induced(game, keep, split)``
+    or a relabelling of it."""
+    m = len(keep)
     copy_for = dict(zip(split, range(m, m + len(split))))
     copy_of = dict(zip(copy_for.values(), split))
-    plus = _induced(game, keep, split)
     result = SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
     if m < game.n:
         object.__setattr__(result, "_kept", keep)
@@ -122,11 +134,28 @@ def split_top(game: ParityGame, k: int) -> SplitGame:
     inherits owner and priority.  Edges into a split vertex are
     redirected to its copy, including self-loops of the original.
     Raises GameError when no relevant vertex carries priority k.
+
+    A split arena is built once per edge table and split set: later
+    calls on an arena with the same edge tables (a relabelling, such as
+    a bumped fixpoint round or ``shift_and_swap``) that split the same
+    vertices relabel the stored arena, sharing its edge tables.
     """
-    split = _split_rest(game, game.vertices, k)
-    if split is None:
+    priorities, vertices = game.priorities, game.vertices
+    split = tuple(
+        v for v in compress(vertices, game._edges.relevant) if priorities[v] == k
+    )
+    if not split:
         raise GameError(f"priority {k} is carried by no relevant vertex")
-    return split
+    templates = game._edges.splits
+    template = templates.get(split)
+    if template is None:
+        plus = templates[split] = _induced(game, vertices, split)
+    else:
+        plus = template._relabelled(
+            owners=game.owners + tuple(map(game.owners.__getitem__, split)),
+            priorities=priorities + tuple(map(priorities.__getitem__, split)),
+        )
+    return _split_game(game, vertices, k, split, plus)
 
 
 def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:

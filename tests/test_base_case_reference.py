@@ -1,0 +1,102 @@
+"""The base case against the general per-vertex loop it replaced.
+
+``_base_case`` decides a vertex with one move inside the kept set by
+that move's target alone, without listing the owner's good targets.
+The loop it replaced, kept here whole as the reference, listed them for
+every vertex.  Both must give the same regions and the same strategy
+entries, with a choice only where the vertex branches in the game: the
+solvers' output bytes depend on them.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgsolve import ParityGame, Player, solve_constructive, solve_short
+from pgsolve import solver_constructive, solver_short
+from pgsolve.game import relevant_priorities
+from pgsolve.solver_short import _base_case
+from games import cycle, ladder_game, random_corpus
+
+
+def reference_base_case(game: ParityGame, keep):
+    """Regions and choices of the subarena ``keep`` (ascending) induces."""
+    owners, priorities, choices = game.owners, game.priorities, game._choices
+    options = choices
+    if len(keep) < game.n:
+        inside = set(keep)
+        options = {v: [u for u in choices[v] if u in inside] for v in keep}
+    regions = {Player.P0: set(), Player.P1: set()}
+    chosen = {Player.P0: {}, Player.P1: {}}
+    for v in keep:
+        owner = owners[v]
+        good = [u for u in options[v] if priorities[u] % 2 == owner]
+        if good:
+            regions[owner].add(v)
+            if len(choices[v]) > 1:
+                chosen[owner][v] = min(good)
+        else:
+            regions[owner.opponent].add(v)
+    return regions, chosen
+
+
+def assert_matches_reference(game: ParityGame, keep):
+    solution = _base_case(game, False, keep)
+    regions, chosen = reference_base_case(game, keep)
+    for player in (Player.P0, Player.P1):
+        assert solution.region(player) == regions[player]
+        assert solution.strategy(player).choices == chosen[player]
+
+
+@st.composite
+def base_games(draw, max_n=8, max_priority=5):
+    """Arenas with no relevant vertex: absorbing vertices, some looping
+    twice, and vanishing vertices moving to them, duplicates allowed."""
+    n = draw(st.integers(1, max_n))
+    absorbing = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    absorbing[draw(st.integers(0, n - 1))] = True
+    sinks = [v for v in range(n) if absorbing[v]]
+    rows = []
+    for v in range(n):
+        if absorbing[v]:
+            successors = (v,) * draw(st.integers(1, 2))
+        else:
+            successors = tuple(
+                draw(st.lists(st.sampled_from(sinks), min_size=1, max_size=4))
+            )
+        rows.append(
+            (draw(st.integers(0, 1)), draw(st.integers(0, max_priority)), successors)
+        )
+    return ParityGame.from_vertices(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_games())
+def test_base_case_matches_reference_without_relevant_vertices(game):
+    assert not relevant_priorities(game)
+    assert_matches_reference(game, game.vertices)
+
+
+def reached_base_cases(monkeypatch):
+    """Every (game, keep) the two solvers hand to the base case."""
+    reached = []
+
+    def recording(game, debug, keep):
+        reached.append((game, keep))
+        return _base_case(game, debug, keep)
+
+    monkeypatch.setattr(solver_short, "_base_case", recording)
+    monkeypatch.setattr(solver_constructive, "_base_case", recording)
+    for game in random_corpus(300, 8):
+        solve_short(game)
+    for game in (*random_corpus(60, 8), cycle(8), ladder_game(6)):
+        solve_constructive(game)
+    monkeypatch.undo()
+    return reached
+
+
+def test_base_case_matches_reference_where_the_solvers_reach_it(monkeypatch):
+    reached = reached_base_cases(monkeypatch)
+    masked = [keep for game, keep in reached if len(keep) < game.n]
+    assert len(masked) > 100 and len(reached) - len(masked) > 100
+    for game, keep in reached:
+        assert_matches_reference(game, keep)

@@ -274,12 +274,24 @@ def test_number_too_long_for_int_is_a_usage_error(chain_file, tmp_path, capsys):
         assert "line 2, column 1" in capsys.readouterr().err
 
 
-def run_module(*args):
-    """``python -m pgsolve`` in a fresh interpreter that finds this checkout."""
+def test_transform_result_too_long_to_emit_is_a_usage_error(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    game = tmp_path / "edge.pg"
+    game.write_text(f"parity 0;\n0 {'9' * limit} 0 0;\n")  # parses; plus one does not emit
+    with pytest.raises(SystemExit) as err:
+        cli.main(["transform", "--op", "shiftswap", str(game)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def run_module(*args, module="pgsolve"):
+    """``python -m module`` in a fresh interpreter that finds this checkout."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "pgsolve", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -292,5 +304,14 @@ def test_python_dash_m_runs_the_cli():
     assert generated.returncode == 0
     assert parse_game(generated.stdout).n == 3
     usage = run_module()
+    assert usage.returncode == 2
+    assert "usage: pgsolve" in usage.stderr
+
+
+def test_python_dash_m_runs_the_cli_module(chain_file, capsys):
+    solved = run_module("solve", chain_file, module="pgsolve.cli")
+    assert solved.returncode == 0
+    assert solved.stdout == CHAIN_SOLUTION
+    usage = run_module(module="pgsolve.cli")
     assert usage.returncode == 2
     assert "usage: pgsolve" in usage.stderr
