@@ -15,6 +15,7 @@ missing choice.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -46,15 +47,25 @@ def _as_player(value) -> Player:
     return value if value.__class__ is Player else Player(value)
 
 
-def _coerced(values: Iterable, kind: type) -> tuple:
+def _coerced(values: Iterable, kind: type, what: str, at: int | None = None) -> tuple:
     """``values`` as a tuple of exact ``kind`` instances.
 
     Only a table holding some other type is converted, value by value.
+    A value the conversion rejects or changes (int of 2.5 or '3') raises
+    GameError naming ``what`` and the vertex ``at``, by default its index.
     """
     values = tuple(values)
     if {*map(type, values)} <= {kind}:
         return values
-    return tuple(map(kind, values))
+    converted = []
+    for i, value in enumerate(values):
+        with suppress(TypeError, ValueError, OverflowError):
+            converted.append(kind(value))
+            if converted[-1] == value:
+                continue
+        where = i if at is None else at
+        raise GameError(f"vertex {where} has invalid {what} {value!r}")
+    return tuple(converted)
 
 
 class VertexClass(Enum):
@@ -120,7 +131,7 @@ class _EdgeTables:
     def splits(self) -> dict[tuple[int, ...], "ParityGame"]:
         """Split arenas built on these edges, by their split vertices.
 
-        Filled by ``transforms.split_top``.  A split arena's structure
+        Filled by ``transforms._split_rest``.  A split arena's structure
         depends on the edges and the split set alone, and arenas that
         share edge tables share names too, so a later split of the same
         set only relabels the stored arena.
@@ -165,9 +176,16 @@ class ParityGame:
     names: tuple[str | None, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "owners", _coerced(self.owners, Player))
-        object.__setattr__(self, "priorities", _coerced(self.priorities, int))
-        object.__setattr__(self, "successors", tuple(tuple(s) for s in self.successors))
+        object.__setattr__(self, "owners", _coerced(self.owners, Player, "owner"))
+        priorities = _coerced(self.priorities, int, "priority")
+        object.__setattr__(self, "priorities", priorities)
+        successors = tuple(map(tuple, self.successors))
+        targets = [*chain.from_iterable(successors)]
+        if not {*map(type, targets)} <= {int}:
+            successors = tuple(
+                _coerced(succ, int, "successor", v) for v, succ in enumerate(successors)
+            )
+        object.__setattr__(self, "successors", successors)
         n = len(self.owners)
         if not self.names:
             object.__setattr__(self, "names", (None,) * n)
@@ -175,20 +193,22 @@ class ParityGame:
             object.__setattr__(self, "names", tuple(self.names))
         if not (len(self.priorities) == len(self.successors) == len(self.names) == n):
             raise GameError("vertex tables differ in length")
-        for v, succ in enumerate(self.successors):
-            if not succ:
-                raise GameError(f"vertex {v} has an empty successor list")
-            for u in succ:
-                if not 0 <= u < n:
-                    raise GameError(f"edge ({v}, {u}) leaves the vertex range 0..{n - 1}")
-        for v, p in enumerate(self.priorities):
-            if p < 0:
-                raise GameError(f"vertex {v} has negative priority {p}")
-        for v, name in enumerate(self.names):
-            if name is not None and ('"' in name or "".join(name.splitlines()) != name):
-                raise GameError(
-                    f"vertex {v} name {name!r} contains a double quote or a line break"
-                )
+        if not all(successors) or targets and not 0 <= min(targets) <= max(targets) < n:
+            for v, succ in enumerate(successors):
+                if not succ:
+                    raise GameError(f"vertex {v} has an empty successor list")
+                for u in succ:
+                    if not 0 <= u < n:
+                        raise GameError(f"edge ({v}, {u}) leaves the vertex range 0..{n - 1}")
+        if priorities and min(priorities) < 0:
+            v = next(v for v, p in enumerate(priorities) if p < 0)
+            raise GameError(f"vertex {v} has negative priority {priorities[v]}")
+        if self.names.count(None) < n:
+            for v, name in enumerate(self.names):
+                if name is not None and ('"' in name or "".join(name.splitlines()) != name):
+                    raise GameError(
+                        f"vertex {v} name {name!r} contains a double quote or a line break"
+                    )
 
     @classmethod
     def from_vertices(cls, rows: Iterable[Sequence]) -> "ParityGame":
@@ -236,11 +256,11 @@ class ParityGame:
         to Player and priorities must be nonnegative ints, one per
         vertex.
         """
-        owners = self.owners if owners is None else _coerced(owners, Player)
+        owners = self.owners if owners is None else _coerced(owners, Player, "owner")
         if priorities is None:
             priorities = self.priorities
         else:
-            priorities = _coerced(priorities, int)
+            priorities = _coerced(priorities, int, "priority")
             if priorities and min(priorities) < 0:
                 v = next(v for v, p in enumerate(priorities) if p < 0)
                 raise GameError(f"vertex {v} has negative priority {priorities[v]}")

@@ -1,16 +1,17 @@
 """Fixpoint solver that also builds both winning strategies explicitly.
 
 After normalizing self-loops away from non-absorbing vertices, the top
-relevant priority k (made even by shift_and_swap when odd) is split.
+relevant priority k, which favours the player of its parity, is split.
 The split game is then re-solved in rounds: every copy whose original
-fell into P1's region last round gets its priority bumped from k to
-k+1, turning a win P0 only got by parking on the copy into a loss, and
-the P1 region can only grow.  The loop stops when it stops growing.
-At the fixpoint a copy is bumped exactly when its original is losing,
-so merging the final strategies back yields both regions of the
-original game.  P1's strategy on earlier rounds' regions is frozen the
-moment a vertex first enters, which is what makes it a single
-memoryless witness.
+fell into the opponent's region last round gets its priority bumped
+from k to k+1, turning a win the favoured player only got by parking on
+the copy into a loss, and the opponent's region can only grow.  The
+loop stops when it stops growing; the step is the same for both
+parities.  At the fixpoint a copy is bumped exactly when its original
+is losing, so merging the final strategies back yields both regions of
+the original game.  The opponent's strategy on earlier rounds' regions
+is frozen the moment a vertex first enters, which is what makes it a
+single memoryless witness.
 
 Each round is recorded as a FixpointState.  Monotone growth, strategy
 stability and, at the fixpoint, the equivalence between bumped copies
@@ -31,7 +32,7 @@ from .game import (
     Player,
     Solution,
     Strategy,
-    relevant_priorities,
+    _PLAYERS,
 )
 from .solver_short import (
     CertificationError,
@@ -41,12 +42,10 @@ from .solver_short import (
 )
 from .transforms import (
     SplitGame,
+    _split_rest,
     merge_strategy,
     remove_unfair_win,
     remove_useless_self_loops,
-    shift_and_swap,
-    split_top,
-    swap_solution,
 )
 from .verification import verify_strategy
 
@@ -63,7 +62,8 @@ class TransformRecord:
 
 @dataclass(frozen=True)
 class FixpointState:
-    """One round: bumped priorities in, P1 region and strategy out."""
+    """One round: bumped priorities in, the region and strategy out of
+    the player k disfavours, ``tau.player``: P0 when k is odd."""
 
     alpha: int
     x: frozenset[int]
@@ -132,7 +132,7 @@ def bump_priorities(split: SplitGame, x: Iterable[int]) -> tuple[int, ...]:
 def compose_tau(
     history: Sequence[FixpointState], w1: frozenset[int], tau_plus: Strategy
 ) -> Strategy:
-    """P1 strategy for the current round.
+    """``tau_plus.player``'s strategy for the current round (P0 for odd k).
 
     On a vertex seen in an earlier round's region, the choice of the
     earliest such round; on the newly won rest, the fresh strategy;
@@ -150,7 +150,7 @@ def compose_tau(
         move = tau_plus.choices.get(v)
         if move is not None:
             choices[v] = move
-    return Strategy(Player.P1, choices)
+    return Strategy(tau_plus.player, choices)
 
 
 def _check_round(
@@ -166,8 +166,8 @@ def _check_round(
     changes on the previous round's region.  Each round is compared
     with the previous one only; by transitivity the chain covers every
     earlier round.  When ``thorough`` (debug mode): the round strategy
-    wins its whole region in the bumped game, and merged back it wins
-    the region's originals in the base game.
+    wins its whole region in the bumped game for ``state.tau.player``,
+    and merged back it wins the region's originals in the base game.
     """
 
     def fail(reason: str) -> None:
@@ -192,7 +192,7 @@ def _check_round(
     if not thorough:
         return
     try:
-        witness = verify_strategy(arena, Player.P1, state.tau, state.w1)
+        witness = verify_strategy(arena, state.tau.player, state.tau, state.w1)
     except Exception as exc:  # noqa: BLE001 - report through the dump
         fail(f"round {state.alpha}: tau rejected: {exc}")
     if witness is not None:
@@ -200,7 +200,7 @@ def _check_round(
     merged = merge_strategy(split, state.tau)
     base_region = frozenset(v for v in state.w1 if v < split.base.n)
     try:
-        witness = verify_strategy(split.base, Player.P1, merged, base_region)
+        witness = verify_strategy(split.base, state.tau.player, merged, base_region)
     except Exception as exc:  # noqa: BLE001
         fail(f"round {state.alpha}: merged tau rejected: {exc}")
     if witness is not None:
@@ -215,17 +215,10 @@ def _fixpoint(
         raise GameError(
             f"vertex {v} has a self-loop next to proper edges; normalize loops first"
         )
-    relevant = relevant_priorities(game)
-    if not relevant:
+    split = _split_rest(game, game.vertices)
+    if split is None:
         return _base_case(game, debug, game.vertices)
-    k = max(relevant)
-    if k % 2 == 1:
-        shifted = shift_and_swap(game)
-        flipped = _fixpoint(shifted, debug, history_out)
-        if debug:
-            _require_solution(shifted, flipped, "shifted fixpoint solution")
-        return swap_solution(flipped)
-    split = split_top(game, k)
+    loser = _PLAYERS[1 - split.k % 2]
     history: list[FixpointState] = []
     solved: dict[tuple[int, ...], Solution] = {}
     x: frozenset[int] = frozenset()
@@ -235,22 +228,21 @@ def _fixpoint(
             raise CertificationError("fixpoint failed to converge in |V+|+1 rounds")
         pi = bump_priorities(split, x)
         arena = split.plus._relabelled(priorities=pi)
-        if pi in solved:
-            inner = solved[pi]
-        else:
-            inner = _fixpoint(arena, debug)
+        inner = solved.get(pi)
+        if inner is None:
+            inner = solved[pi] = _fixpoint(arena, debug)
             if debug:
                 _require_solution(arena, inner, f"round {alpha} split-game solution")
-            solved[pi] = inner
+        lost = inner.region(loser)
         # regions only grow (checked below), so the last round's tau
         # already holds the earliest choice on every earlier region
-        tau = compose_tau(history[-1:], inner.w1, inner.tau)
-        state = FixpointState(alpha, x, pi, tau, inner.w1)
+        tau = compose_tau(history[-1:], lost, inner.strategy(loser))
+        state = FixpointState(alpha, x, pi, tau, lost)
         _check_round(split, arena, history, state, thorough=debug)
         history.append(state)
-        if inner.w1 == x:
+        if lost == x:
             break
-        x = inner.w1
+        x = lost
     final = history[-1]
     for v in sorted(split.split_set):
         bumped = final.pi[split.copy_for[v]] == split.k + 1
@@ -259,15 +251,15 @@ def _fixpoint(
                 f"fixpoint equivalence broken at vertex {v}: "
                 f"bumped={bumped}, losing={v in final.w1}"
             )
-    w1 = frozenset(v for v in final.w1 if v < game.n)
+    lost = final.w1.intersection(game.vertices)
+    won = frozenset(game.vertices) - lost
+    favoured = merge_strategy(split, inner.strategy(loser.opponent))
+    disfavoured = merge_strategy(split, final.tau)
     if history_out is not None:
         history_out.extend(history)
-    return Solution(
-        frozenset(game.vertices) - w1,
-        w1,
-        merge_strategy(split, inner.sigma),
-        merge_strategy(split, final.tau),
-    )
+    if loser is Player.P1:
+        return Solution(won, lost, favoured, disfavoured)
+    return Solution(lost, won, disfavoured, favoured)
 
 
 def fixpoint_solve(
@@ -281,8 +273,9 @@ def fixpoint_solve(
     Requires that only absorbing vertices carry self-loops (run
     ``preprocess`` first, or use ``solve_constructive``).  When
     ``history_out`` is given, the top-level rounds are appended to it;
-    for an odd top priority those rounds describe the shifted and
-    swapped game.  The solution is certified before it is returned.
+    for an odd top priority their ``w1`` and ``tau`` are P0's, the
+    player it disfavours.  The solution is certified before it is
+    returned.
     """
     history: list[FixpointState] = []
     solution = _certified(

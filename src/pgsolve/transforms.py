@@ -86,6 +86,8 @@ def _split_rest(
     k defaults to the subarena's top relevant priority.  A kept vertex
     is relevant there when a kept vertex moves to it and it can move to
     a kept vertex other than itself; only the split game is built.
+    When ``keep`` is every vertex, the split arena is cached per edge
+    table and split set (``_EdgeTables.splits``); a hit relabels it.
     """
     priorities, m = game.priorities, len(keep)
     if m == game.n:
@@ -103,22 +105,21 @@ def _split_rest(
         ]
     if k is None and relevant:
         k = max(priorities[v] for v in relevant)
-    split = [v for v in relevant if priorities[v] == k]
+    split = tuple(v for v in relevant if priorities[v] == k)
     if not split:
         return None
-    return _split_game(game, keep, k, split, _induced(game, keep, split))
-
-
-def _split_game(
-    game: ParityGame,
-    keep: Sequence[int],
-    k: int,
-    split: Sequence[int],
-    plus: ParityGame,
-) -> SplitGame:
-    """The SplitGame of ``plus``, which is ``_induced(game, keep, split)``
-    or a relabelling of it."""
-    m = len(keep)
+    if m < game.n:
+        plus = _induced(game, keep, split)
+    else:
+        templates = game._edges.splits
+        plus = templates.get(split)
+        if plus is None:
+            plus = templates[split] = _induced(game, keep, split)
+        else:
+            plus = plus._relabelled(
+                owners=game.owners + tuple(map(game.owners.__getitem__, split)),
+                priorities=priorities + tuple(map(priorities.__getitem__, split)),
+            )
     copy_for = dict(zip(split, range(m, m + len(split))))
     copy_of = dict(zip(copy_for.values(), split))
     result = SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
@@ -134,28 +135,12 @@ def split_top(game: ParityGame, k: int) -> SplitGame:
     inherits owner and priority.  Edges into a split vertex are
     redirected to its copy, including self-loops of the original.
     Raises GameError when no relevant vertex carries priority k.
-
-    A split arena is built once per edge table and split set: later
-    calls on an arena with the same edge tables (a relabelling, such as
-    a bumped fixpoint round or ``shift_and_swap``) that split the same
-    vertices relabel the stored arena, sharing its edge tables.
+    The split arena comes from ``_split_rest``'s per-edge-table cache.
     """
-    priorities, vertices = game.priorities, game.vertices
-    split = tuple(
-        v for v in compress(vertices, game._edges.relevant) if priorities[v] == k
-    )
-    if not split:
+    split = _split_rest(game, game.vertices, k)
+    if split is None:
         raise GameError(f"priority {k} is carried by no relevant vertex")
-    templates = game._edges.splits
-    template = templates.get(split)
-    if template is None:
-        plus = templates[split] = _induced(game, vertices, split)
-    else:
-        plus = template._relabelled(
-            owners=game.owners + tuple(map(game.owners.__getitem__, split)),
-            priorities=priorities + tuple(map(priorities.__getitem__, split)),
-        )
-    return _split_game(game, vertices, k, split, plus)
+    return split
 
 
 def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
@@ -213,10 +198,10 @@ def shift_and_swap(game: ParityGame) -> ParityGame:
     """Add one to every priority and hand every vertex to the other player.
 
     Self-inverse on winners: the regions swap and strategies carry over
-    unchanged, which is how odd top priorities are reduced to even ones.
-    The edges do not change, so the result shares ``successors``,
-    ``names`` and the edge tables (choices, vertex classes, predecessors,
-    mixed self-loops) with ``game``; only the new labels are checked.
+    unchanged.  The edges do not change, so the result shares
+    ``successors``, ``names`` and the edge tables (choices, vertex
+    classes, predecessors, mixed self-loops) with ``game``; only the new
+    labels are checked.
     """
     return game._relabelled(
         owners=tuple(o.opponent for o in game.owners),

@@ -25,7 +25,7 @@ from pgsolve import (
 from pgsolve.game import VertexClass, classify, relevant_priorities
 from pgsolve.solver_constructive import bump_priorities, fixpoint_solve, preprocess
 from pgsolve import solver_constructive
-from pgsolve.transforms import RestrictionError
+from pgsolve.transforms import RestrictionError, _split_rest
 from games import cycle, ladder_game, random_corpus
 
 
@@ -184,17 +184,19 @@ def test_bumped_split_games_share_the_split_games_tables():
 def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
     splits: list = []
     arenas: list[ParityGame] = []
-    real_split, real_fixpoint = split_top, solver_constructive._fixpoint
+    real_split, real_fixpoint = _split_rest, solver_constructive._fixpoint
 
-    def recording_split(game, k):
-        splits.append(real_split(game, k))
-        return splits[-1]
+    def recording_split(game, keep, k=None):
+        split = real_split(game, keep, k)
+        if split is not None:
+            splits.append(split)
+        return split
 
     def recording_fixpoint(game, *args):
         arenas.append(game)
         return real_fixpoint(game, *args)
 
-    monkeypatch.setattr(solver_constructive, "split_top", recording_split)
+    monkeypatch.setattr(solver_constructive, "_split_rest", recording_split)
     monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
     for game in (cycle(7), ladder_game(3)):
         solve_constructive(game)

@@ -1,6 +1,15 @@
 import pytest
 
-from pgsolve import GameError, ParityGame, Player, Strategy, StrategyError, play
+from pgsolve import (
+    GameError,
+    ParityGame,
+    Player,
+    Strategy,
+    StrategyError,
+    play,
+    solve_constructive,
+    solve_short,
+)
 from pgsolve.game import VertexClass, classify, relevant_priorities
 from games import chain_game, two_cycle_game
 
@@ -18,6 +27,45 @@ def test_rejects_dangling_edge():
 def test_rejects_negative_priority():
     with pytest.raises(GameError):
         ParityGame.from_vertices([(0, -1, (0,))])
+
+
+@pytest.mark.parametrize("priority", [2.5, "3", None, float("inf"), float("nan")])
+def test_rejects_priority_that_is_not_an_integer(priority):
+    with pytest.raises(GameError, match="vertex 1 has invalid priority"):
+        ParityGame.from_vertices([(0, 1, (1,)), (1, priority, (0,))])
+    with pytest.raises(GameError, match="vertex 1 has invalid priority"):
+        two_cycle_game()._relabelled(priorities=(1, priority))
+
+
+def test_integral_priorities_and_owners_still_convert():
+    game = ParityGame.from_vertices([(True, 2.0, (1,)), (0.0, True, (0,))])
+    assert game.priorities == (2, 1)
+    assert [type(p) for p in game.priorities] == [int, int]
+    assert game.owners == (Player.P1, Player.P0)
+
+
+@pytest.mark.parametrize("successor", ["0", "zero", 0.5, None])
+def test_rejects_successor_that_is_not_an_integer(successor):
+    with pytest.raises(GameError, match="vertex 1 has invalid successor"):
+        ParityGame.from_vertices([(0, 1, (1,)), (1, 2, (1, successor))])
+
+
+def test_integral_float_successor_converts_and_solves():
+    game = ParityGame.from_vertices([(0, 1, (1.0,)), (1, 2, (0.0, True))])
+    assert game.successors == ((1,), (0, 1))
+    assert {type(u) for succ in game.successors for u in succ} == {int}
+    reference = ParityGame.from_vertices([(0, 1, (1,)), (1, 2, (0, 1))])
+    assert game == reference
+    for solve in (solve_short, solve_constructive):
+        assert solve(game) == solve(reference)
+
+
+def test_all_int_tables_are_kept_as_given():
+    priorities = (1, 2)
+    successors = ((1,), (0, 1))
+    game = ParityGame((Player.P0, Player.P1), priorities, successors)
+    assert game.priorities is priorities
+    assert all(a is b for a, b in zip(game.successors, successors))
 
 
 def test_classify_chain():

@@ -12,13 +12,15 @@ from pgsolve import (
     solve_short,
     split_top,
 )
+from pgsolve import solver_constructive
+from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import (
     bump_priorities,
     compose_tau,
     fixpoint_solve,
     preprocess,
 )
-from games import chain_game, random_corpus, two_cycle_game
+from games import chain_game, cycle, random_corpus, two_cycle_game
 
 
 def mixed_loops_game():
@@ -151,13 +153,31 @@ def test_fixpoint_base_case():
     assert solved.w1 == {1}
 
 
-def test_odd_top_priority_is_shifted_before_splitting():
+def test_odd_top_priority_rounds_describe_the_game_itself():
     game = ParityGame.from_vertices([(0, 1, (1,)), (1, 1, (0,))])
     history = []
     solved = fixpoint_solve(game, history_out=history)
     assert solved.w1 == {0, 1}
-    # the recorded rounds describe the shifted arena
-    assert all(p == 2 for p in history[0].pi)
+    # the rounds split the game's own priority 1, which disfavours P0,
+    # so they hold P0's region and strategy
+    assert all(p == 1 for p in history[0].pi)
+    assert all(s.tau.player is Player.P0 for s in history)
+    assert history[-1].w1 == frozenset()
+
+
+def test_constructive_never_shifts_and_swaps(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the fixpoint shifted and swapped a game")
+
+    for name in ("shift_and_swap", "swap_solution"):
+        monkeypatch.setattr(solver_constructive, name, forbidden, raising=False)
+    games = [*random_corpus(200, 8), *(cycle(n) for n in range(2, 13))]
+    assert any(max(relevant_priorities(g), default=0) % 2 for g in games)
+    for game in games:
+        solved = solve_constructive(game)
+        assert check_solution(game, solved) is None
+        normalized = preprocess(game).reduced
+        assert check_solution(normalized, fixpoint_solve(normalized)) is None
 
 
 def test_constructive_matches_oracle_with_debug_checks():

@@ -1,7 +1,8 @@
-"""``split_top`` builds one split arena per edge table and split set.
+"""Splits of every vertex build one split arena per edge table and split set.
 
 The structure of a split game depends on the edges and the split set
-alone, so ``split_top`` stores the first split arena it builds on an
+alone, so ``_split_rest``, called on every vertex (as ``_fixpoint`` and
+``split_top`` call it), stores the first split arena it builds on an
 edge table under its split vertices and answers a later split of the
 same set on the same edge table (a bumped fixpoint round, a
 ``shift_and_swap`` image) by relabelling the stored arena.  Each split
@@ -35,14 +36,16 @@ def assert_same_split(split, game: ParityGame, k: int):
 
 
 def fixpoint_splits(games, monkeypatch):
-    """Every (game, k, split) ``_fixpoint`` asks ``split_top`` for."""
+    """Every (game, k, split) ``_fixpoint`` gets from ``_split_rest``."""
     splits = []
 
-    def recording(game, k):
-        splits.append((game, k, split_top(game, k)))
-        return splits[-1][2]
+    def recording(game, keep, k=None):
+        split = _split_rest(game, keep, k)
+        if split is not None:
+            splits.append((game, split.k, split))
+        return split
 
-    monkeypatch.setattr(solver_constructive, "split_top", recording)
+    monkeypatch.setattr(solver_constructive, "_split_rest", recording)
     for game in games:
         solve_constructive(game)
     monkeypatch.undo()
