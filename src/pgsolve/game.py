@@ -89,9 +89,9 @@ class StrategyError(ValueError):
 class _EdgeTables:
     """Per-vertex tables that depend on the edges alone.
 
-    Computed lazily, once per edge table: arenas that differ from
-    their parent only in owners or priorities share the parent's
-    instance (see ``ParityGame._relabelled``).
+    Computed lazily, once per edge table: arenas that differ from their
+    parent only in owners or priorities share the parent's instance
+    (see ``ParityGame._relabelled``).  No solve keeps its state here.
     """
 
     def __init__(self, successors: tuple[tuple[int, ...], ...]):
@@ -126,17 +126,6 @@ class _EdgeTables:
             for u in options:
                 preds[u].append(v)
         return tuple(map(tuple, preds))
-
-    @cached_property
-    def splits(self) -> dict[tuple[int, ...], "ParityGame"]:
-        """Split arenas built on these edges, by their split vertices.
-
-        Filled by ``transforms._split_rest``.  A split arena's structure
-        depends on the edges and the split set alone, and arenas that
-        share edge tables share names too, so a later split of the same
-        set only relabels the stored arena.
-        """
-        return {}
 
     @cached_property
     def mixed_loops(self) -> tuple[int, ...]:
@@ -205,6 +194,8 @@ class ParityGame:
             raise GameError(f"vertex {v} has negative priority {priorities[v]}")
         if self.names.count(None) < n:
             for v, name in enumerate(self.names):
+                if name is not None and not isinstance(name, str):
+                    raise GameError(f"vertex {v} has invalid name {name!r}")
                 if name is not None and ('"' in name or "".join(name.splitlines()) != name):
                     raise GameError(
                         f"vertex {v} name {name!r} contains a double quote or a line break"

@@ -11,7 +11,8 @@ parities.  At the fixpoint a copy is bumped exactly when its original
 is losing, so merging the final strategies back yields both regions of
 the original game.  The opponent's strategy on earlier rounds' regions
 is frozen the moment a vertex first enters, which is what makes it a
-single memoryless witness.
+single memoryless witness.  Each recursion depth is split once per
+call; its later arenas re-base that split.
 
 Each round is recorded as a FixpointState.  Monotone growth, strategy
 stability and, at the fixpoint, the equivalence between bumped copies
@@ -42,6 +43,7 @@ from .solver_short import (
 )
 from .transforms import (
     SplitGame,
+    _rebased,
     _split_rest,
     merge_strategy,
     remove_unfair_win,
@@ -208,14 +210,22 @@ def _check_round(
 
 
 def _fixpoint(
-    game: ParityGame, debug: bool, history_out: list[FixpointState] | None = None
+    game: ParityGame, debug: bool, tower: list, history_out: list[FixpointState] | None
 ) -> Solution:
     if game._mixed_loops:
         v = game._mixed_loops[0]
         raise GameError(
             f"vertex {v} has a self-loop next to proper edges; normalize loops first"
         )
-    split = _split_rest(game, game.vertices)
+    # ``tower`` is [this depth's split, the tower below], one per public
+    # call.  Bumps change only the priorities of absorbing copies, so
+    # relevance, k and the split set are the same at every visit of a
+    # depth: its first split is re-based, not rebuilt.
+    if not tower:
+        tower += _split_rest(game, game.vertices), []
+    split = tower[0]
+    if split is not None and split.base is not game:
+        split = _rebased(split, game)
     if split is None:
         return _base_case(game, debug, game.vertices)
     loser = _PLAYERS[1 - split.k % 2]
@@ -230,7 +240,7 @@ def _fixpoint(
         arena = split.plus._relabelled(priorities=pi)
         inner = solved.get(pi)
         if inner is None:
-            inner = solved[pi] = _fixpoint(arena, debug)
+            inner = solved[pi] = _fixpoint(arena, debug, tower[1], None)
             if debug:
                 _require_solution(arena, inner, f"round {alpha} split-game solution")
         lost = inner.region(loser)
@@ -280,7 +290,7 @@ def fixpoint_solve(
     history: list[FixpointState] = []
     solution = _certified(
         game,
-        lambda g, d: _fixpoint(g, d, history),
+        lambda g, d: _fixpoint(g, d, [], history),
         debug,
         "fixpoint solution",
     )
@@ -305,7 +315,7 @@ def solve_constructive(
 
     def solve(game: ParityGame, debug: bool) -> Solution:
         record = preprocess(game)
-        inner = _fixpoint(record.reduced, debug, history)
+        inner = _fixpoint(record.reduced, debug, [], history)
         if debug:
             _require_solution(record.reduced, inner, "fixpoint solution")
         return _lift(record, inner)

@@ -250,13 +250,12 @@ def _nonempty_step(split: SplitGame, debug: bool) -> WinningCore:
             f"a copy of the top priority {k} ended up in the {player.name} region"
         )
     choices = dict(inner.strategy(player).choices)
-    if kept is not None:
-        forced = split.plus._choices
-        for v in domain:
-            original = kept[v]
-            if game.owners[original] is player and len(forced[v]) == 1:
-                if len(game._choices[original]) > 1:
-                    choices.setdefault(v, forced[v][0])
+    forced = split.plus._choices
+    for v in domain:
+        original = kept[v]
+        if game.owners[original] is player and len(forced[v]) == 1:
+            if len(game._choices[original]) > 1:
+                choices.setdefault(v, forced[v][0])
     core = WinningCore(
         player,
         frozenset(map(split.merge, domain)),

@@ -28,10 +28,9 @@ from .game import (
 class SplitGame:
     """A game, its split version, and the correspondence between them.
 
-    Copies follow the originals, in ascending order of their originals.
-    ``split_set``, ``copy_of`` and ``copy_for`` name originals by their
-    ``base`` index.  ``split_top`` keeps every original's index; a split
-    of the subarena some vertices induce numbers its originals densely.
+    Plus vertex i is base vertex ``_kept[i]`` up to the copies, which
+    follow in ascending order of their originals.  ``split_set``,
+    ``copy_of`` and ``copy_for`` name originals by their ``base`` index.
     """
 
     base: ParityGame
@@ -40,14 +39,13 @@ class SplitGame:
     split_set: frozenset[int]
     copy_of: Mapping[int, int]  # copy index -> original index
     copy_for: Mapping[int, int]  # original index -> copy index
-    # base index of each original of plus, None when all are kept
-    _kept: Sequence[int] | None = field(default=None, init=False, repr=False)
+    _kept: Sequence[int] = field(init=False, repr=False)  # set by the builders
 
     def merge(self, v: int) -> int:
         """The merge map: a vertex of plus to its base vertex."""
         if v in self.copy_of:
             return self.copy_of[v]
-        return v if self._kept is None else self._kept[v]
+        return self._kept[v]
 
 
 def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> ParityGame:
@@ -85,9 +83,8 @@ def _split_rest(
 
     k defaults to the subarena's top relevant priority.  A kept vertex
     is relevant there when a kept vertex moves to it and it can move to
-    a kept vertex other than itself; only the split game is built.
-    When ``keep`` is every vertex, the split arena is cached per edge
-    table and split set (``_EdgeTables.splits``); a hit relabels it.
+    a kept vertex other than itself; only the split game is built, by
+    ``_induced``, and nothing is stored on ``game``.
     """
     priorities, m = game.priorities, len(keep)
     if m == game.n:
@@ -108,24 +105,26 @@ def _split_rest(
     split = tuple(v for v in relevant if priorities[v] == k)
     if not split:
         return None
-    if m < game.n:
-        plus = _induced(game, keep, split)
-    else:
-        templates = game._edges.splits
-        plus = templates.get(split)
-        if plus is None:
-            plus = templates[split] = _induced(game, keep, split)
-        else:
-            plus = plus._relabelled(
-                owners=game.owners + tuple(map(game.owners.__getitem__, split)),
-                priorities=priorities + tuple(map(priorities.__getitem__, split)),
-            )
     copy_for = dict(zip(split, range(m, m + len(split))))
     copy_of = dict(zip(copy_for.values(), split))
+    plus = _induced(game, keep, split)
     result = SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
-    if m < game.n:
-        object.__setattr__(result, "_kept", keep)
+    object.__setattr__(result, "_kept", keep)
     return result
+
+
+def _rebased(split: SplitGame, game: ParityGame) -> SplitGame:
+    """``split`` moved onto ``game``, a relabelling of its base.
+
+    Only priorities that leave ``k`` and the split set as they are may
+    differ; the split arena takes them, copies in split order, and
+    keeps its edge tables.  Every other field carries over.
+    """
+    order = (*split._kept, *split.copy_of.values())
+    plus = split.plus._relabelled(priorities=tuple(map(game.priorities.__getitem__, order)))
+    rebased = replace(split, base=game, plus=plus)
+    object.__setattr__(rebased, "_kept", split._kept)
+    return rebased
 
 
 def split_top(game: ParityGame, k: int) -> SplitGame:
@@ -135,7 +134,7 @@ def split_top(game: ParityGame, k: int) -> SplitGame:
     inherits owner and priority.  Edges into a split vertex are
     redirected to its copy, including self-loops of the original.
     Raises GameError when no relevant vertex carries priority k.
-    The split arena comes from ``_split_rest``'s per-edge-table cache.
+    Every call builds a new split arena and stores nothing on ``game``.
     """
     split = _split_rest(game, game.vertices, k)
     if split is None:

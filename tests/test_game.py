@@ -183,3 +183,15 @@ def test_accepts_names_with_other_characters():
     names = ("", " spaced ", "tab\there", "ümlaut;", "\x00")
     game = ParityGame.from_vertices([(0, 0, (v,), n) for v, n in enumerate(names)])
     assert game.names == names
+
+
+@pytest.mark.parametrize(
+    "rows, vertex",
+    [
+        ([(0, 1, (0,), 5)], 0),
+        ([(0, 0, (0,), "a"), (1, 1, (1,), b"b")], 1),
+    ],
+)
+def test_rejects_names_that_are_not_strings(rows, vertex):
+    with pytest.raises(GameError, match=f"vertex {vertex} has invalid name"):
+        ParityGame.from_vertices(rows)

@@ -1,19 +1,21 @@
-"""Splits of every vertex build one split arena per edge table and split set.
+"""The fixpoint splits each recursion depth once per call.
 
-The structure of a split game depends on the edges and the split set
-alone, so ``_split_rest``, called on every vertex (as ``_fixpoint`` and
-``split_top`` call it), stores the first split arena it builds on an
-edge table under its split vertices and answers a later split of the
-same set on the same edge table (a bumped fixpoint round, a
-``shift_and_swap`` image) by relabelling the stored arena.  Each split
-it returns must equal, field by field, the one ``_split_rest`` builds
-from scratch on a fresh arena of the same content.
+Within one ``solve_constructive`` call every arena at a given recursion
+depth of ``_fixpoint`` has the same edges and split set: a bump changes
+only the priorities of absorbing copies.  So ``_fixpoint`` builds the
+split of a depth once, with ``_split_rest``, and re-bases it onto each
+later arena of that depth with ``transforms._rebased``.  Every split it
+uses must equal, field by field, the one ``_split_rest`` builds from
+scratch on a fresh arena of the same content; and no split outlives the
+call on the caller's game.
 """
 
-from pgsolve import ParityGame, shift_and_swap, solve_constructive, split_top
+from pgsolve import ParityGame, gen_random, solve_constructive, solve_short, split_top
 from pgsolve import solver_constructive, transforms
-from pgsolve.transforms import _split_rest
+from pgsolve.transforms import _rebased, _split_rest
 from games import cycle, ladder_game, random_corpus
+
+EDGE_TABLES = {"successors", "choices", "classes", "relevant", "predecessors", "mixed_loops"}
 
 
 def fresh_split(game: ParityGame, k: int):
@@ -29,6 +31,7 @@ def assert_same_split(split, game: ParityGame, k: int):
     assert split.split_set == expected.split_set
     assert split.copy_of == expected.copy_of
     assert split.copy_for == expected.copy_for
+    assert list(split._kept) == list(expected._kept)
     assert split.plus.successors == expected.plus.successors
     assert split.plus.owners == expected.plus.owners
     assert split.plus.priorities == expected.plus.priorities
@@ -36,16 +39,22 @@ def assert_same_split(split, game: ParityGame, k: int):
 
 
 def fixpoint_splits(games, monkeypatch):
-    """Every (game, k, split) ``_fixpoint`` gets from ``_split_rest``."""
+    """Every (game, k, split) ``_fixpoint`` uses, built or re-based."""
     splits = []
 
-    def recording(game, keep, k=None):
+    def building(game, keep, k=None):
         split = _split_rest(game, keep, k)
         if split is not None:
             splits.append((game, split.k, split))
         return split
 
-    monkeypatch.setattr(solver_constructive, "_split_rest", recording)
+    def rebasing(split, game):
+        rebased = _rebased(split, game)
+        splits.append((game, rebased.k, rebased))
+        return rebased
+
+    monkeypatch.setattr(solver_constructive, "_split_rest", building)
+    monkeypatch.setattr(solver_constructive, "_rebased", rebasing)
     for game in games:
         solve_constructive(game)
     monkeypatch.undo()
@@ -62,17 +71,7 @@ def test_cached_splits_match_fresh_splits(monkeypatch):
     for game, k, split in splits:
         assert_same_split(split, game, k)
     tables = {id(split.plus._edges) for _, _, split in splits}
-    assert len(tables) < len(splits) // 2  # most of them were relabelled
-
-
-def test_shift_and_swap_pair_relabels_one_split():
-    game = cycle(6)
-    shifted = shift_and_swap(game)
-    first, second = split_top(game, 4), split_top(shifted, 5)
-    assert second.plus._edges is first.plus._edges
-    assert second.plus.owners != first.plus.owners
-    assert_same_split(first, game, 4)
-    assert_same_split(second, shifted, 5)
+    assert len(tables) < len(splits) // 2  # most of them were re-based
 
 
 def test_same_top_priority_on_other_vertices_is_a_new_split():
@@ -106,3 +105,13 @@ def test_one_split_arena_per_edge_table_and_split_set(monkeypatch):
             else:
                 first[key] = split.plus
         assert len(built) == len(first) < len(splits)
+
+
+def test_no_split_outlives_a_call():
+    short, constructive, split = gen_random(400, 8, 3, 1), cycle(10), cycle(6)
+    assert not constructive._mixed_loops
+    solve_short(short)
+    solve_constructive(constructive)
+    split_top(split, 4)
+    for game in (short, constructive, split):
+        assert set(vars(game._edges)) <= EDGE_TABLES
