@@ -308,8 +308,9 @@ class Strategy:
 
     def validate(self, game: ParityGame) -> None:
         """Raise StrategyError unless every entry is an owned, real edge."""
+        n = game.n
         for v, u in self.choices.items():
-            if not 0 <= v < game.n:
+            if not 0 <= v < n:
                 raise StrategyError(f"choice at unknown vertex {v}", v)
             if game.owners[v] is not self.player:
                 raise StrategyError(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .game import ParityGame, Player, Solution, Strategy
+from .game import _PLAYERS, ParityGame, Player, Solution, Strategy
 
 
 class ParseError(ValueError):
@@ -65,8 +65,7 @@ def parse_game(text: str) -> ParityGame:
     header_no, header = body[0]
     if _HEADER.match(header) is None:
         raise _fail_column(header, header_no, "malformed header, expected 'parity <max-id>;'")
-    records: dict[int, tuple[int, int, tuple[int, ...], str | None]] = {}
-    successor_sites: list[tuple[int, int, int]] = []
+    records: dict[int, tuple[int, int, tuple[int, ...], str | None, int]] = {}
     for line_no, line in body[1:]:
         match = _RECORD.match(line)
         if match is None:
@@ -75,38 +74,34 @@ def parse_game(text: str) -> ParityGame:
                 column = line.index(";") + 1 if ";" in line else len(line) + 1
                 raise ParseError(line_no, column, "empty successor list")
             raise _fail_column(line, line_no, "malformed record")
-        succ_text = match.group("successors")
+        vid, priority, owner, succ_text, name = match.groups()
         try:
-            vid = int(match.group("id"))
-            owner = int(match.group("owner"))
-            priority = int(match.group("priority"))
-            successors = tuple(int(tok) for tok in succ_text.replace(" ", "").split(","))
+            vid = int(vid)
+            owner = int(owner)
+            priority = int(priority)
+            successors = tuple(map(int, succ_text.replace(" ", "").split(",")))
         except ValueError as exc:  # more digits than int() converts
             raise _fail_column(line, line_no, str(exc)) from None
         if vid in records:
             raise _fail_column(line, line_no, f"duplicate id {vid}")
         if owner not in (0, 1):
             raise _fail_column(line, line_no, f"owner must be 0 or 1, got {owner}")
-        for u in successors:
-            successor_sites.append((vid, u, line_no))
-        records[vid] = (priority, owner, successors, match.group("name"))
+        records[vid] = (priority, owner, successors, name, line_no)
     if not records:
         raise ParseError(header_no, 1, "no vertex records after the header")
+    # Ids are distinct and nonnegative, so n records cover 0..n-1.
     n = max(records) + 1
-    for v in range(n):
-        if v not in records:
-            raise ParseError(header_no, 1, f"missing record for vertex {v}")
-    for vid, u, line_no in successor_sites:
-        if u not in records:
-            raise _fail_column(lines[line_no - 1], line_no, f"dangling successor id {u}")
-    owners, priorities, successors, names = [], [], [], []
-    for v in range(n):
-        priority, owner, succ, name = records[v]
-        owners.append(Player(owner))
-        priorities.append(priority)
-        successors.append(succ)
-        names.append(name)
-    return ParityGame(tuple(owners), tuple(priorities), tuple(successors), tuple(names))
+    if len(records) != n:
+        v = next(v for v in range(n) if v not in records)
+        raise ParseError(header_no, 1, f"missing record for vertex {v}")
+    priorities, owners, successors, names, _ = zip(*map(records.__getitem__, range(n)))
+    if max(map(max, successors)) >= n:
+        for _, _, succ, _, line_no in records.values():  # in file order
+            for u in succ:
+                if u >= n:
+                    raise _fail_column(lines[line_no - 1], line_no, f"dangling successor id {u}")
+    owners = tuple(map(_PLAYERS.__getitem__, owners))
+    return ParityGame(owners, priorities, successors, names)
 
 
 def emit_game(game: ParityGame) -> str:
@@ -128,21 +123,23 @@ _SOLUTION_LINE = re.compile(
 def parse_solution(text: str, game: ParityGame) -> Solution:
     """Parse a solution file for ``game``; every vertex exactly once."""
     winners: dict[int, int] = {}
-    choices: dict[Player, dict[int, int]] = {Player.P0: {}, Player.P1: {}}
+    choices: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    owners = game.owners
+    n = game.n
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         match = _SOLUTION_LINE.match(line)
         if match is None:
             raise _fail_column(line, line_no, "malformed solution line")
-        choice = match.group("choice")
+        vid, winner, choice = match.groups()
         try:
-            vid = int(match.group("id"))
-            winner = int(match.group("winner"))
+            vid = int(vid)
+            winner = int(winner)
             move = None if choice == "-" else int(choice)
         except ValueError as exc:  # more digits than int() converts
             raise _fail_column(line, line_no, str(exc)) from None
-        if vid >= game.n:
+        if vid >= n:
             raise _fail_column(line, line_no, f"unknown vertex {vid}")
         if vid in winners:
             raise _fail_column(line, line_no, f"duplicate vertex {vid}")
@@ -150,15 +147,15 @@ def parse_solution(text: str, game: ParityGame) -> Solution:
             raise _fail_column(line, line_no, f"winner must be 0 or 1, got {winner}")
         winners[vid] = winner
         if move is not None:
-            choices[game.owners[vid]][vid] = move
-    missing = [v for v in game.vertices if v not in winners]
-    if missing:
+            choices[owners[vid]][vid] = move
+    if len(winners) != n:
+        missing = [v for v in range(n) if v not in winners]
         raise ParseError(1, 1, f"missing verdict for vertices {missing}")
     return Solution(
         frozenset(v for v, w in winners.items() if w == 0),
         frozenset(v for v, w in winners.items() if w == 1),
-        Strategy(Player.P0, choices[Player.P0]),
-        Strategy(Player.P1, choices[Player.P1]),
+        Strategy(Player.P0, choices[0]),
+        Strategy(Player.P1, choices[1]),
     )
 
 

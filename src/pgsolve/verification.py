@@ -7,10 +7,16 @@ cycle reachable from the region in that restricted graph has a maximum
 priority of the player's parity.  Refutations come back as a replayable
 path plus cycle.
 
-The cycle test runs once per adversary-parity priority p: inside the
-reachable subgraph keep only vertices of priority at most p and look
-for a cycle through a priority-p vertex with a strongly connected
-component pass.  Any bad cycle with maximum m shows up at p = m.
+The cycle test is one nested decomposition into strongly connected
+components.  The reachable subgraph is split into SCCs; an SCC with no
+cycle is skipped, one whose top priority has the adversary's parity
+holds a bad cycle with that top, and one whose top favours the player
+is split again without its top-priority vertices.  An SCC whose top is
+at most the best bad top found so far is pruned.  Only a refuted claim
+runs one more SCC pass, on the vertices of priority at most the largest
+bad top p, to build the witness through a priority-p vertex.  The worst
+case stays O(d * (n + m)) for d distinct priorities, but a typical
+claim costs a constant number of passes.
 """
 
 from __future__ import annotations
@@ -75,51 +81,48 @@ def _reachable(
 
 
 def _sccs(vertices: list[int], edges: dict[int, tuple[int, ...]]) -> list[list[int]]:
-    """Iterative Tarjan over the induced subgraph on ``vertices``."""
+    """Iterative Tarjan over the induced subgraph on ``vertices``.
+
+    Components come out in Tarjan's order, each listed from its last
+    stacked vertex back to its root.  ``low`` holds exactly the vertices
+    still on the stack.
+    """
     keep = set(vertices)
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    on_stack: set[int] = set()
     stack: list[int] = []
     components: list[list[int]] = []
-    counter = 0
     for root in vertices:
         if root in index:
             continue
-        work = [(root, iter([u for u in edges[root] if u in keep]))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(edges[root]))]
         while work:
             v, children = work[-1]
-            advanced = False
             for u in children:
-                if u not in index:
-                    index[u] = low[u] = counter
-                    counter += 1
+                if u in low:
+                    if index[u] < low[v]:
+                        low[v] = index[u]
+                elif u not in index and u in keep:
+                    index[u] = low[u] = len(index)
                     stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter([w for w in edges[u] if w in keep])))
-                    advanced = True
+                    work.append((u, iter(edges[u])))
                     break
-                if u in on_stack:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    component = stack[at:]
+                    del stack[at:]
+                    component.reverse()
+                    for w in component:
+                        del low[w]
+                    components.append(component)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return components
 
 
@@ -176,6 +179,64 @@ def _path_to(
     return tuple(path)
 
 
+def _cyclic(component: list[int], edges: dict[int, tuple[int, ...]]) -> bool:
+    """Whether an SCC holds a cycle: two vertices or a self-loop."""
+    return len(component) > 1 or component[0] in edges[component[0]]
+
+
+def _worst_top(
+    player: Player,
+    priorities: tuple[int, ...],
+    reached: list[int],
+    edges: dict[int, tuple[int, ...]],
+) -> int | None:
+    """Largest adversary-parity priority topping a cycle, or None.
+
+    Every cycle lies inside one SCC.  In an SCC whose top priority p
+    favours the adversary some cycle is topped by p and none by more; in
+    one whose top favours the player, every bad cycle avoids the
+    top-priority vertices, so the rest is decomposed again.
+    """
+    best = -1
+    pending = [reached]
+    while pending:
+        for component in _sccs(pending.pop(), edges):
+            if not _cyclic(component, edges):
+                continue
+            top = max(map(priorities.__getitem__, component))
+            if top <= best:
+                continue
+            if player.favours(top):
+                rest = [v for v in component if priorities[v] < top]
+                if rest:
+                    pending.append(rest)
+            else:
+                best = top
+    return best if best >= 0 else None
+
+
+def _witness(
+    p: int,
+    region: list[int],
+    reached: list[int],
+    priorities: tuple[int, ...],
+    edges: dict[int, tuple[int, ...]],
+) -> BadCycleWitness:
+    """The refutation of a claim whose largest bad cycle top is ``p``.
+
+    Among the vertices of priority at most p, the first cyclic SCC with
+    a priority-p vertex holds the cycle: the shortest one through its
+    least priority-p vertex, reached by a shortest path from the region.
+    """
+    capped = [v for v in reached if priorities[v] <= p]
+    for component in _sccs(capped, edges):
+        carriers = sorted(v for v in component if priorities[v] == p)
+        if carriers and _cyclic(component, edges):
+            cycle = _shortest_cycle(carriers[0], set(component), edges)
+            return BadCycleWitness(_path_to(cycle[0], region, edges), cycle, p)
+    raise AssertionError(f"no reachable cycle is topped by priority {p}")
+
+
 def verify_strategy(
     game: ParityGame, player: Player, strategy: Strategy, region: Iterable[int]
 ) -> BadCycleWitness | None:
@@ -188,35 +249,18 @@ def verify_strategy(
     player = Player(player)
     strategy.validate(game)
     region = sorted(set(region))
-    for v in region:
-        if not 0 <= v < game.n:
-            raise GameError(f"region vertex {v} out of range 0..{game.n - 1}")
     if not region:
         return None
+    n = game.n
+    if not (0 <= region[0] and region[-1] < n):
+        bad = next(v for v in region if not 0 <= v < n)
+        raise GameError(f"region vertex {bad} out of range 0..{n - 1}")
     edges = _reachable(game, player, strategy, region)
     reached = sorted(edges)
-    bad_priorities = sorted(
-        {game.priorities[v] for v in reached if not player.favours(game.priorities[v])},
-        reverse=True,
-    )
-    for p in bad_priorities:
-        capped = [v for v in reached if game.priorities[v] <= p]
-        for component in _sccs(capped, edges):
-            members = set(component)
-            cyclic = len(component) > 1 or any(
-                v in edges[v] for v in component
-            )
-            if not cyclic:
-                continue
-            carriers = sorted(
-                v for v in component if game.priorities[v] == p
-            )
-            if not carriers:
-                continue
-            cycle = _shortest_cycle(carriers[0], members, edges)
-            path = _path_to(cycle[0], region, edges)
-            return BadCycleWitness(path, cycle, p)
-    return None
+    p = _worst_top(player, game.priorities, reached, edges)
+    if p is None:
+        return None
+    return _witness(p, region, reached, game.priorities, edges)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Shared example games for the test suite."""
 
-from pgsolve import ParityGame, gen_random
+import random
+
+from pgsolve import ParityGame, Player, Solution, Strategy, gen_random, solve_short
 
 
 def chain_game() -> ParityGame:
@@ -70,3 +72,50 @@ def random_corpus(count: int, max_n: int) -> list[ParityGame]:
 def cycle(n: int) -> ParityGame:
     """Vertex v has owner v % 2, priority v and one edge to v + 1 mod n."""
     return ParityGame.from_vertices([(v % 2, v, ((v + 1) % n,)) for v in range(n)])
+
+
+def union_claim(parts: int, seed: int):
+    """An id-shuffled disjoint union of solved random games and its claim.
+
+    Built like the benchmark's certify arenas: every part is a small
+    ``gen_random`` game solved by ``solve_short``, and the claim is the
+    union of the parts' solutions with an explicit move at every
+    branching vertex, so that a claim with one vertex moved to the other
+    region is refuted by a losing cycle rather than by a missing move.
+    Returns the arena and its (correct) Solution.
+    """
+    rng = random.Random(seed)
+    games = [
+        gen_random(rng.randint(6, 16), rng.randint(2, 6), 3, rng.getrandbits(32))
+        for _ in range(parts)
+    ]
+    total = sum(game.n for game in games)
+    perm = list(range(total))
+    rng.shuffle(perm)
+    rows = [None] * total
+    w1 = set()
+    moves = ({}, {})
+    offset = 0
+    for game in games:
+        solution = solve_short(game)
+        for v in game.vertices:
+            owner = int(game.owners[v])
+            strategy = solution.sigma if owner == 0 else solution.tau
+            move = strategy.choices.get(v, game.choices_at(v)[0])
+            if len(game.choices_at(v)) > 1:
+                moves[owner][perm[offset + v]] = perm[offset + move]
+            rows[perm[offset + v]] = (
+                owner,
+                game.priorities[v],
+                tuple(perm[offset + u] for u in game.successors[v]),
+            )
+        w1.update(perm[offset + v] for v in solution.w1)
+        offset += game.n
+    arena = ParityGame.from_vertices(rows)
+    w1 = frozenset(w1)
+    return arena, Solution(
+        frozenset(arena.vertices) - w1,
+        w1,
+        Strategy(Player.P0, moves[0]),
+        Strategy(Player.P1, moves[1]),
+    )

@@ -141,6 +141,30 @@ def test_error_dangling_successor():
     assert "dangling successor id 1" in err.value.reason
 
 
+def test_error_dangling_successor_is_the_first_in_file_order():
+    text = "parity 3;\n2 1 0 0;\n  3 1 1 2,9,5;\n0 1 0 1,7;\n1 1 0 3;\n"
+    with pytest.raises(ParseError) as err:
+        parse_game(text)
+    assert (err.value.line, err.value.column) == (3, 3)
+    assert err.value.reason == "dangling successor id 9"
+
+
+def test_error_missing_record_names_the_lowest_missing_id():
+    text = "\nparity 5;\n5 1 0 9;\n3 1 0 5;\n0 1 0 3;\n1 1 0 0;\n"
+    with pytest.raises(ParseError) as err:
+        parse_game(text)
+    assert (err.value.line, err.value.column) == (2, 1)
+    assert err.value.reason == "missing record for vertex 2"
+
+
+def test_parsed_owners_are_player_members():
+    game = parse_game("parity 2;\n2 1 1 0;\n0 2 0 1,2;\n1 3 1 0;\n")
+    assert game.owners[0] is Player.P0
+    assert game.owners[1] is Player.P1 and game.owners[2] is Player.P1
+    solution = parse_solution("2 1 -\n1 1 0\n0 0 2\n", game)
+    assert solution.sigma.choices == {0: 2} and solution.tau.choices == {1: 0}
+
+
 def test_error_header_without_records():
     with pytest.raises(ParseError) as err:
         parse_game("parity 3;\n")
@@ -194,6 +218,14 @@ def test_solution_error_missing_verdict():
     with pytest.raises(ParseError) as err:
         parse_solution("0 1 -\n2 1 -\n", chain_game())
     assert "missing verdict for vertices [1]" in err.value.reason
+
+
+def test_solution_error_missing_verdicts_are_listed_ascending():
+    game = parse_game("parity 5;\n" + "".join(f"{v} 0 0 {v};\n" for v in range(6)))
+    with pytest.raises(ParseError) as err:
+        parse_solution("5 0 -\n2 0 -\n0 0 -\n", game)
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert err.value.reason == "missing verdict for vertices [1, 3, 4]"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+from collections import Counter
+
+import networkx as nx
 import pytest
 
+import pgsolve.verification as verification
 from pgsolve import (
     BadCycleWitness,
     ParityGame,
@@ -9,9 +13,10 @@ from pgsolve import (
     StrategyError,
     check_solution,
     play,
+    solve_short,
     verify_strategy,
 )
-from games import chain_game, two_cycle_game
+from games import chain_game, cycle, two_cycle_game, union_claim
 
 
 def adversary_from_witness(game, player, witness):
@@ -155,3 +160,51 @@ def test_check_solution_refutes_false_claim_with_witness():
     assert diagnostic is not None
     # the sink itself is in the claimed region, so the path is empty
     assert diagnostic.witness == BadCycleWitness((), (2,), 1)
+
+
+def spy_on_scc_passes(monkeypatch):
+    """Every vertex list ``verification._sccs`` is called on, in order."""
+    passes = []
+    sccs = verification._sccs
+
+    def spy(vertices, edges):
+        passes.append(list(vertices))
+        return sccs(vertices, edges)
+
+    monkeypatch.setattr(verification, "_sccs", spy)
+    return passes
+
+
+def test_cycle_certificate_takes_at_most_three_scc_passes(monkeypatch):
+    # One adversary-parity priority per two vertices: a pass per priority
+    # would make 200 passes here.
+    game = cycle(400)
+    solution = solve_short(game)
+    passes = spy_on_scc_passes(monkeypatch)
+    assert check_solution(game, solution) is None
+    assert len(passes) <= 3
+
+
+def test_no_vertex_enters_more_passes_than_its_scc_has_priorities(monkeypatch):
+    arena, solution = union_claim(60, 11)
+    passes = spy_on_scc_passes(monkeypatch)
+    for player in Player:
+        passes.clear()
+        strategy, region = solution.strategy(player), solution.region(player)
+        assert verify_strategy(arena, player, strategy, region) is None
+        entered = Counter(v for vertices in passes for v in vertices)
+        restricted = nx.DiGraph()
+        restricted.add_nodes_from(arena.vertices)
+        for v in arena.vertices:
+            if arena.owners[v] is player:
+                targets = (strategy.move_at(arena, v),)
+            else:
+                targets = arena.choices_at(v)
+            restricted.add_edges_from((v, u) for u in targets)
+        reached = set(region)
+        for v in region:
+            reached |= nx.descendants(restricted, v)
+        for component in nx.strongly_connected_components(restricted.subgraph(reached)):
+            priorities = {arena.priorities[v] for v in component}
+            assert max(entered[v] for v in component) <= len(priorities)
+        assert set(entered) == reached
