@@ -243,29 +243,16 @@ class ParityGame:
         The result keeps ``successors`` and ``names`` and shares the
         edge tables (``_choices``, ``_classes``, ``_predecessors``,
         ``_mixed_loops``) with this arena, so none of them is computed
-        twice.  Only the changed labels are checked: owners are coerced
-        to Player and priorities must be nonnegative ints, one per
-        vertex.
+        twice.  Unchecked: callers pass valid labels, tuples of Player
+        owners or nonnegative int priorities, one per vertex.
         """
-        owners = self.owners if owners is None else _coerced(owners, Player, "owner")
-        if priorities is None:
-            priorities = self.priorities
-        else:
-            priorities = _coerced(priorities, int, "priority")
-            if priorities and min(priorities) < 0:
-                v = next(v for v, p in enumerate(priorities) if p < 0)
-                raise GameError(f"vertex {v} has negative priority {priorities[v]}")
-        if not len(owners) == len(priorities) == self.n:
-            raise GameError("vertex tables differ in length")
-        arena = object.__new__(ParityGame)
-        vars(arena).update(
-            owners=owners,
-            priorities=priorities,
-            successors=self.successors,
-            names=self.names,
-            _edges=self._edges,
+        return _arena(
+            self.owners if owners is None else owners,
+            self.priorities if priorities is None else priorities,
+            self.successors,
+            self.names,
+            self._edges,
         )
-        return arena
 
     def choices_at(self, v: int) -> tuple[int, ...]:
         """Distinct successors of v in first-occurrence order."""
@@ -273,6 +260,19 @@ class ParityGame:
 
     def has_edge(self, v: int, u: int) -> bool:
         return u in self._choices[v]
+
+
+def _arena(owners, priorities, successors, names, edges=None) -> ParityGame:
+    """An arena over tables known valid, for derived arenas and parsed text.
+
+    Unchecked: the tables must be what ``ParityGame`` would make of them.
+    ``edges`` shares a parent's edge tables when the successors are its.
+    """
+    arena = object.__new__(ParityGame)
+    vars(arena).update(owners=owners, priorities=priorities, successors=successors, names=names)
+    if edges is not None:
+        vars(arena)["_edges"] = edges
+    return arena
 
 
 def classify(game: ParityGame, v: int) -> VertexClass:

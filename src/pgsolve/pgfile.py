@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .game import _PLAYERS, ParityGame, Player, Solution, Strategy
+from .game import _PLAYERS, ParityGame, Player, Solution, Strategy, _arena
 
 
 class ParseError(ValueError):
@@ -55,7 +55,10 @@ def _fail_column(line_text: str, line_no: int, reason: str) -> ParseError:
 
 
 def parse_game(text: str) -> ParityGame:
-    """Parse a game file, reporting the first error with line and column."""
+    """Parse a game file, reporting the first error with line and column.
+
+    The records' shape and the range test below check all a game needs.
+    """
     lines = text.splitlines()
     body: list[tuple[int, str]] = [
         (no, line) for no, line in enumerate(lines, start=1) if line.strip()
@@ -100,8 +103,7 @@ def parse_game(text: str) -> ParityGame:
             for u in succ:
                 if u >= n:
                     raise _fail_column(lines[line_no - 1], line_no, f"dangling successor id {u}")
-    owners = tuple(map(_PLAYERS.__getitem__, owners))
-    return ParityGame(owners, priorities, successors, names)
+    return _arena(tuple(map(_PLAYERS.__getitem__, owners)), priorities, successors, names)
 
 
 def emit_game(game: ParityGame) -> str:

@@ -120,13 +120,13 @@ def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
 
 def bump_priorities(split: SplitGame, x: Iterable[int]) -> tuple[int, ...]:
     """Priorities with every copy of an x-member raised from k to k+1."""
-    x = set(x)
+    x = frozenset(x)
     n = split.plus.n
-    for v in x:
-        if not 0 <= v < n:
-            raise GameError(f"vertex {v} out of range 0..{n - 1}")
+    if x and not 0 <= min(x) <= max(x) < n:
+        v = min(v for v in x if not 0 <= v < n)
+        raise GameError(f"vertex {v} out of range 0..{n - 1}")
     priorities = list(split.plus.priorities)
-    for v in sorted(split.split_set & x):
+    for v in split.split_set & x:
         priorities[split.copy_for[v]] = split.k + 1
     return tuple(priorities)
 
@@ -138,20 +138,16 @@ def compose_tau(
 
     On a vertex seen in an earlier round's region, the choice of the
     earliest such round; on the newly won rest, the fresh strategy;
-    undefined elsewhere.
+    undefined elsewhere.  Walks the strategies' entries, not the
+    regions, and writes choices only on ``w1`` and the earlier regions.
     """
-    choices = {}
-    settled: set[int] = set()
+    choices: dict[int, int] = {}
+    settled: frozenset[int] = frozenset()
     for state in history:
-        for v in state.w1 - settled:
-            move = state.tau.choices.get(v)
-            if move is not None:
-                choices[v] = move
-        settled |= state.w1
-    for v in w1 - settled:
-        move = tau_plus.choices.get(v)
-        if move is not None:
-            choices[v] = move
+        region, moves = state.w1, state.tau.choices
+        choices.update({v: u for v, u in moves.items() if v in region and v not in settled})
+        settled |= region
+    choices.update({v: u for v, u in tau_plus.choices.items() if v in w1 and v not in settled})
     return Strategy(tau_plus.player, choices)
 
 
@@ -165,7 +161,9 @@ def _check_round(
     """Assert the per-round guarantees, dumping the history on failure.
 
     Always: the region grows monotonically and the strategy never
-    changes on the previous round's region.  Each round is compared
+    changes on the previous round's region, ``state.x``: one subset test
+    and two set comparisons of the choice dicts; only a failure walks
+    the region, to name the vertex that drifted.  Each round is compared
     with the previous one only; by transitivity the chain covers every
     earlier round.  When ``thorough`` (debug mode): the round strategy
     wins its whole region in the bumped game for ``state.tau.player``,
@@ -180,17 +178,11 @@ def _check_round(
         fail(f"round {state.alpha}: region dropped vertices {sorted(state.x - state.w1)}")
     if history:
         previous = history[-1]
-        if not previous.w1 <= state.w1:
-            fail(
-                f"round {state.alpha}: lost vertices "
-                f"{sorted(previous.w1 - state.w1)} won in round {previous.alpha}"
-            )
-        for v in previous.w1:
-            if state.tau.choices.get(v) != previous.tau.choices.get(v):
-                fail(
-                    f"round {state.alpha}: choice at {v} drifted from "
-                    f"round {previous.alpha}"
-                )
+        before, after = previous.tau.choices, state.tau.choices
+        if not before.items() <= after.items() or after.keys() & previous.w1 != before.keys():
+            for v in previous.w1:
+                if after.get(v) != before.get(v):
+                    fail(f"round {state.alpha}: choice at {v} drifted from round {previous.alpha}")
     if not thorough:
         return
     try:

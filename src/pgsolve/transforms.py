@@ -21,6 +21,7 @@ from .game import (
     Player,
     Solution,
     Strategy,
+    _arena,
 )
 
 
@@ -54,7 +55,9 @@ def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> Par
     ``keep`` is ascending, ``split`` an ascending part of it.  Kept
     vertices are numbered densely in order, then their copies follow.
     Raises RestrictionError at the first kept vertex left without a
-    successor.
+    successor.  That is the one check the result needs: every other
+    table is taken from the valid ``game``, so the arena is built
+    unchecked.
     """
     order = (*keep, *split)
     target = dict(zip(order, range(len(order))))  # a split vertex: its copy
@@ -65,7 +68,7 @@ def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> Par
         raise RestrictionError(f"vertex {v} keeps no successor in the restriction", v)
     successors.extend((target[v],) for v in split)
     names = game.names
-    return ParityGame(
+    return _arena(
         tuple(map(game.owners.__getitem__, order)),
         tuple(map(game.priorities.__getitem__, order)),
         tuple(successors),
@@ -158,21 +161,29 @@ def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
     return merged
 
 
+def _normalized(game: ParityGame, looping_wins: bool) -> tuple[ParityGame, frozenset[int]]:
+    """Rewrite every mixed self-loop vertex whose loop wins for its owner
+    exactly when ``looping_wins``: keep only the loop if it wins, drop
+    it if it loses.  Either way the vertex keeps a successor, so the
+    arena is built unchecked."""
+    owners, priorities, successors = game.owners, game.priorities, list(game.successors)
+    changed = [
+        v for v in game._mixed_loops if owners[v].favours(priorities[v]) is looping_wins
+    ]
+    if not changed:
+        return game, frozenset()
+    for v in changed:
+        successors[v] = (v,) if looping_wins else tuple(u for u in successors[v] if u != v)
+    return _arena(owners, priorities, tuple(successors), game.names), frozenset(changed)
+
+
 def remove_unfair_win(game: ParityGame) -> tuple[ParityGame, frozenset[int]]:
     """Make vertices absorbing where looping forever already wins.
 
     Applies to a vertex with a self-loop and proper outgoing edges whose
     priority parity matches its owner: the proper edges are dropped.
     """
-    changed = []
-    successors = list(game.successors)
-    for v in game._mixed_loops:
-        if game.owners[v].favours(game.priorities[v]):
-            successors[v] = (v,)
-            changed.append(v)
-    if not changed:
-        return game, frozenset()
-    return replace(game, successors=tuple(successors)), frozenset(changed)
+    return _normalized(game, True)
 
 
 def remove_useless_self_loops(game: ParityGame) -> tuple[ParityGame, frozenset[int]]:
@@ -182,15 +193,7 @@ def remove_useless_self_loops(game: ParityGame) -> tuple[ParityGame, frozenset[i
     priority parity is bad for its owner: looping is a losing move, so
     the loop goes.
     """
-    changed = []
-    successors = list(game.successors)
-    for v in game._mixed_loops:
-        if not game.owners[v].favours(game.priorities[v]):
-            successors[v] = tuple(u for u in game.successors[v] if u != v)
-            changed.append(v)
-    if not changed:
-        return game, frozenset()
-    return replace(game, successors=tuple(successors)), frozenset(changed)
+    return _normalized(game, False)
 
 
 def shift_and_swap(game: ParityGame) -> ParityGame:
@@ -199,8 +202,8 @@ def shift_and_swap(game: ParityGame) -> ParityGame:
     Self-inverse on winners: the regions swap and strategies carry over
     unchanged.  The edges do not change, so the result shares
     ``successors``, ``names`` and the edge tables (choices, vertex
-    classes, predecessors, mixed self-loops) with ``game``; only the new
-    labels are checked.
+    classes, predecessors, mixed self-loops) with ``game``.  Shifted
+    priorities of a valid game stay nonnegative, so nothing is checked.
     """
     return game._relabelled(
         owners=tuple(o.opponent for o in game.owners),
@@ -240,7 +243,7 @@ def restrict(game: ParityGame, keep: Iterable[int]) -> Subgame:
 
     When ``keep`` is every vertex the subgame is ``game`` itself, with
     identity maps, so it shares every table ``game`` has computed.  Any
-    other restriction builds and validates a new arena.  Raises
+    other restriction builds a new arena with ``_induced``.  Raises
     RestrictionError naming the first vertex left without a successor
     inside ``keep``.
     """

@@ -1,0 +1,264 @@
+"""Arenas derived from a valid arena are built once, unchecked.
+
+``ParityGame(...)`` validates outside input.  Splits, restrictions,
+relabellings, loop normalizations and parsed text are built by
+``game._arena`` without that check, each from tables its own code has
+already checked or taken from a valid arena.  Every such arena must
+equal the validated rebuild of its own tables, with the exact types
+the constructor makes: Player owners, int priorities, tuple
+successors.  And the constructor's validation must not run inside a
+default-mode solve or a parse.
+
+The fixpoint round checks stay: a round that changes the strategy on
+the previous region, or loses part of it, raises CertificationError
+with the message that names the round and the vertex.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from pgsolve import (
+    CertificationError,
+    ParityGame,
+    Player,
+    Solution,
+    Strategy,
+    emit_game,
+    parse_game,
+    restrict,
+    shift_and_swap,
+    solve_constructive,
+    solve_short,
+    split_top,
+)
+from pgsolve import solver_constructive
+from pgsolve.game import relevant_priorities
+from pgsolve.solver_constructive import bump_priorities, preprocess
+from pgsolve.transforms import (
+    RestrictionError,
+    _rebased,
+    _split_rest,
+    remove_unfair_win,
+    remove_useless_self_loops,
+)
+from games import cycle, ladder_game, random_corpus
+
+DUPLICATES = ParityGame.from_vertices(
+    [(0, 1, (1, 1, 0)), (1, 2, (2, 0, 2)), (0, 3, (3, 2, 2)), (1, 0, (3,))]
+)
+COMPOSE_TAU = solver_constructive.compose_tau
+NAMES = ("", "a b", "\t", "é~", None, "x;y", "0 1 2")
+
+
+def corpus() -> list[ParityGame]:
+    return [
+        *random_corpus(150, 12),
+        *map(cycle, range(2, 21)),
+        *map(ladder_game, range(2, 9)),
+        DUPLICATES,
+    ]
+
+
+def named(game: ParityGame) -> ParityGame:
+    names = tuple(NAMES[v % len(NAMES)] for v in game.vertices)
+    return ParityGame(game.owners, game.priorities, game.successors, names)
+
+
+def assert_valid(arena: ParityGame) -> None:
+    """``arena`` equals the validated rebuild of its tables, exact types."""
+    rebuilt = ParityGame(arena.owners, arena.priorities, arena.successors, arena.names)
+    assert arena == rebuilt
+    assert type(arena.owners) is tuple
+    assert {*map(type, arena.owners)} <= {Player}
+    assert type(arena.priorities) is tuple
+    assert {*map(type, arena.priorities)} <= {int}
+    assert type(arena.successors) is tuple
+    assert {*map(type, arena.successors)} <= {tuple}
+    assert {type(u) for succ in arena.successors for u in succ} <= {int}
+    assert type(arena.names) is tuple
+    for table in ("_choices", "_classes", "_predecessors", "_mixed_loops", "_relevant"):
+        assert getattr(arena, table) == getattr(rebuilt, table), table
+
+
+def same_split_priorities(game: ParityGame, k: int, split_set) -> tuple[int, ...]:
+    """New priorities for ``game`` that keep k and the split set: every
+    other relevant vertex moves below k, every absorbing or vanishing
+    vertex anywhere."""
+    return tuple(
+        p if v in split_set else (p + 7 if p > k or not game._edges.relevant[v] else p // 2)
+        for v, p in enumerate(game.priorities)
+    )
+
+
+def derived(game: ParityGame):
+    """Every kind of arena the package derives from ``game``."""
+    yield shift_and_swap(game)
+    yield shift_and_swap(shift_and_swap(game))
+    for normalize in (remove_unfair_win, remove_useless_self_loops):
+        yield normalize(game)[0]
+    yield preprocess(game).reduced
+    keep = [v for v in game.vertices if v % 3]
+    try:
+        yield restrict(game, keep).game
+    except RestrictionError:
+        pass
+    try:
+        masked = _split_rest(game, keep)
+    except RestrictionError:
+        masked = None
+    if masked is not None:
+        yield masked.plus
+    for k in sorted(relevant_priorities(game)):
+        split = split_top(game, k)
+        yield split.plus
+        for x in (split.split_set, frozenset(list(split.split_set)[::2])):
+            yield split.plus._relabelled(priorities=bump_priorities(split, x))
+        moved = game._relabelled(priorities=same_split_priorities(game, k, split.split_set))
+        rebased = _rebased(split, moved)
+        assert rebased.plus == split_top(moved, k).plus
+        yield moved
+        yield rebased.plus
+    parsed = parse_game(emit_game(named(game)))
+    assert parsed == named(game)
+    yield parsed
+
+
+def test_every_derived_arena_equals_its_validated_rebuild():
+    count = 0
+    for game in corpus():
+        for base in (game, named(game)):
+            for arena in derived(base):
+                assert_valid(arena)
+                count += 1
+    assert count > 2000
+
+
+def test_validation_never_runs_in_a_default_solve_or_a_parse(monkeypatch):
+    games = [*random_corpus(60, 10), cycle(9), ladder_game(4), DUPLICATES]
+    texts = [emit_game(named(game)) for game in games]
+    built: list[ParityGame] = []
+
+    def spy(self):
+        built.append(self)
+
+    monkeypatch.setattr(ParityGame, "__post_init__", spy)
+    for game, text in zip(games, texts):
+        solve_short(game)
+        solve_constructive(game)
+        parse_game(text)
+    assert built == []
+
+
+def first_line(exc: CertificationError) -> str:
+    """The reason of a round failure, checking the history dump follows."""
+    message = str(exc)
+    assert "\nfixpoint history:\n" in message
+    return message.split("\n", 1)[0]
+
+
+def edit_previous_choice(monkeypatch, edit) -> list[str]:
+    """Patch ``compose_tau`` so the first round that ``edit`` accepts
+    changes the previous round's strategy; return the expected reasons."""
+    expected: list[str] = []
+
+    def editing(history, w1, tau_plus):
+        tau = COMPOSE_TAU(history, w1, tau_plus)
+        if history and not expected:
+            previous = history[-1]
+            choices = dict(tau.choices)
+            v = edit(previous, choices)
+            if v is not None:
+                expected.append(
+                    f"round {previous.alpha + 1}: choice at {v} drifted from "
+                    f"round {previous.alpha}"
+                )
+                return Strategy(tau.player, choices)
+        return tau
+
+    monkeypatch.setattr(solver_constructive, "compose_tau", editing)
+    return expected
+
+
+def drop(previous, choices):
+    if previous.tau.choices:
+        v = min(previous.tau.choices)
+        del choices[v]
+        return v
+    return None
+
+
+def change(previous, choices):
+    if previous.tau.choices:
+        v = max(previous.tau.choices)
+        choices[v] = -1
+        return v
+    return None
+
+
+def add(previous, choices):
+    unset = sorted(previous.w1 - previous.tau.choices.keys())
+    if unset:
+        choices[unset[0]] = -1
+        return unset[0]
+    return None
+
+
+@pytest.mark.parametrize("edit", [drop, change, add])
+def test_a_drifted_choice_fails_its_round(monkeypatch, edit):
+    fired = 0
+    for game in [*random_corpus(80, 12), ladder_game(4)]:
+        expected = edit_previous_choice(monkeypatch, edit)
+        try:
+            solve_constructive(game)
+        except CertificationError as exc:
+            assert expected and first_line(exc) == expected[0]
+            fired += 1
+        else:
+            assert not expected
+    assert fired > 5
+
+
+def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
+    real_fixpoint, real_check = solver_constructive._fixpoint, solver_constructive._check_round
+    fired = 0
+    for game in [*random_corpus(80, 12), *map(ladder_game, range(2, 6))]:
+        top: list = []  # the top-level call's tower, then its inner results
+        dropped: list[int] = []
+        alphas: list[int] = []
+
+        def shrinking(arena, debug, tower, history_out):
+            if history_out is not None:
+                top.append(tower)
+            solution = real_fixpoint(arena, debug, tower, history_out)
+            if dropped or tower is not top[0][1]:
+                return solution
+            loser = Player(1 - top[0][0].k % 2)
+            earlier = set().union(*(s.region(loser) for s in top[1:]))
+            top.append(solution)
+            common = sorted(earlier & solution.region(loser))
+            if not common:
+                return solution
+            v = common[0]
+            dropped.append(v)
+            regions = [set(solution.w0), set(solution.w1)]
+            regions[loser].discard(v)
+            regions[1 - loser].add(v)
+            return Solution(*regions, solution.sigma, solution.tau)
+
+        def checking(split, arena, history, state, thorough):
+            alphas.append(state.alpha)
+            real_check(split, arena, history, state, thorough)
+
+        monkeypatch.setattr(solver_constructive, "_fixpoint", shrinking)
+        monkeypatch.setattr(solver_constructive, "_check_round", checking)
+        try:
+            solve_constructive(game)
+        except CertificationError as exc:
+            assert dropped
+            reason = f"round {alphas[-1]}: region dropped vertices [{dropped[0]}]"
+            assert first_line(exc) == reason
+            fired += 1
+        else:
+            assert not dropped
+    assert fired > 5

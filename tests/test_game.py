@@ -33,8 +33,6 @@ def test_rejects_negative_priority():
 def test_rejects_priority_that_is_not_an_integer(priority):
     with pytest.raises(GameError, match="vertex 1 has invalid priority"):
         ParityGame.from_vertices([(0, 1, (1,)), (1, priority, (0,))])
-    with pytest.raises(GameError, match="vertex 1 has invalid priority"):
-        two_cycle_game()._relabelled(priorities=(1, priority))
 
 
 def test_integral_priorities_and_owners_still_convert():

@@ -92,6 +92,10 @@ def test_bump_priorities_range_check():
     split = split_top(chain_game(), 4)
     with pytest.raises(GameError):
         bump_priorities(split, {4})
+    # the least out-of-range member is named, whatever the set order
+    for x, least in (({9, 4, 1, 70}, 4), ({-1, 2, 8}, -1), ({5, 4}, 4)):
+        with pytest.raises(GameError, match=f"^vertex {least} out of range 0..3$"):
+            bump_priorities(split, x)
 
 
 def test_compose_tau_keeps_earliest_choice():

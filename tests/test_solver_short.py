@@ -12,7 +12,7 @@ from pgsolve import (
     solve_short,
     verify_strategy,
 )
-from pgsolve import solver_short, transforms
+from pgsolve import game as game_module, solver_short, transforms
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_short import base_case_solve, combine_strategies, nonempty_step
 from games import chain_game, cycle, random_corpus, two_cycle_game
@@ -207,11 +207,11 @@ def test_solve_short_builds_one_arena_per_core_step(monkeypatch):
     # from the parent; the undecided subarena itself is never built
     games = [*random_corpus(200, 8), cycle(48)]
     counts = {"arenas": 0, "steps": 0}
-    init, step = ParityGame.__post_init__, solver_short._nonempty_step
+    arena, step = game_module._arena, solver_short._nonempty_step
 
-    def counting_init(self):
+    def counting_arena(*args):
         counts["arenas"] += 1
-        init(self)
+        return arena(*args)
 
     def counting_step(split, debug):
         counts["steps"] += 1
@@ -220,7 +220,8 @@ def test_solve_short_builds_one_arena_per_core_step(monkeypatch):
     def no_restrict(game, keep):
         raise AssertionError("restrict called in default mode")
 
-    monkeypatch.setattr(ParityGame, "__post_init__", counting_init)
+    monkeypatch.setattr(game_module, "_arena", counting_arena)
+    monkeypatch.setattr(transforms, "_arena", counting_arena)
     monkeypatch.setattr(solver_short, "_nonempty_step", counting_step)
     monkeypatch.setattr(solver_short, "restrict", no_restrict)
     monkeypatch.setattr(transforms, "restrict", no_restrict)
