@@ -7,7 +7,11 @@ PARENT and CHANGE are two checkouts of this repository.  For every seed
 and workload the script runs ``perfbench/run.py --trace 0`` once in each
 checkout, one after the other, and swaps which of the two goes first
 from one pair to the next, so a drift in machine speed hits both sides
-alike.  Runs are sequential: one benchmark process at a time.
+alike.  Runs are sequential: one benchmark process at a time.  Each
+side writes and reads its bytecode under its own PYTHONPYCACHEPREFIX in
+a temporary directory, never a checkout's own ``__pycache__``, so a
+stale cache in one checkout cannot slow that side's imports (which
+``setup_s`` includes); PYTHONDONTWRITEBYTECODE is dropped for the runs.
 
 The output, ``BENCH_<pr>.json`` in the current directory, holds per
 workload and metric the parent's and the change's median, min and max
@@ -20,21 +24,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``checkout``: its JSON line."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             pycache: Path) -> dict:
+    """One ``perfbench/run.py --trace 0`` run in ``checkout``, with its
+    bytecode cache under ``pycache``: the run's JSON line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -75,17 +85,20 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w for w in args.workloads.split(",") if w]
     results = {}
     pair = 0
-    for workload in workloads:
-        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for seed in args.seeds:
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            pair += 1
-            for side in order:
-                runs[side].append(run_once(checkouts[side], workload, seed, args.seconds))
-                print(f"{workload} seed {seed} {side}: "
-                      f"ops_per_s {runs[side][-1]['metrics']['ops_per_s']['value']:.4g}",
-                      flush=True)
-        results[workload] = summarise(runs)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        caches = {side: Path(tmp) / side for side in SIDES}
+        for workload in workloads:
+            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for seed in args.seeds:
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                pair += 1
+                for side in order:
+                    run = run_once(checkouts[side], workload, seed, args.seconds, caches[side])
+                    runs[side].append(run)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"ops_per_s {run['metrics']['ops_per_s']['value']:.4g}",
+                          flush=True)
+            results[workload] = summarise(runs)
     record = {
         "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
         "seeds": args.seeds,

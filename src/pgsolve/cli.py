@@ -59,7 +59,7 @@ def _load_game(path: str) -> ParityGame:
             return parse_game(handle.read())
     except OSError as exc:
         _usage_error(str(exc))
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         _usage_error(f"{path}: {exc}")
 
 
@@ -92,7 +92,7 @@ def _cmd_verify(args) -> int:
             solution = parse_solution(handle.read(), game)
     except OSError as exc:
         _usage_error(str(exc))
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         _usage_error(f"{args.solution}: {exc}")
     diagnostic = check_solution(game, solution)
     if diagnostic is None:

@@ -99,7 +99,11 @@ class _EdgeTables:
 
     @cached_property
     def choices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(dict.fromkeys(succ)) for succ in self.successors)
+        """Successors without repeats; a list without any is its own entry."""
+        return tuple(
+            succ if len(succ) < 2 or len(set(succ)) == len(succ) else tuple(dict.fromkeys(succ))
+            for succ in self.successors
+        )
 
     @cached_property
     def classes(self) -> tuple[VertexClass, ...]:

@@ -18,11 +18,18 @@ fixed point on its own output.
 
 Solution files are one line per vertex: ``id winner choice`` with ``-``
 for a vertex where the owner's strategy has no explicit choice.
+
+Each parser matches all rows with one ``findall`` over the nonblank
+lines, with a pattern that never crosses a line (so row i is line i),
+and checks them column by column.  Only a faulty text is walked line by
+line, to report its first error in file order.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress
+from operator import not_
 
 from .game import _PLAYERS, ParityGame, Player, Solution, Strategy, _arena
 
@@ -37,21 +44,56 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+def _rows(pattern: str) -> re.Pattern:
+    """``pattern`` at every line start, its whitespace kept inside the line."""
+    return re.compile("^" + pattern.replace(r"\s", r"[^\S\n]"), re.M)
+
+
 _HEADER = re.compile(r"\s*parity\s+(\d+)\s*;\s*$")
-_RECORD = re.compile(
+_RECORD = _rows(
     r"\s*(?P<id>\d+)"
     r"\s+(?P<priority>\d+)"
     r"\s+(?P<owner>\d+)"
     r"\s+(?P<successors>\d+(?:\s*,\s*\d+)*)"
-    r"(?:\s+\"(?P<name>[^\"]*)\")?"
+    r"(?:\s+(?P<name>\"[^\"\n]*\"))?"
     r"\s*;\s*$"
 )
+_SOLUTION_LINE = _rows(r"\s*(?P<id>\d+)\s+(?P<winner>\d+)\s+(?P<choice>\d+|-)\s*$")
 
 
-def _fail_column(line_text: str, line_no: int, reason: str) -> ParseError:
-    """Point at the first token that breaks the record shape."""
-    stripped = len(line_text) - len(line_text.lstrip())
-    return ParseError(line_no, stripped + 1, reason)
+class _Lines:
+    """The nonblank lines of a text, and the first error among them."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.body = [*filter(str.strip, text.splitlines())]
+
+    def error(self, i: int, reason: str, column: int | None = None) -> ParseError:
+        """A ParseError on nonblank line ``i``, by default at its first token."""
+        numbers = [no for no, line in enumerate(self.text.splitlines(), 1) if line.strip()]
+        line = self.body[i]
+        return ParseError(numbers[i], column or len(line) - len(line.lstrip()) + 1, reason)
+
+    def first_fault(self, pattern, start, numbers, player, duplicate, n=None):
+        """Index and reason (None: ``pattern`` rejects it) of the first faulty
+        line from ``start`` on; ``numbers(groups)`` gives id, player, the rest."""
+        seen = set()
+        for i in range(start, len(self.body)):
+            match = pattern.match(self.body[i])
+            if match is None:
+                return i, None
+            try:
+                vid, side, *_ = map(int, numbers(match.groups()))
+            except ValueError as exc:  # more digits than int() converts
+                return i, str(exc)
+            if n is not None and vid >= n:
+                return i, f"unknown vertex {vid}"
+            if vid in seen:
+                return i, f"{duplicate} {vid}"
+            if side not in (0, 1):
+                return i, f"{player} must be 0 or 1, got {side}"
+            seen.add(vid)
+        raise AssertionError("no faulty line")
 
 
 def parse_game(text: str) -> ParityGame:
@@ -59,51 +101,44 @@ def parse_game(text: str) -> ParityGame:
 
     The records' shape and the range test below check all a game needs.
     """
-    lines = text.splitlines()
-    body: list[tuple[int, str]] = [
-        (no, line) for no, line in enumerate(lines, start=1) if line.strip()
-    ]
-    if not body:
+    lines = _Lines(text)
+    if not lines.body:
         raise ParseError(1, 1, "empty input, expected a parity header")
-    header_no, header = body[0]
-    if _HEADER.match(header) is None:
-        raise _fail_column(header, header_no, "malformed header, expected 'parity <max-id>;'")
-    records: dict[int, tuple[int, int, tuple[int, ...], str | None, int]] = {}
-    for line_no, line in body[1:]:
-        match = _RECORD.match(line)
-        if match is None:
-            fields = line.split(";", 1)[0].split()
-            if len(fields) == 3 and all(f.isdigit() for f in fields):
-                column = line.index(";") + 1 if ";" in line else len(line) + 1
-                raise ParseError(line_no, column, "empty successor list")
-            raise _fail_column(line, line_no, "malformed record")
-        vid, priority, owner, succ_text, name = match.groups()
-        try:
-            vid = int(vid)
-            owner = int(owner)
-            priority = int(priority)
-            successors = tuple(map(int, succ_text.replace(" ", "").split(",")))
-        except ValueError as exc:  # more digits than int() converts
-            raise _fail_column(line, line_no, str(exc)) from None
-        if vid in records:
-            raise _fail_column(line, line_no, f"duplicate id {vid}")
-        if owner not in (0, 1):
-            raise _fail_column(line, line_no, f"owner must be 0 or 1, got {owner}")
-        records[vid] = (priority, owner, successors, name, line_no)
-    if not records:
-        raise ParseError(header_no, 1, "no vertex records after the header")
+    if _HEADER.match(lines.body[0]) is None:
+        raise lines.error(0, "malformed header, expected 'parity <max-id>;'")
+    rows = _RECORD.findall("\n".join(lines.body[1:]))
+    ids, priorities, owners, successors, names = [*zip(*rows)] or [()] * 5
+    try:
+        ids, priorities, owners = (list(map(int, col)) for col in (ids, priorities, owners))
+        successors = [tuple(map(int, succ.split(","))) for succ in successors]
+        clean = len(set(ids)) == len(ids) == len(lines.body) - 1  # one row per line
+    except ValueError:
+        clean = False
+    if not (clean and set(owners) <= {0, 1}):
+        numbers = lambda row: (row[0], row[2], row[1], *row[3].split(","))  # noqa: E731
+        i, reason = lines.first_fault(_RECORD, 1, numbers, "owner", "duplicate id")
+        line = lines.body[i]
+        fields = line.split(";", 1)[0].split()
+        if reason is None and len(fields) == 3 and all(f.isdigit() for f in fields):
+            column = line.index(";") + 1 if ";" in line else len(line) + 1
+            raise lines.error(i, "empty successor list", column)
+        raise lines.error(i, reason or "malformed record")
+    if not rows:
+        raise lines.error(0, "no vertex records after the header", 1)
     # Ids are distinct and nonnegative, so n records cover 0..n-1.
-    n = max(records) + 1
-    if len(records) != n:
-        v = next(v for v in range(n) if v not in records)
-        raise ParseError(header_no, 1, f"missing record for vertex {v}")
-    priorities, owners, successors, names, _ = zip(*map(records.__getitem__, range(n)))
+    n = max(ids) + 1
+    if len(ids) != n:
+        v = min(set(range(n)).difference(ids))
+        raise lines.error(0, f"missing record for vertex {v}", 1)
     if max(map(max, successors)) >= n:
-        for _, _, succ, _, line_no in records.values():  # in file order
-            for u in succ:
-                if u >= n:
-                    raise _fail_column(lines[line_no - 1], line_no, f"dangling successor id {u}")
-    return _arena(tuple(map(_PLAYERS.__getitem__, owners)), priorities, successors, names)
+        i, succ = next((i, s) for i, s in enumerate(successors, 1) if max(s) >= n)
+        raise lines.error(i, f"dangling successor id {next(u for u in succ if u >= n)}")
+    order = sorted(range(n), key=ids.__getitem__)
+    owners = [*map(_PLAYERS.__getitem__, owners)]
+    names = [name[1:-1] if name else None for name in names] if any(names) else [None] * n
+    return _arena(
+        *(tuple(map(col.__getitem__, order)) for col in (owners, priorities, successors, names))
+    )
 
 
 def emit_game(game: ParityGame) -> str:
@@ -117,47 +152,34 @@ def emit_game(game: ParityGame) -> str:
     return "\n".join(out) + "\n"
 
 
-_SOLUTION_LINE = re.compile(
-    r"\s*(?P<id>\d+)\s+(?P<winner>\d+)\s+(?P<choice>\d+|-)\s*$"
-)
-
-
 def parse_solution(text: str, game: ParityGame) -> Solution:
     """Parse a solution file for ``game``; every vertex exactly once."""
-    winners: dict[int, int] = {}
-    choices: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    owners = game.owners
+    lines = _Lines(text)
+    rows = _SOLUTION_LINE.findall("\n".join(lines.body))
+    ids, winners, moves = [*zip(*rows)] or [()] * 3
     n = game.n
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        match = _SOLUTION_LINE.match(line)
-        if match is None:
-            raise _fail_column(line, line_no, "malformed solution line")
-        vid, winner, choice = match.groups()
-        try:
-            vid = int(vid)
-            winner = int(winner)
-            move = None if choice == "-" else int(choice)
-        except ValueError as exc:  # more digits than int() converts
-            raise _fail_column(line, line_no, str(exc)) from None
-        if vid >= n:
-            raise _fail_column(line, line_no, f"unknown vertex {vid}")
-        if vid in winners:
-            raise _fail_column(line, line_no, f"duplicate vertex {vid}")
-        if winner not in (0, 1):
-            raise _fail_column(line, line_no, f"winner must be 0 or 1, got {winner}")
-        winners[vid] = winner
-        if move is not None:
-            choices[owners[vid]][vid] = move
-    if len(winners) != n:
-        missing = [v for v in range(n) if v not in winners]
+    try:
+        ids, winners = list(map(int, ids)), list(map(int, winners))
+        explicit = [*compress(ids, map("-".__ne__, moves))]
+        moves = [*map(int, filter("-".__ne__, moves))]
+        clean = len(set(ids)) == len(ids) == len(lines.body)  # one row per line
+    except ValueError:
+        clean = False
+    if not (clean and max(ids, default=-1) < n and set(winners) <= {0, 1}):
+        numbers = lambda row: row if row[2] != "-" else row[:2]  # noqa: E731
+        i, reason = lines.first_fault(_SOLUTION_LINE, 0, numbers, "winner", "duplicate vertex", n)
+        raise lines.error(i, reason or "malformed solution line")
+    if len(ids) != n:
+        missing = sorted(set(range(n)).difference(ids))
         raise ParseError(1, 1, f"missing verdict for vertices {missing}")
+    w1 = frozenset(compress(ids, winners))
+    by_p1 = [*map(game.owners.__getitem__, explicit)]  # Player.P1 is true, P0 false
+    pairs = [*zip(explicit, moves)]
     return Solution(
-        frozenset(v for v, w in winners.items() if w == 0),
-        frozenset(v for v, w in winners.items() if w == 1),
-        Strategy(Player.P0, choices[0]),
-        Strategy(Player.P1, choices[1]),
+        frozenset(range(n)) - w1,
+        w1,
+        Strategy(Player.P0, dict(compress(pairs, map(not_, by_p1)))),
+        Strategy(Player.P1, dict(compress(pairs, by_p1))),
     )
 
 

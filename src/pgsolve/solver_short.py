@@ -43,9 +43,9 @@ from .game import (
 )
 from .transforms import (
     SplitGame,
+    _merged,
     _split_rest,
     closure,
-    merge_strategy,
     restrict,
 )
 from .verification import check_solution, verify_strategy
@@ -258,8 +258,8 @@ def _nonempty_step(split: SplitGame, debug: bool) -> WinningCore:
                 choices.setdefault(v, forced[v][0])
     core = WinningCore(
         player,
-        frozenset(map(split.merge, domain)),
-        merge_strategy(split, Strategy(player, choices)),
+        frozenset(map(kept.__getitem__, domain)),
+        _merged(split, Strategy(player, choices), debug),
     )
     if debug:
         _require_winning(

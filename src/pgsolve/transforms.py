@@ -151,13 +151,17 @@ def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
     Sound because an edge into a copy exists exactly when the original
     edge does, and copies only ever loop on themselves.
     """
-    originals = split.plus.n - len(split.copy_of)
-    merge = split.merge
-    choices = {
-        merge(v): merge(u) for v, u in strategy.choices.items() if v < originals
-    }
+    return _merged(split, strategy, True)
+
+
+def _merged(split: SplitGame, strategy: Strategy, check: bool) -> Strategy:
+    """``merge_strategy``, validated only if ``check``: solver results are certified once."""
+    base_of = (*split._kept, *split.copy_of.values())  # the merge map as a table
+    originals = len(split._kept)
+    choices = {base_of[v]: base_of[u] for v, u in strategy.choices.items() if v < originals}
     merged = Strategy(strategy.player, choices)
-    merged.validate(split.base)
+    if check:
+        merged.validate(split.base)
     return merged
 
 

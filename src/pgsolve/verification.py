@@ -57,23 +57,23 @@ def _reachable(
 
     The player's vertices keep only the chosen edge, adversary vertices
     keep every edge.  Raises StrategyError at a reached branching player
-    vertex with no choice.
+    vertex with no choice.  The strategy is validated, so a choice at a
+    forced vertex is its one successor.
     """
+    owners, options, moves = game.owners, game._choices, strategy.choices
     edges: dict[int, tuple[int, ...]] = {}
     queue = deque(sorted(set(region)))
     seen = set(queue)
     while queue:
         v = queue.popleft()
-        if game.owners[v] is player:
-            move = strategy.move_at(game, v)
+        out = options[v]
+        if owners[v] is player and len(out) > 1:
+            move = moves.get(v)
             if move is None:
-                raise StrategyError(
-                    f"strategy has no choice at reachable vertex {v}", v
-                )
-            edges[v] = (move,)
-        else:
-            edges[v] = game.choices_at(v)
-        for u in edges[v]:
+                raise StrategyError(f"strategy has no choice at reachable vertex {v}", v)
+            out = (move,)
+        edges[v] = out
+        for u in out:
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
@@ -179,11 +179,6 @@ def _path_to(
     return tuple(path)
 
 
-def _cyclic(component: list[int], edges: dict[int, tuple[int, ...]]) -> bool:
-    """Whether an SCC holds a cycle: two vertices or a self-loop."""
-    return len(component) > 1 or component[0] in edges[component[0]]
-
-
 def _worst_top(
     player: Player,
     priorities: tuple[int, ...],
@@ -201,8 +196,8 @@ def _worst_top(
     pending = [reached]
     while pending:
         for component in _sccs(pending.pop(), edges):
-            if not _cyclic(component, edges):
-                continue
+            if len(component) == 1 and component[0] not in edges[component[0]]:
+                continue  # acyclic: one vertex without a self-loop
             top = max(map(priorities.__getitem__, component))
             if top <= best:
                 continue
@@ -231,7 +226,7 @@ def _witness(
     capped = [v for v in reached if priorities[v] <= p]
     for component in _sccs(capped, edges):
         carriers = sorted(v for v in component if priorities[v] == p)
-        if carriers and _cyclic(component, edges):
+        if carriers and (len(component) > 1 or carriers[0] in edges[carriers[0]]):
             cycle = _shortest_cycle(carriers[0], set(component), edges)
             return BadCycleWitness(_path_to(cycle[0], region, edges), cycle, p)
     raise AssertionError(f"no reachable cycle is topped by priority {p}")

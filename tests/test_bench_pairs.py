@@ -1,11 +1,13 @@
 """``scripts/bench_pairs.py``: the summary it writes and the pair order.
 
-The script runs perfbench in two checkouts; here ``run_once`` is
-replaced by a stub, so no benchmark process starts.
+The script runs perfbench in two checkouts; here ``run_once``, or the
+``subprocess.run`` it calls, is replaced by a stub, so no benchmark
+process starts.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,9 +60,12 @@ def test_main_alternates_the_first_side_and_writes_the_record(
     bench_pairs, monkeypatch, tmp_path
 ):
     calls = []
+    caches = {}
 
-    def fake_run_once(checkout, workload, seed, seconds):
+    def fake_run_once(checkout, workload, seed, seconds, pycache):
         calls.append((checkout.name, workload, seed, seconds))
+        caches.setdefault(checkout.name, set()).add(pycache)
+        assert pycache.parent.is_dir()
         return run(100.0 if checkout.name == "new" else 50.0, 0.1)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
@@ -82,3 +87,28 @@ def test_main_alternates_the_first_side_and_writes_the_record(
     ops = record["workloads"]["w2"]["metrics"]["ops_per_s"]
     assert ops["change_over_parent"] == 2.0
     assert record["workloads"]["w1"]["ops"]["parent"] == {"attempted": 30, "failed": 0}
+    # one bytecode cache per side, the same for all its runs, removed after
+    assert all(len(paths) == 1 for paths in caches.values())
+    (old_cache,), (new_cache,) = caches["old"], caches["new"]
+    assert old_cache != new_cache and old_cache.parent == new_cache.parent
+    assert not old_cache.parent.exists()
+
+
+def test_run_once_uses_its_own_bytecode_cache(bench_pairs, monkeypatch, tmp_path):
+    seen = {}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.update(cmd=cmd, cwd=cwd, env=env)
+        line = json.dumps(run(1.0, 0.1))
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"log\n{line}\n", stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result = bench_pairs.run_once(tmp_path, "w1", 3, 0.5, tmp_path / "cache")
+    assert result["metrics"]["ops_per_s"]["value"] == 1.0
+    assert seen["cwd"] == tmp_path
+    assert seen["cmd"][1:] == ["perfbench/run.py", "--workload", "w1", "--seed", "3",
+                              "--seconds", "0.5", "--trace", "0"]
+    assert seen["env"]["PYTHONPYCACHEPREFIX"] == str(tmp_path / "cache")
+    assert "PYTHONDONTWRITEBYTECODE" not in seen["env"]

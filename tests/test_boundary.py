@@ -70,8 +70,8 @@ def test_default_mode_certifies_exactly_once(solve, monkeypatch):
         assert calls["verify_strategy"] > 2
 
 
-def drop_first_choice(split, strategy):
-    """merge_strategy with one bug: the least-index choice goes missing."""
+def drop_first_choice(split, strategy, check):
+    """The solvers' merge with one bug: the least-index choice goes missing."""
     merged = merge_strategy(split, strategy)
     if not merged.choices:
         return merged
@@ -97,7 +97,7 @@ CORRUPTIBLE = (
 )
 def test_corrupted_step_is_caught_and_localized(solve, module, rows, monkeypatch):
     game = ParityGame.from_vertices(rows)
-    monkeypatch.setattr(module, "merge_strategy", drop_first_choice)
+    monkeypatch.setattr(module, "_merged", drop_first_choice)
     with pytest.raises(CertificationError) as localized:
         solve(game, debug=True)
     with pytest.raises(CertificationError) as caught:
@@ -116,8 +116,8 @@ def test_exported_helpers_certify_their_output(monkeypatch):
     )
     with pytest.raises(CertificationError, match="lifted solution"):
         lift_solution(preprocess(game), wrong)
-    monkeypatch.setattr(solver_short, "merge_strategy", drop_first_choice)
-    monkeypatch.setattr(solver_constructive, "merge_strategy", drop_first_choice)
+    monkeypatch.setattr(solver_short, "_merged", drop_first_choice)
+    monkeypatch.setattr(solver_constructive, "_merged", drop_first_choice)
     with pytest.raises(CertificationError, match="core failed verification"):
         nonempty_step(ParityGame.from_vertices(short_rows))
     reduced = preprocess(ParityGame.from_vertices(constructive_rows)).reduced

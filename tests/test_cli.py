@@ -1,9 +1,13 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from pgsolve import (
     CertificationError,
@@ -16,6 +20,7 @@ from pgsolve import (
 )
 from pgsolve import cli, solver_short
 from games import chain_game
+from test_parser_reference import game_texts, solution_texts
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,10 +227,10 @@ def test_solve_reports_certification_error(chain_file, capsys, monkeypatch):
 
 
 def test_solve_reports_a_real_inner_failure(tmp_path, capsys, monkeypatch):
-    def drop_choices(split, strategy):
+    def drop_choices(split, strategy, check):
         return Strategy(strategy.player, {})
 
-    monkeypatch.setattr(solver_short, "merge_strategy", drop_choices)
+    monkeypatch.setattr(solver_short, "_merged", drop_choices)
     game = ParityGame.from_vertices([(0, 0, (0, 1)), (1, 1, (0, 1))])
     path = tmp_path / "core.pg"
     path.write_text(emit_game(game))
@@ -272,6 +277,42 @@ def test_number_too_long_for_int_is_a_usage_error(chain_file, tmp_path, capsys):
             cli.main(argv)
         assert err.value.code == 2
         assert "line 2, column 1" in capsys.readouterr().err
+
+
+def test_undecodable_file_is_a_usage_error(chain_file, tmp_path, capsys):
+    raw = tmp_path / "latin1.txt"
+    raw.write_bytes('parity 0;\n0 1 0 0 "\xe9";\n'.encode("latin-1"))
+    for argv in (["solve", str(raw)], ["verify", chain_file, str(raw)]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {raw}: 'utf-8' codec")
+
+
+def exit_code(argv: list[str]) -> tuple[int, str]:
+    """``cli.main(argv)``'s return or exit code, and its stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(game_texts(), solution_texts())
+def test_solve_and_verify_on_any_text_exit_with_a_documented_code(game_text, case):
+    with tempfile.TemporaryDirectory() as tmp:
+        game, claim, solved = (str(Path(tmp) / name) for name in ("g.pg", "c.sol", "s.sol"))
+        Path(game).write_text(game_text, encoding="utf-8")
+        Path(claim).write_text(case[1], encoding="utf-8")
+        code, out = exit_code(["solve", game])
+        assert code in (0, 2)
+        assert exit_code(["verify", game, claim])[0] in (0, 1, 2)
+        if code == 0:
+            Path(solved).write_text(out, encoding="utf-8")
+            assert exit_code(["verify", game, solved]) == (0, "certified\n")
 
 
 def test_transform_result_too_long_to_emit_is_a_usage_error(tmp_path, capsys):

@@ -2,8 +2,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsolve import (
+    ParityGame,
     ParseError,
     Player,
     emit_game,
@@ -68,6 +71,28 @@ def test_emit_is_fixed_point_on_corpus():
         text = emit_game(game)
         assert parse_game(text) == game
         assert emit_game(parse_game(text)) == text
+
+
+# Every name ParityGame accepts: no double quote, no line break.
+NAMES = st.one_of(
+    st.none(),
+    st.sampled_from(["", "\t", "\x00", ";", "\xa0", " a;b\t", '\\']),
+    st.text(st.characters(blacklist_characters='"'), max_size=6).filter(
+        lambda name: "".join(name.splitlines()) == name
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NAMES, min_size=1, max_size=4))
+def test_every_accepted_name_survives_emit_then_parse(names):
+    n = len(names)
+    game = ParityGame.from_vertices(
+        (v % 2, v, ((v + 1) % n,), name) for v, name in enumerate(names)
+    )
+    text = emit_game(game)
+    assert parse_game(text) == game
+    assert parse_game(text).names == game.names
 
 
 def test_emit_includes_split_copies():
