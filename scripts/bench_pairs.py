@@ -15,9 +15,13 @@ stale cache in one checkout cannot slow that side's imports (which
 
 The output, ``BENCH_<pr>.json`` in the current directory, holds per
 workload and metric the parent's and the change's median, min and max
-over the pairs, the change's median over the parent's, and every run's
-value; plus per workload the attempted and failed op counts of each
-side.
+over the pairs, the change's median over the parent's, every run's
+value and ``change_wins``, the number of pairs the change won; plus per
+workload the attempted and failed op counts of each side.  Which way is
+better comes from ``end_to_end[].better`` in the parent's
+BENCHMARK.json; a tie counts for neither side, and a metric without a
+direction has ``change_wins`` null.  The run ends with one line per
+workload giving each end-to-end metric's ratio and wins.
 """
 
 from __future__ import annotations
@@ -53,8 +57,21 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
 
-def summarise(runs: dict[str, list[dict]]) -> dict:
-    """Per-metric medians, min and max of both sides, and their ratio."""
+def directions(checkout: Path) -> dict[str, str]:
+    """``better`` ("higher" or "lower") per end-to-end metric of the checkout's benchmark."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change's value beats the parent's; ties count for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    """Per-metric medians, min and max of both sides, their ratio and the
+    change's wins, for the metrics ``better`` gives a direction."""
     metrics = {}
     for name, first in runs["parent"][0]["metrics"].items():
         values = {side: [run["metrics"][name]["value"] for run in runs[side]]
@@ -64,11 +81,27 @@ def summarise(runs: dict[str, list[dict]]) -> dict:
             entry[side] = {**summary(values[side]), "runs": values[side]}
         parent = entry["parent"]["median"]
         entry["change_over_parent"] = entry["change"]["median"] / parent if parent else None
+        direction = better.get(name)
+        entry["change_wins"] = (
+            None if direction is None else wins(values["parent"], values["change"], direction)
+        )
         metrics[name] = entry
     ops = {side: {"attempted": sum(run["attempted"] for run in runs[side]),
                   "failed": sum(run["failed"] for run in runs[side])}
            for side in SIDES}
     return {"pairs": len(runs["parent"]), "ops": ops, "metrics": metrics}
+
+
+def verdict(workload: str, result: dict, better: dict[str, str]) -> str:
+    """One line: each end-to-end metric's change over parent and pairs won."""
+    cells = []
+    for name in better:
+        entry = result["metrics"].get(name)
+        if entry is not None:
+            ratio = entry["change_over_parent"]
+            shown = "n/a" if ratio is None else f"{ratio:.3f}"
+            cells.append(f"{name} {shown} ({entry['change_wins']}/{result['pairs']} won)")
+    return f"{workload}: " + ", ".join(cells)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = [w for w in args.workloads.split(",") if w]
+    better = directions(checkouts["parent"])
     results = {}
     pair = 0
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -98,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"ops_per_s {run['metrics']['ops_per_s']['value']:.4g}",
                           flush=True)
-            results[workload] = summarise(runs)
+            results[workload] = summarise(runs, better)
     record = {
         "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
         "seeds": args.seeds,
@@ -110,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"written {out}")
+    for workload, result in results.items():
+        print(verdict(workload, result, better))
     return 0
 
 

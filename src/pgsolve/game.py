@@ -334,10 +334,6 @@ class Strategy:
         return None
 
 
-def empty_strategy(player: Player) -> Strategy:
-    return Strategy(player, {})
-
-
 @dataclass(frozen=True)
 class Lasso:
     """The eventually periodic play produced by two memoryless strategies."""
@@ -399,12 +395,6 @@ class PartialSolution:
 
     def strategy(self, player: Player) -> Strategy:
         return self.sigma if _as_player(player) is Player.P0 else self.tau
-
-
-def empty_partial() -> PartialSolution:
-    return PartialSolution(
-        frozenset(), frozenset(), empty_strategy(Player.P0), empty_strategy(Player.P1)
-    )
 
 
 @dataclass(frozen=True)

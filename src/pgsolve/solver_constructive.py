@@ -191,7 +191,7 @@ def _check_round(
         fail(f"round {state.alpha}: tau rejected: {exc}")
     if witness is not None:
         fail(f"round {state.alpha}: tau loses in the bumped game: {witness}")
-    merged = _merged(split, state.tau, True)
+    merged = _merged(split, state.tau)
     base_region = frozenset(v for v in state.w1 if v < split.base.n)
     try:
         witness = verify_strategy(split.base, state.tau.player, merged, base_region)
@@ -255,8 +255,8 @@ def _fixpoint(
             )
     lost = final.w1.intersection(game.vertices)
     won = frozenset(game.vertices) - lost
-    favoured = _merged(split, inner.strategy(loser.opponent), debug)
-    disfavoured = _merged(split, final.tau, debug)
+    favoured = _merged(split, inner.strategy(loser.opponent))
+    disfavoured = _merged(split, final.tau)
     if history_out is not None:
         history_out.extend(history)
     if loser is Player.P1:

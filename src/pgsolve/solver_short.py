@@ -6,8 +6,9 @@ strictly fewer relevant priorities.  Either the favoured player wins
 the whole split game and the merged strategy wins everywhere, or the
 opponent's split-game region, merged back, is a winning core for the
 opponent.  The step is the same for both parities; no priority is
-shifted.  The main loop accumulates cores, grows them with the closure
-rules, and recurses on the undecided rest.
+shifted.  The main loop grows one pair of regions and choice maps in
+place for the whole call: it adds each core, closes off, and recurses
+on the undecided rest.
 
 A step never builds the subarena of the undecided vertices.  Its
 relevant vertices and its base case are read off the game, with the
@@ -27,25 +28,23 @@ CertificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .game import (
     GameError,
     ParityGame,
-    PartialSolution,
     Player,
     Solution,
     Strategy,
     StrategyError,
     _PLAYERS,
-    empty_partial,
     relevant_priorities,
 )
 from .transforms import (
     SplitGame,
+    _close,
     _merged,
     _split_rest,
-    closure,
     restrict,
 )
 from .verification import check_solution, verify_strategy
@@ -68,7 +67,7 @@ def _require_winning(
     game: ParityGame,
     player: Player,
     strategy: Strategy,
-    region: frozenset[int],
+    region: Iterable[int],
     what: str,
     keep: Sequence[int] | None = None,
 ) -> None:
@@ -206,11 +205,9 @@ def combine_strategies(
     """
     player = Player(player)
     for rank, (strategy, region) in enumerate(parts):
-        witness = verify_strategy(game, player, strategy, region)
-        if witness is not None:
-            raise CertificationError(
-                f"part {rank} is not winning on its region: {witness}"
-            )
+        _require_winning(
+            game, player, strategy, region, f"part {rank} is not winning on its region"
+        )
     union: set[int] = set()
     for _, region in parts:
         union |= region
@@ -225,9 +222,7 @@ def combine_strategies(
                     choices[v] = move
                 break
     fused = Strategy(player, choices)
-    witness = verify_strategy(game, player, fused, union)
-    if witness is not None:
-        raise CertificationError(f"fused strategy is not winning: {witness}")
+    _require_winning(game, player, fused, union, "fused strategy is not winning")
     return fused, frozenset(union)
 
 
@@ -259,7 +254,7 @@ def _nonempty_step(split: SplitGame, debug: bool) -> WinningCore:
     core = WinningCore(
         player,
         frozenset(map(kept.__getitem__, domain)),
-        _merged(split, Strategy(player, choices), debug),
+        _merged(split, Strategy(player, choices)),
     )
     if debug:
         _require_winning(
@@ -284,62 +279,37 @@ def nonempty_step(game: ParityGame) -> WinningCore:
     return _nonempty_step(split, debug=True)
 
 
-def _fuse(
-    game: ParityGame,
-    accumulated: PartialSolution,
-    player: Player,
-    strategy: Strategy,
-    region: frozenset[int],
-    debug: bool,
-) -> PartialSolution:
-    """Add a core, in the game's indices, to the accumulated partial solution.
-
-    The core lies inside the undecided vertices, so it is disjoint from
-    the accumulated regions and the fused pair is the union of regions
-    and of choices.  The core was certified inside its residual
-    subgame; on the full game its adversary edges may escape into the
-    earlier regions where only the accumulated strategy knows the
-    moves, so only the fused pair is verified, in debug mode.
-    """
-    union = accumulated.region(player) | region
-    fused = Strategy(
-        player, {**accumulated.strategy(player).choices, **strategy.choices}
-    )
-    if debug:
-        _require_winning(game, player, fused, union, "fused strategy is not winning")
-    if player is Player.P0:
-        return PartialSolution(union, accumulated.w1, fused, accumulated.tau)
-    return PartialSolution(accumulated.w0, union, accumulated.sigma, fused)
-
-
 def _solve_short(game: ParityGame, debug: bool) -> Solution:
-    accumulated = empty_partial()
+    """Grow one pair of regions and choice maps in place, core by core.
+
+    A core is disjoint from the earlier regions, but its adversary may
+    escape into them, so debug mode verifies each fused pair on the game.
+    """
+    regions, chosen = (set(), set()), ({}, {})
     while True:
-        w0, w1 = accumulated.w0, accumulated.w1
+        w0, w1 = regions
         keep = [v for v in game.vertices if v not in w0 and v not in w1]
         if not keep:
             break
         split = _split_rest(game, keep)
         if split is None:
             base = _base_case(game, debug, keep)
-            for player in (Player.P0, Player.P1):
-                accumulated = _fuse(
-                    game,
-                    accumulated,
-                    player,
-                    base.strategy(player),
-                    base.region(player),
-                    debug,
+            cores = [WinningCore(p, base.region(p), base.strategy(p)) for p in _PLAYERS]
+        else:
+            cores = [_nonempty_step(split, debug)]
+        for core in cores:
+            player = core.player
+            regions[player].update(core.region)
+            chosen[player].update(core.strategy.choices)
+            if debug:
+                fused = Strategy(player, chosen[player])
+                _require_winning(
+                    game, player, fused, regions[player], "fused strategy is not winning"
                 )
+        if split is None:
             break
-        core = _nonempty_step(split, debug)
-        accumulated = _fuse(
-            game, accumulated, core.player, core.strategy, core.region, debug
-        )
-        accumulated = closure(game, accumulated)
-    return Solution(
-        accumulated.w0, accumulated.w1, accumulated.sigma, accumulated.tau
-    )
+        _close(game, regions, chosen)
+    return Solution(*regions, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1]))
 
 
 def solve_short(game: ParityGame, *, debug: bool = False) -> Solution:

@@ -9,7 +9,7 @@ copies back is what both solvers are built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -30,7 +30,8 @@ class SplitGame:
     """A game, its split version, and the correspondence between them.
 
     Plus vertex i is base vertex ``_kept[i]`` up to the copies, which
-    follow in ascending order of their originals.  ``split_set``,
+    follow in ascending order of their originals: a plus vertex maps
+    back through ``_kept`` or, for a copy, ``copy_of``.  ``split_set``,
     ``copy_of`` and ``copy_for`` name originals by their ``base`` index.
     """
 
@@ -40,13 +41,7 @@ class SplitGame:
     split_set: frozenset[int]
     copy_of: Mapping[int, int]  # copy index -> original index
     copy_for: Mapping[int, int]  # original index -> copy index
-    _kept: Sequence[int] = field(init=False, repr=False)  # set by the builders
-
-    def merge(self, v: int) -> int:
-        """The merge map: a vertex of plus to its base vertex."""
-        if v in self.copy_of:
-            return self.copy_of[v]
-        return self._kept[v]
+    _kept: Sequence[int]  # plus index -> base index, for the non-copies
 
 
 def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> ParityGame:
@@ -111,9 +106,7 @@ def _split_rest(
     copy_for = dict(zip(split, range(m, m + len(split))))
     copy_of = dict(zip(copy_for.values(), split))
     plus = _induced(game, keep, split)
-    result = SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
-    object.__setattr__(result, "_kept", keep)
-    return result
+    return SplitGame(game, plus, k, frozenset(split), copy_of, copy_for, keep)
 
 
 def _rebased(split: SplitGame, game: ParityGame) -> SplitGame:
@@ -125,9 +118,7 @@ def _rebased(split: SplitGame, game: ParityGame) -> SplitGame:
     """
     order = (*split._kept, *split.copy_of.values())
     plus = split.plus._relabelled(priorities=tuple(map(game.priorities.__getitem__, order)))
-    rebased = replace(split, base=game, plus=plus)
-    object.__setattr__(rebased, "_kept", split._kept)
-    return rebased
+    return replace(split, base=game, plus=plus)
 
 
 def split_top(game: ParityGame, k: int) -> SplitGame:
@@ -151,18 +142,17 @@ def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
     Sound because an edge into a copy exists exactly when the original
     edge does, and copies only ever loop on themselves.
     """
-    return _merged(split, strategy, True)
+    merged = _merged(split, strategy)
+    merged.validate(split.base)
+    return merged
 
 
-def _merged(split: SplitGame, strategy: Strategy, check: bool) -> Strategy:
-    """``merge_strategy``, validated only if ``check``: solver results are certified once."""
+def _merged(split: SplitGame, strategy: Strategy) -> Strategy:
+    """``merge_strategy`` unvalidated: solver results are certified once."""
     base_of = (*split._kept, *split.copy_of.values())  # the merge map as a table
     originals = len(split._kept)
     choices = {base_of[v]: base_of[u] for v, u in strategy.choices.items() if v < originals}
-    merged = Strategy(strategy.player, choices)
-    if check:
-        merged.validate(split.base)
-    return merged
+    return Strategy(strategy.player, choices)
 
 
 def _normalized(game: ParityGame, looping_wins: bool) -> tuple[ParityGame, frozenset[int]]:
@@ -282,13 +272,22 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
 
     Keeps both strategies certified when the input regions were; on
     return no undecided vertex can move into its owner's region and
-    every undecided vertex keeps an undecided successor.
+    every undecided vertex keeps an undecided successor.  ``partial``
+    is left as it was.
     """
+    regions = (set(partial.w0), set(partial.w1))
+    chosen = (dict(partial.sigma.choices), dict(partial.tau.choices))
+    _close(game, regions, chosen)
+    return PartialSolution(
+        *regions, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1])
+    )
+
+
+def _close(game: ParityGame, regions: tuple[set, set], chosen: tuple[dict, dict]) -> None:
+    """``closure`` in place: grows each player's region and choices."""
     owners = game.owners
     choices = game._choices
     predecessors = game._predecessors
-    regions = (set(partial.w0), set(partial.w1))
-    chosen = (dict(partial.sigma.choices), dict(partial.tau.choices))
     undecided = [v not in regions[0] and v not in regions[1] for v in game.vertices]
     queued = [False] * game.n  # eligible for rule (a), in some queue
     outside = [0] * game.n  # successors outside the opponent's region
@@ -348,9 +347,3 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
         while heap:
             v = heappop(heap)
             join(v, 1 - owners[v], None, heap)
-    return PartialSolution(
-        frozenset(regions[0]),
-        frozenset(regions[1]),
-        Strategy(Player.P0, chosen[0]),
-        Strategy(Player.P1, chosen[1]),
-    )

@@ -39,7 +39,7 @@ def test_summarise_medians_extremes_ratio_and_ops(bench_pairs):
         "parent": [run(10, 0.0, 12), run(30, 0.0, 8), run(20, 0.0, 10, 1)],
         "change": [run(40, 0.5, 20), run(20, 0.25, 11), run(25, 1.0, 9, 2)],
     }
-    summary = bench_pairs.summarise(runs)
+    summary = bench_pairs.summarise(runs, {"ops_per_s": "higher"})
     assert summary["pairs"] == 3
     assert summary["ops"] == {
         "parent": {"attempted": 30, "failed": 1},
@@ -50,14 +50,25 @@ def test_summarise_medians_extremes_ratio_and_ops(bench_pairs):
     assert ops["parent"] == {"median": 20, "min": 10, "max": 30, "runs": [10, 30, 20]}
     assert ops["change"] == {"median": 25, "min": 20, "max": 40, "runs": [40, 20, 25]}
     assert ops["change_over_parent"] == pytest.approx(1.25)
+    assert ops["change_wins"] == 2
     tail = summary["metrics"]["op_s_tail"]
     assert tail["change"]["median"] == 0.5
-    # a zero parent median has no ratio
+    # a zero parent median has no ratio, a metric without a direction no wins
     assert tail["change_over_parent"] is None
+    assert tail["change_wins"] is None
+    lower = bench_pairs.summarise(runs, {"op_s_tail": "lower"})["metrics"]["op_s_tail"]
+    assert lower["change_wins"] == 0
+
+
+def test_wins_follow_the_direction_and_ties_count_for_neither(bench_pairs):
+    parent, change = [1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]
+    assert bench_pairs.wins(parent, change, "higher") == 1
+    assert bench_pairs.wins(parent, change, "lower") == 1
+    assert bench_pairs.wins(parent, [2.0, 3.0, 4.0, 5.0], "higher") == 4
 
 
 def test_main_alternates_the_first_side_and_writes_the_record(
-    bench_pairs, monkeypatch, tmp_path
+    bench_pairs, monkeypatch, tmp_path, capsys
 ):
     calls = []
     caches = {}
@@ -72,6 +83,10 @@ def test_main_alternates_the_first_side_and_writes_the_record(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "old").mkdir()
     (tmp_path / "new").mkdir()
+    # the parent's benchmark gives the directions
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher"},
+                           {"name": "op_s_tail", "better": "lower"}]}
+    (tmp_path / "old" / "BENCHMARK.json").write_text(json.dumps(spec))
     argv = ["old", "new", "--pr", "9", "--workloads", "w1,w2",
             "--seeds", "1", "2", "3", "--seconds", "0.5"]
     assert bench_pairs.main(argv) == 0
@@ -86,6 +101,12 @@ def test_main_alternates_the_first_side_and_writes_the_record(
     assert set(record["workloads"]) == {"w1", "w2"}
     ops = record["workloads"]["w2"]["metrics"]["ops_per_s"]
     assert ops["change_over_parent"] == 2.0
+    assert ops["change_wins"] == 3
+    assert record["workloads"]["w2"]["metrics"]["op_s_tail"]["change_wins"] == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "w1: ops_per_s 2.000 (3/3 won), op_s_tail 1.000 (0/3 won)",
+        "w2: ops_per_s 2.000 (3/3 won), op_s_tail 1.000 (0/3 won)",
+    ]
     assert record["workloads"]["w1"]["ops"]["parent"] == {"attempted": 30, "failed": 0}
     # one bytecode cache per side, the same for all its runs, removed after
     assert all(len(paths) == 1 for paths in caches.values())

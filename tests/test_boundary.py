@@ -70,7 +70,7 @@ def test_default_mode_certifies_exactly_once(solve, monkeypatch):
         assert calls["verify_strategy"] > 2
 
 
-def drop_first_choice(split, strategy, check):
+def drop_first_choice(split, strategy):
     """The solvers' merge with one bug: the least-index choice goes missing."""
     merged = merge_strategy(split, strategy)
     if not merged.choices:

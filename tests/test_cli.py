@@ -227,7 +227,7 @@ def test_solve_reports_certification_error(chain_file, capsys, monkeypatch):
 
 
 def test_solve_reports_a_real_inner_failure(tmp_path, capsys, monkeypatch):
-    def drop_choices(split, strategy, check):
+    def drop_choices(split, strategy):
         return Strategy(strategy.player, {})
 
     monkeypatch.setattr(solver_short, "_merged", drop_choices)

@@ -100,6 +100,14 @@ def test_combine_rejects_losing_part():
         )
 
 
+def test_combine_names_the_rank_of_a_malformed_part():
+    # the part's choice sits at b, which P0 does not own
+    game = ParityGame.from_vertices([(0, 0, (0,), "a"), (1, 1, (0, 1), "b")])
+    parts = [(Strategy(Player.P0, {1: 0}), frozenset({0}))]
+    with pytest.raises(CertificationError, match="^part 0 is not winning on its region"):
+        combine_strategies(game, Player.P0, parts)
+
+
 def test_combined_strategy_wins_on_union():
     for game in random_corpus(60, 6):
         reference = brute_force_solve(game)

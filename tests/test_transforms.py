@@ -29,7 +29,7 @@ def test_split_chain_at_top():
     assert plus.owners == (Player.P0,) * 4
     assert plus.names == ("u", "v", "w", "v~")
     assert split.split_set == {1}
-    assert split.merge(3) == 1 and split.merge(0) == 0
+    assert split.copy_of[3] == 1 and split._kept[0] == 0
 
 
 def test_split_classifies_copies_and_originals():
@@ -230,6 +230,32 @@ def test_closure_is_monotone_and_idempotent():
     assert partial.w1 <= once.w1
     twice = closure(game, once)
     assert (twice.w0, twice.w1) == (once.w0, once.w1)
+
+
+def test_closure_leaves_its_input_alone():
+    game = ParityGame.from_vertices(
+        [
+            (0, 1, (1, 2, 3)),  # rule (a) for P0, moving to 1
+            (0, 0, (1,)),
+            (1, 1, (2, 4)),
+            (1, 3, (2, 3)),     # rule (a) for P1, moving to 2
+            (0, 0, (2,)),       # rule (b): every move lands in w1
+            (0, 0, (5, 1)),
+        ]
+    )
+    partial = PartialSolution(
+        frozenset({1, 5}),
+        frozenset({2}),
+        Strategy(Player.P0, {5: 5}),
+        Strategy(Player.P1, {2: 2}),
+    )
+    before = (set(partial.w0), set(partial.w1), dict(partial.sigma.choices),
+              dict(partial.tau.choices))
+    closed = closure(game, partial)
+    assert (closed.w0, closed.w1) == ({0, 1, 5}, {2, 3, 4})
+    assert closed.sigma.choices == {5: 5, 0: 1}
+    assert closed.tau.choices == {2: 2, 3: 2}
+    assert (partial.w0, partial.w1, partial.sigma.choices, partial.tau.choices) == before
 
 
 def test_merged_strategy_agrees_with_plus_on_runs_avoiding_split_set():
