@@ -6,9 +6,9 @@ strictly fewer relevant priorities.  Either the favoured player wins
 the whole split game and the merged strategy wins everywhere, or the
 opponent's split-game region, merged back, is a winning core for the
 opponent.  The step is the same for both parities; no priority is
-shifted.  The main loop grows one pair of regions and choice maps in
-place for the whole call: it adds each core, closes off, and recurses
-on the undecided rest.
+shifted.  The main loop grows one closure state, both regions and
+choice maps, for the whole call: it adds each core, closes off from the
+core's vertices alone, and recurses on the undecided rest.
 
 A step never builds the subarena of the undecided vertices.  Its
 relevant vertices and its base case are read off the game, with the
@@ -28,6 +28,7 @@ CertificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .game import (
@@ -42,7 +43,7 @@ from .game import (
 )
 from .transforms import (
     SplitGame,
-    _close,
+    _Closure,
     _merged,
     _split_rest,
     restrict,
@@ -280,15 +281,15 @@ def nonempty_step(game: ParityGame) -> WinningCore:
 
 
 def _solve_short(game: ParityGame, debug: bool) -> Solution:
-    """Grow one pair of regions and choice maps in place, core by core.
+    """Grow one closure state, its regions and choice maps, core by core.
 
     A core is disjoint from the earlier regions, but its adversary may
     escape into them, so debug mode verifies each fused pair on the game.
     """
-    regions, chosen = (set(), set()), ({}, {})
+    state = _Closure(game)
+    regions, chosen, undecided = state.regions, state.chosen, state.undecided
     while True:
-        w0, w1 = regions
-        keep = [v for v in game.vertices if v not in w0 and v not in w1]
+        keep = list(compress(game.vertices, undecided))
         if not keep:
             break
         split = _split_rest(game, keep)
@@ -299,8 +300,7 @@ def _solve_short(game: ParityGame, debug: bool) -> Solution:
             cores = [_nonempty_step(split, debug)]
         for core in cores:
             player = core.player
-            regions[player].update(core.region)
-            chosen[player].update(core.strategy.choices)
+            state.add(player, core.region, core.strategy.choices)
             if debug:
                 fused = Strategy(player, chosen[player])
                 _require_winning(
@@ -308,7 +308,7 @@ def _solve_short(game: ParityGame, debug: bool) -> Solution:
                 )
         if split is None:
             break
-        _close(game, regions, chosen)
+        state.close()
     return Solution(*regions, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1]))
 
 
@@ -318,10 +318,10 @@ def solve_short(game: ParityGame, *, debug: bool = False) -> Solution:
     Each round takes the subarena of the undecided vertices (a legal
     subgame by the closure guarantees), splits it straight from the
     game, extracts one core in the game's vertices, fuses it with the
-    matching accumulated pair and closes off.  The base case finishes
-    the last residual.  The final partition is
+    matching accumulated pair and closes off from the core alone: over
+    the call every vertex joins once and every edge counts down once.
+    The base case finishes the last residual.  The final partition is
     certified once before being returned; ``debug=True`` also certifies
-    every intermediate result.  Raises CertificationError when a check
-    fails.
+    every intermediate result, and a failed check raises CertificationError.
     """
     return _certified(game, _solve_short, debug, "final solution")

@@ -260,90 +260,96 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
     least-index such target.  Rule (b): an undecided vertex whose every
     move lands in the opponent's region joins the opponent.  Rule (a) is
     exhausted before rule (b) in every round, until neither applies.
-
-    Runs as a worklist over the arena's cached predecessor lists, with a
-    count per undecided vertex of its successors outside the opponent's
-    region, in O((n + m) log n).  The result is the one an ascending
-    sweep over the undecided vertices gives, pass after pass, with
-    strategy entries included: each pass takes its eligible vertices
-    from a min-heap, a vertex made eligible above the current one joins
-    the pass and one below waits for the next pass, and a grabbed
-    vertex's target is chosen when it is popped.
+    Regions and choices are an ascending sweep's, in O((n + m) log n).
 
     Keeps both strategies certified when the input regions were; on
     return no undecided vertex can move into its owner's region and
     every undecided vertex keeps an undecided successor.  ``partial``
-    is left as it was.
+    is left as it was; a region vertex the game lacks raises GameError.
     """
-    regions = (set(partial.w0), set(partial.w1))
-    chosen = (dict(partial.sigma.choices), dict(partial.tau.choices))
-    _close(game, regions, chosen)
-    return PartialSolution(
-        *regions, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1])
-    )
+    if not (partial.w0 | partial.w1) <= set(game.vertices):
+        raise GameError("regions mention vertices the game does not have")
+    state = _Closure(game)
+    state.add(Player.P0, partial.w0, partial.sigma.choices)
+    state.add(Player.P1, partial.w1, partial.tau.choices)
+    state.close()
+    (w0, w1), (sigma, tau) = state.regions, state.chosen
+    return PartialSolution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
 
 
-def _close(game: ParityGame, regions: tuple[set, set], chosen: tuple[dict, dict]) -> None:
-    """``closure`` in place: grows each player's region and choices."""
-    owners = game.owners
-    choices = game._choices
-    predecessors = game._predecessors
-    undecided = [v not in regions[0] and v not in regions[1] for v in game.vertices]
-    queued = [False] * game.n  # eligible for rule (a), in some queue
-    outside = [0] * game.n  # successors outside the opponent's region
-    pending_a: list[int] = []  # rule (a) vertices for the next pass
-    pending_b: list[int] = []  # rule (b) vertices for the next pass
-    for v, open_ in enumerate(undecided):
-        if not open_:
-            continue
-        own, other = regions[owners[v]], regions[1 - owners[v]]
-        if any(u in own for u in choices[v]):
-            queued[v] = True
-            pending_a.append(v)
-        outside[v] = sum(u not in other for u in choices[v])
-        if not outside[v]:
-            pending_b.append(v)
+class _Closure:
+    """Both players' regions and choices, as one ``solve_short`` call grows them.
 
-    def join(v, player, a_heap, b_heap):
-        """Put v in ``player``'s region and queue what it made eligible.
+    Between closes no undecided vertex moves into its owner's region and
+    each has a move ``outside`` the opponent's, so a close starts from the
+    vertices added since: each vertex joins once, each edge counts down once.
+    """
 
-        A vertex above v goes on the heap of the running pass when that
-        pass applies its rule, anything else on the next pass's list.
-        """
-        regions[player].add(v)
-        undecided[v] = False
-        for w in predecessors[v]:
-            if not undecided[w]:
-                continue
-            if owners[w] == player:
-                if not queued[w]:
-                    queued[w] = True
-                    if a_heap is not None and w > v:
-                        heappush(a_heap, w)
-                    else:
-                        pending_a.append(w)
-            else:
-                outside[w] -= 1
-                if not outside[w]:
-                    if b_heap is not None and w > v:
-                        heappush(b_heap, w)
-                    else:
-                        pending_b.append(w)
+    def __init__(self, game: ParityGame):
+        self.game = game
+        self.regions: tuple[set[int], set[int]] = (set(), set())
+        self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.undecided = [True] * game.n
+        self.queued = [False] * game.n  # eligible for rule (a), in some queue
+        self.outside = list(map(len, game._choices))
+        self.added: list[tuple[int, Iterable[int]]] = []  # not walked yet
 
-    while pending_a or pending_b:
-        while pending_a:
-            heap = pending_a
-            pending_a = []
+    def add(self, player: int, region: Iterable[int], choices: Mapping[int, int]) -> None:
+        """Mark ``region`` decided; ``close`` walks it once all added are marked."""
+        self.regions[player].update(region)
+        self.chosen[player].update(choices)
+        for v in region:
+            self.undecided[v] = False
+        self.added.append((player, region))
+
+    def close(self) -> None:
+        """Apply both rules until neither does."""
+        game, regions, chosen, added = self.game, self.regions, self.chosen, self.added
+        owners, choices, predecessors = game.owners, game._choices, game._predecessors
+        undecided, queued, outside = self.undecided, self.queued, self.outside
+        pending_a, pending_b = [], []  # rule (a) and rule (b) vertices for the next pass
+
+        def join(v, player, a_heap, b_heap):
+            # As in an ascending sweep, a vertex made eligible by v joins the
+            # running pass (its heap) when above v, and else waits for the next.
+            regions[player].add(v)
+            undecided[v] = False
+            for w in predecessors[v]:
+                if not undecided[w]:
+                    continue
+                if owners[w] == player:
+                    if not queued[w]:
+                        queued[w] = True
+                        if a_heap is not None and w > v:
+                            heappush(a_heap, w)
+                        else:
+                            pending_a.append(w)
+                else:
+                    outside[w] -= 1
+                    if not outside[w]:
+                        if b_heap is not None and w > v:
+                            heappush(b_heap, w)
+                        else:
+                            pending_b.append(w)
+
+        for player, region in added:
+            for v in region:
+                join(v, player, None, None)
+        added.clear()
+        while pending_a or pending_b:
+            while pending_a:
+                heap = pending_a
+                pending_a = []
+                heapify(heap)
+                while heap:
+                    v = heappop(heap)
+                    owner = owners[v]
+                    own = regions[owner]
+                    chosen[owner][v] = min(u for u in choices[v] if u in own)
+                    join(v, owner, heap, None)
+            heap = pending_b
+            pending_b = []
             heapify(heap)
             while heap:
                 v = heappop(heap)
-                owner = owners[v]
-                own = regions[owner]
-                chosen[owner][v] = min(u for u in choices[v] if u in own)
-                join(v, owner, heap, None)
-        heap = pending_b
-        pending_b = []
-        heapify(heap)
-        while heap:
-            v = heappop(heap)
-            join(v, 1 - owners[v], None, heap)
+                join(v, 1 - owners[v], None, heap)

@@ -51,9 +51,9 @@ class BadCycleWitness:
 
 
 def _reachable(
-    game: ParityGame, player: Player, strategy: Strategy, region: Iterable[int]
+    game: ParityGame, player: Player, strategy: Strategy, region: list[int]
 ) -> dict[int, tuple[int, ...]]:
-    """Restricted adjacency of everything reachable from the region.
+    """Restricted adjacency of everything reachable from the ascending region.
 
     The player's vertices keep only the chosen edge, adversary vertices
     keep every edge.  Raises StrategyError at a reached branching player
@@ -62,8 +62,8 @@ def _reachable(
     """
     owners, options, moves = game.owners, game._choices, strategy.choices
     edges: dict[int, tuple[int, ...]] = {}
-    queue = deque(sorted(set(region)))
-    seen = set(queue)
+    queue = deque(region)
+    seen = set(region)
     while queue:
         v = queue.popleft()
         out = options[v]
@@ -153,14 +153,13 @@ def _shortest_cycle(
 
 
 def _path_to(
-    target: int, region: Iterable[int], edges: dict[int, tuple[int, ...]]
+    target: int, region: list[int], edges: dict[int, tuple[int, ...]]
 ) -> tuple[int, ...]:
-    """Shortest path from any region vertex to ``target``, without it."""
-    starts = sorted(set(region))
-    if target in starts:
+    """Shortest path from the ascending ``region`` to ``target``, without it."""
+    parent: dict[int, int | None] = dict.fromkeys(region)
+    if target in parent:
         return ()
-    parent: dict[int, int | None] = {v: None for v in starts}
-    queue = deque(starts)
+    queue = deque(region)
     while queue:
         v = queue.popleft()
         for u in edges[v]:
@@ -280,10 +279,11 @@ def check_solution(game: ParityGame, solution: Solution) -> Diagnostic | None:
     overlap = solution.w0 & solution.w1
     if overlap:
         return Diagnostic(f"regions intersect: {sorted(overlap)}")
-    missing = set(game.vertices) - solution.w0 - solution.w1
+    vertices = set(game.vertices)
+    missing = vertices - solution.w0 - solution.w1
     if missing:
         return Diagnostic(f"regions do not cover vertices {sorted(missing)}")
-    stray = (solution.w0 | solution.w1) - set(game.vertices)
+    stray = (solution.w0 | solution.w1) - vertices
     if stray:
         return Diagnostic(f"regions mention unknown vertices {sorted(stray)}")
     if solution.sigma.player is not Player.P0:

@@ -5,6 +5,8 @@ undecided vertex in index order, pass after pass.  The worklist must
 give the same regions and the same strategy entries on any arena and
 any disjoint partial solution, certified or not, because the solvers'
 strategies, and so their output bytes, depend on the exact choices.
+The closure state ``solve_short`` keeps for a whole call is checked
+the same way after every core it is given.
 """
 
 import random
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsolve import ParityGame, PartialSolution, Player, Strategy, closure, gen_random
+from pgsolve.transforms import _Closure
 from games import random_corpus
 
 
@@ -53,12 +56,44 @@ def sweep_closure(game: ParityGame, partial: PartialSolution) -> PartialSolution
 
 
 def assert_same_closure(game, partial):
+    before = (dict(partial.sigma.choices), dict(partial.tau.choices))
     want = sweep_closure(game, partial)
     got = closure(game, partial)
     assert got.w0 == want.w0
     assert got.w1 == want.w1
     assert got.sigma.choices == want.sigma.choices
     assert got.tau.choices == want.tau.choices
+    assert (partial.sigma.choices, partial.tau.choices) == before
+
+
+def assert_state_matches_sweep(game, cores):
+    """Feed ``cores`` to one closure state, closing after each, as
+    ``solve_short`` does, and compare every step with the sweep run from
+    scratch on the accumulated partial.  A core is a player, a region
+    and choices; its vertices still undecided are the ones added."""
+    state = _Closure(game)
+    want = PartialSolution(
+        frozenset(), frozenset(), Strategy(Player.P0, {}), Strategy(Player.P1, {})
+    )
+    for player, region, choices in cores:
+        region = frozenset(region) - want.w0 - want.w1
+        if not region:
+            continue
+        grown = [set(want.w0), set(want.w1)]
+        chosen = [dict(want.sigma.choices), dict(want.tau.choices)]
+        grown[player] |= region
+        chosen[player].update(choices)
+        want = sweep_closure(
+            game,
+            PartialSolution(
+                *grown, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1])
+            ),
+        )
+        state.add(player, region, choices)
+        state.close()
+        assert state.regions == (want.w0, want.w1)
+        assert state.chosen == (want.sigma.choices, want.tau.choices)
+        assert state.undecided == [v not in want.w0 and v not in want.w1 for v in game.vertices]
 
 
 def random_partial(game: ParityGame, rng: random.Random) -> PartialSolution:
@@ -80,11 +115,11 @@ def random_partial(game: ParityGame, rng: random.Random) -> PartialSolution:
 
 
 @st.composite
-def games_and_partials(draw, max_n=12):
-    """Arenas with duplicate edges and self-loops, plus a disjoint partial."""
+def arenas(draw, max_n=12):
+    """Arenas with duplicate edges and self-loops."""
     n = draw(st.integers(1, max_n))
     vertex = st.integers(0, n - 1)
-    game = ParityGame.from_vertices(
+    return ParityGame.from_vertices(
         (
             draw(st.integers(0, 1)),
             draw(st.integers(0, 5)),
@@ -92,6 +127,13 @@ def games_and_partials(draw, max_n=12):
         )
         for _ in range(n)
     )
+
+
+@st.composite
+def games_and_partials(draw):
+    """Arenas plus a disjoint partial."""
+    game = draw(arenas())
+    n, vertex = game.n, st.integers(0, game.n - 1)
     side = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n, max_size=n))
     choices = ({}, {})
     for v in draw(st.lists(vertex, max_size=n)):
@@ -105,10 +147,68 @@ def games_and_partials(draw, max_n=12):
     return game, partial
 
 
+def random_cores(game: ParityGame, rng: random.Random) -> list:
+    """A few small cores of random players, with choices on some vertices."""
+    cores = []
+    for _ in range(rng.randrange(1, 6)):
+        region = rng.sample(game.vertices, rng.randrange(1, 1 + max(1, game.n // 3)))
+        choices = {v: rng.choice(game.successors[v]) for v in region if rng.random() < 0.5}
+        cores.append((rng.randrange(2), region, choices))
+    return cores
+
+
+@st.composite
+def games_and_cores(draw):
+    """Arenas plus a sequence of cores, possibly overlapping."""
+    game = draw(arenas())
+    vertex = st.integers(0, game.n - 1)
+    cores = []
+    for region in draw(st.lists(st.lists(vertex, min_size=1, max_size=4), max_size=5)):
+        moves = {v: draw(st.sampled_from(game.successors[v])) for v in region}
+        cores.append((draw(st.integers(0, 1)), region, moves))
+    return game, cores
+
+
 @settings(max_examples=300, deadline=None)
 @given(games_and_partials())
 def test_closure_matches_sweep_on_drawn_games(bundle):
     assert_same_closure(*bundle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(games_and_cores())
+def test_state_matches_sweep_after_every_core_on_drawn_games(bundle):
+    assert_state_matches_sweep(*bundle)
+
+
+def test_state_matches_sweep_after_every_core_on_random_corpus():
+    rng = random.Random(11)
+    corpus = [*random_corpus(200, 12)]
+    corpus += [gen_random(40 + s, 1 + s % 6, 1 + s % 4, s) for s in range(20)]
+    for game in corpus:
+        for _ in range(3):
+            assert_state_matches_sweep(game, random_cores(game, rng))
+
+
+def test_closure_marks_both_regions_before_queueing_predecessors():
+    # Vertex 1 is P0's and lies in w1, with a move into w0.  Walked
+    # before w1 is marked decided, it would be queued for rule (a) and
+    # join w0 as well.  Vertex 3 is P0's and lies in w0, with its only
+    # move into w1: walked before w0 is marked, it would join w1 by
+    # rule (b).
+    game = ParityGame.from_vertices(
+        [(0, 0, (0,)), (0, 1, (0, 1)), (1, 1, (2,)), (0, 0, (2,))]
+    )
+    partial = PartialSolution(
+        frozenset({0, 3}),
+        frozenset({1, 2}),
+        Strategy(Player.P0, {}),
+        Strategy(Player.P1, {}),
+    )
+    closed = closure(game, partial)
+    assert (closed.w0, closed.w1) == ({0, 3}, {1, 2})
+    assert closed.sigma.choices == {} and closed.tau.choices == {}
+    assert_same_closure(game, partial)
 
 
 def test_closure_matches_sweep_on_random_corpus():

@@ -232,6 +232,16 @@ def test_closure_is_monotone_and_idempotent():
     assert (twice.w0, twice.w1) == (once.w0, once.w1)
 
 
+def test_closure_rejects_region_vertices_the_game_lacks():
+    game = ParityGame.from_vertices([(0, 0, (0,)), (1, 1, (0,))])
+    for stray in (2, -1):
+        partial = PartialSolution(
+            frozenset(), frozenset({stray}), Strategy(Player.P0, {}), Strategy(Player.P1, {})
+        )
+        with pytest.raises(GameError, match="the game does not have"):
+            closure(game, partial)
+
+
 def test_closure_leaves_its_input_alone():
     game = ParityGame.from_vertices(
         [
