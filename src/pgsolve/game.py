@@ -106,23 +106,6 @@ class _EdgeTables:
         )
 
     @cached_property
-    def classes(self) -> tuple[VertexClass, ...]:
-        incoming = set(chain.from_iterable(self.successors))
-        return tuple(
-            VertexClass.ABSORBING
-            if options == (v,)
-            else VertexClass.RELEVANT
-            if v in incoming
-            else VertexClass.VANISHING
-            for v, options in enumerate(self.choices)
-        )
-
-    @cached_property
-    def relevant(self) -> tuple[bool, ...]:
-        """Per vertex, whether its class is RELEVANT."""
-        return tuple(cls is VertexClass.RELEVANT for cls in self.classes)
-
-    @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         """Distinct predecessors of every vertex, in ascending order."""
         preds: list[list[int]] = [[] for _ in self.successors]
@@ -186,6 +169,8 @@ class ParityGame:
             object.__setattr__(self, "names", tuple(self.names))
         if not (len(self.priorities) == len(self.successors) == len(self.names) == n):
             raise GameError("vertex tables differ in length")
+        if not n:
+            raise GameError("a game needs at least one vertex")
         if not all(successors) or targets and not 0 <= min(targets) <= max(targets) < n:
             for v, succ in enumerate(successors):
                 if not succ:
@@ -229,13 +214,12 @@ class ParityGame:
         return _EdgeTables(self.successors)
 
     _choices = _shared("choices")
-    _classes = _shared("classes")
     _predecessors = _shared("predecessors")
     _mixed_loops = _shared("mixed_loops")
 
     @cached_property
     def _relevant(self) -> frozenset[int]:
-        return frozenset(compress(self.priorities, self._edges.relevant))
+        return frozenset(map(self.priorities.__getitem__, _relevant_vertices(self)))
 
     def _relabelled(
         self,
@@ -245,10 +229,10 @@ class ParityGame:
         """This arena with new owners and/or priorities, same edges.
 
         The result keeps ``successors`` and ``names`` and shares the
-        edge tables (``_choices``, ``_classes``, ``_predecessors``,
-        ``_mixed_loops``) with this arena, so none of them is computed
-        twice.  Unchecked: callers pass valid labels, tuples of Player
-        owners or nonnegative int priorities, one per vertex.
+        edge tables (``_choices``, ``_predecessors``, ``_mixed_loops``)
+        with this arena, so none of them is computed twice.  Unchecked:
+        callers pass valid labels, tuples of Player owners or
+        nonnegative int priorities, one per vertex.
         """
         return _arena(
             self.owners if owners is None else owners,
@@ -279,22 +263,44 @@ def _arena(owners, priorities, successors, names, edges=None) -> ParityGame:
     return arena
 
 
+def _relevant_vertices(game: ParityGame, inside: Sequence[bool] | None = None) -> list[int]:
+    """The ascending vertices relevant in the subarena ``inside`` marks.
+
+    ``inside`` holds one truth value per vertex; None marks every vertex.
+    A marked vertex is relevant when a marked vertex, maybe itself, moves
+    to it and it can move to a marked vertex other than itself.  With
+    every vertex marked the marks are not looked up.
+    """
+    choices, predecessors = game._choices, game._predecessors
+    if inside is None or all(inside):
+        return [v for v in game.vertices if predecessors[v] and choices[v] != (v,)]
+    marked = inside.__getitem__
+    return [
+        v
+        for v in compress(game.vertices, inside)
+        if any(map(marked, predecessors[v]))
+        and any(inside[u] and u != v for u in choices[v])
+    ]
+
+
 def classify(game: ParityGame, v: int) -> VertexClass:
     """Classify v as absorbing, vanishing or relevant.
 
     The classes partition the vertex set: an absorbing vertex is its own
     predecessor through the self-loop, so it can never be vanishing.
-    The classes of all vertices are computed once per arena and cached.
+    Read from the arena's distinct successors and predecessors.
     """
     if not 0 <= v < game.n:
         raise IndexError(f"vertex {v} out of range 0..{game.n - 1}")
-    return game._classes[v]
+    if game._choices[v] == (v,):
+        return VertexClass.ABSORBING
+    return VertexClass.RELEVANT if game._predecessors[v] else VertexClass.VANISHING
 
 
 def relevant_priorities(game: ParityGame) -> frozenset[int]:
     """Priorities carried by at least one relevant vertex.
 
-    Computed once per arena and cached.
+    Computed once per arena from its relevant vertices and cached.
     """
     return game._relevant
 

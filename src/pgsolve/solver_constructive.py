@@ -214,12 +214,12 @@ def _fixpoint(
     # relevance, k and the split set are the same at every visit of a
     # depth: its first split is re-based, not rebuilt.
     if not tower:
-        tower += _split_rest(game, game.vertices), []
+        tower += _split_rest(game), []
     split = tower[0]
     if split is not None and split.base is not game:
         split = _rebased(split, game)
     if split is None:
-        return _base_case(game, debug, game.vertices)
+        return _base_case(game, debug)
     loser = _PLAYERS[1 - split.k % 2]
     history: list[FixpointState] = []
     solved: dict[tuple[int, ...], Solution] = {}

@@ -12,8 +12,9 @@ core's vertices alone, and recurses on the undecided rest.
 
 A step never builds the subarena of the undecided vertices.  Its
 relevant vertices and its base case are read off the game, with the
-undecided list as a mask; its split game, the one arena a step builds,
-comes straight from the game, and the core maps back through one map.
+closure state's own undecided list as the mask, never a copy of it; its
+split game, the one arena a step builds, comes straight from the game,
+and the core maps back through one map.
 
 ``solve_short`` certifies the partition it returns with one
 ``check_solution``; that single check is a complete proof, so the
@@ -125,25 +126,27 @@ def _certified(
     raise CertificationError(message)
 
 
-def _base_case(game: ParityGame, debug: bool, keep: Sequence[int]) -> Solution:
-    """``base_case_solve`` on the subarena ``keep`` (ascending) induces.
+def _base_case(
+    game: ParityGame, debug: bool, inside: Sequence[bool] | None = None
+) -> Solution:
+    """``base_case_solve`` on the subarena ``inside`` marks.
 
+    ``inside`` holds one truth value per vertex; None marks every vertex.
     The answer is in ``game``'s indices, with a choice wherever it
-    branches.  A vertex with one move inside ``keep`` (every absorbing
-    vertex among them) goes to the player its target's priority
+    branches.  A vertex with one move inside the subarena (every
+    absorbing vertex in it) goes to the player its target's priority
     favours.  Any other vertex goes to its owner, moving to the least
     target whose priority favours the owner, when there is one, and
     else to the opponent.
     """
     owners, priorities, choices = game.owners, game.priorities, game._choices
-    options = choices
-    if len(keep) < game.n:
-        inside = set(keep)
-        options = {v: [u for u in choices[v] if u in inside] for v in keep}
+    keep = game.vertices if inside is None else [*compress(game.vertices, inside)]
     regions = (set(), set())
     chosen = ({}, {})
     for v in keep:
-        targets = options[v]
+        targets = choices[v]
+        if inside is not None:
+            targets = [u for u in targets if inside[u]]
         if len(targets) == 1:
             u = targets[0]
             winner = priorities[u] % 2
@@ -187,7 +190,7 @@ def base_case_solve(game: ParityGame) -> Solution:
     """
     if relevant_priorities(game):
         raise GameError("base case called with relevant vertices present")
-    return _base_case(game, True, game.vertices)
+    return _base_case(game, True)
 
 
 def combine_strategies(
@@ -274,7 +277,7 @@ def nonempty_step(game: ParityGame) -> WinningCore:
     it is a core for the opponent.  The core, and every result it is
     built from, is certified before it is returned.
     """
-    split = _split_rest(game, game.vertices)
+    split = _split_rest(game)
     if split is None:
         raise GameError("nonempty_step needs at least one relevant vertex")
     return _nonempty_step(split, debug=True)
@@ -288,13 +291,10 @@ def _solve_short(game: ParityGame, debug: bool) -> Solution:
     """
     state = _Closure(game)
     regions, chosen, undecided = state.regions, state.chosen, state.undecided
-    while True:
-        keep = list(compress(game.vertices, undecided))
-        if not keep:
-            break
-        split = _split_rest(game, keep)
+    while any(undecided):
+        split = _split_rest(game, undecided)
         if split is None:
-            base = _base_case(game, debug, keep)
+            base = _base_case(game, debug, undecided)
             cores = [WinningCore(p, base.region(p), base.strategy(p)) for p in _PLAYERS]
         else:
             cores = [_nonempty_step(split, debug)]

@@ -22,6 +22,7 @@ from .game import (
     Solution,
     Strategy,
     _arena,
+    _relevant_vertices,
 )
 
 
@@ -75,34 +76,24 @@ def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> Par
 
 
 def _split_rest(
-    game: ParityGame, keep: Sequence[int], k: int | None = None
+    game: ParityGame, inside: Sequence[bool] | None = None, k: int | None = None
 ) -> SplitGame | None:
-    """``split_top`` of the subarena ``keep`` (ascending) induces, or None.
+    """``split_top`` of the subarena ``inside`` marks, or None.
 
-    k defaults to the subarena's top relevant priority.  A kept vertex
-    is relevant there when a kept vertex moves to it and it can move to
-    a kept vertex other than itself; only the split game is built, by
-    ``_induced``, and nothing is stored on ``game``.
+    ``inside`` holds one truth value per vertex of ``game``; None marks
+    every vertex.  k defaults to the subarena's top relevant priority.
+    Only the split game is built, by ``_induced``, from the kept
+    vertices in ascending order, and nothing is stored on ``game``.
     """
-    priorities, m = game.priorities, len(keep)
-    if m == game.n:
-        relevant = list(compress(keep, game._edges.relevant))
-    else:
-        inside = [False] * game.n
-        for v in keep:
-            inside[v] = True
-        choices, predecessors = game._choices, game._predecessors
-        relevant = [
-            v
-            for v in keep
-            if any(inside[w] for w in predecessors[v])
-            and any(inside[u] and u != v for u in choices[v])
-        ]
+    priorities = game.priorities
+    relevant = _relevant_vertices(game, inside)
     if k is None and relevant:
         k = max(priorities[v] for v in relevant)
     split = tuple(v for v in relevant if priorities[v] == k)
     if not split:
         return None
+    keep = game.vertices if inside is None else [*compress(game.vertices, inside)]
+    m = len(keep)
     copy_for = dict(zip(split, range(m, m + len(split))))
     copy_of = dict(zip(copy_for.values(), split))
     plus = _induced(game, keep, split)
@@ -130,7 +121,7 @@ def split_top(game: ParityGame, k: int) -> SplitGame:
     Raises GameError when no relevant vertex carries priority k.
     Every call builds a new split arena and stores nothing on ``game``.
     """
-    split = _split_rest(game, game.vertices, k)
+    split = _split_rest(game, k=k)
     if split is None:
         raise GameError(f"priority {k} is carried by no relevant vertex")
     return split
@@ -195,9 +186,9 @@ def shift_and_swap(game: ParityGame) -> ParityGame:
 
     Self-inverse on winners: the regions swap and strategies carry over
     unchanged.  The edges do not change, so the result shares
-    ``successors``, ``names`` and the edge tables (choices, vertex
-    classes, predecessors, mixed self-loops) with ``game``.  Shifted
-    priorities of a valid game stay nonnegative, so nothing is checked.
+    ``successors``, ``names`` and the edge tables (choices, predecessors,
+    mixed self-loops) with ``game``.  Shifted priorities of a valid game
+    stay nonnegative, so nothing is checked.
     """
     return game._relabelled(
         owners=tuple(o.opponent for o in game.owners),
@@ -238,12 +229,14 @@ def restrict(game: ParityGame, keep: Iterable[int]) -> Subgame:
     When ``keep`` is every vertex the subgame is ``game`` itself, with
     identity maps, so it shares every table ``game`` has computed.  Any
     other restriction builds a new arena with ``_induced``.  Raises
-    RestrictionError naming the first vertex left without a successor
-    inside ``keep``.
+    GameError when ``keep`` is empty, and RestrictionError naming the
+    first vertex left without a successor inside ``keep``.
     """
     to_old = tuple(sorted(set(keep)))
     n = game.n
-    if to_old and not (0 <= to_old[0] and to_old[-1] < n):
+    if not to_old:
+        raise GameError("a restriction needs at least one vertex")
+    if not (0 <= to_old[0] and to_old[-1] < n):
         bad = next(v for v in to_old if not 0 <= v < n)
         raise GameError(f"vertex {bad} out of range 0..{n - 1}")
     to_new = dict(zip(to_old, range(len(to_old))))

@@ -22,7 +22,7 @@ from pgsolve import (
     solve_constructive,
     split_top,
 )
-from pgsolve.game import VertexClass, classify, relevant_priorities
+from pgsolve.game import VertexClass, _relevant_vertices, classify, relevant_priorities
 from pgsolve.solver_constructive import bump_priorities, fixpoint_solve, preprocess
 from pgsolve import solver_constructive
 from pgsolve.transforms import RestrictionError, _split_rest
@@ -40,8 +40,10 @@ def scratch_class(game: ParityGame, v: int) -> VertexClass:
 
 def assert_tables(game: ParityGame):
     classes = [scratch_class(game, v) for v in game.vertices]
-    assert list(game._classes) == classes
     assert [classify(game, v) for v in game.vertices] == classes
+    assert _relevant_vertices(game) == [
+        v for v in game.vertices if classes[v] is VertexClass.RELEVANT
+    ]
     assert relevant_priorities(game) == frozenset(
         game.priorities[v]
         for v in game.vertices
@@ -56,8 +58,10 @@ def assert_tables(game: ParityGame):
 def derived(game: ParityGame):
     """Arenas the solvers build from ``game``."""
     yield shift_and_swap(game)
+    keep = [v for v in game.vertices if v % 3]
     try:
-        yield restrict(game, [v for v in game.vertices if v % 3]).game
+        if keep:  # an empty restriction is no game
+            yield restrict(game, keep).game
     except RestrictionError:
         pass
     relevant = relevant_priorities(game)
@@ -84,7 +88,7 @@ def test_tables_match_scratch_computation():
 
 
 def test_classify_rejects_a_negative_vertex():
-    # The class table is a tuple, so v = -1 would index it silently.
+    # The edge tables are tuples, so v = -1 would index them silently.
     with pytest.raises(IndexError):
         classify(DUPLICATES, -1)
 
@@ -126,7 +130,7 @@ def test_strategy_and_partial_coerce_players():
 
 # Tables that depend on the edges alone; arenas that only relabel owners
 # or priorities share them with their parent.
-EDGE_TABLES = ("_choices", "_classes", "_predecessors", "_mixed_loops")
+EDGE_TABLES = ("_choices", "_predecessors", "_mixed_loops")
 
 
 def assert_edge_tables(game: ParityGame):
@@ -186,8 +190,8 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
     arenas: list[ParityGame] = []
     real_split, real_fixpoint = _split_rest, solver_constructive._fixpoint
 
-    def recording_split(game, keep, k=None):
-        split = real_split(game, keep, k)
+    def recording_split(game, inside=None, k=None):
+        split = real_split(game, inside, k)
         if split is not None:
             splits.append(split)
         return split

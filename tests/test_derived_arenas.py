@@ -33,7 +33,7 @@ from pgsolve import (
     split_top,
 )
 from pgsolve import solver_constructive
-from pgsolve.game import relevant_priorities
+from pgsolve.game import VertexClass, classify, relevant_priorities
 from pgsolve.solver_constructive import bump_priorities, preprocess
 from pgsolve.transforms import (
     RestrictionError,
@@ -77,7 +77,7 @@ def assert_valid(arena: ParityGame) -> None:
     assert {*map(type, arena.successors)} <= {tuple}
     assert {type(u) for succ in arena.successors for u in succ} <= {int}
     assert type(arena.names) is tuple
-    for table in ("_choices", "_classes", "_predecessors", "_mixed_loops", "_relevant"):
+    for table in ("_choices", "_predecessors", "_mixed_loops", "_relevant"):
         assert getattr(arena, table) == getattr(rebuilt, table), table
 
 
@@ -86,7 +86,9 @@ def same_split_priorities(game: ParityGame, k: int, split_set) -> tuple[int, ...
     other relevant vertex moves below k, every absorbing or vanishing
     vertex anywhere."""
     return tuple(
-        p if v in split_set else (p + 7 if p > k or not game._edges.relevant[v] else p // 2)
+        p
+        if v in split_set
+        else (p + 7 if p > k or classify(game, v) is not VertexClass.RELEVANT else p // 2)
         for v, p in enumerate(game.priorities)
     )
 
@@ -100,11 +102,12 @@ def derived(game: ParityGame):
     yield preprocess(game).reduced
     keep = [v for v in game.vertices if v % 3]
     try:
-        yield restrict(game, keep).game
+        if keep:  # an empty restriction is no game
+            yield restrict(game, keep).game
     except RestrictionError:
         pass
     try:
-        masked = _split_rest(game, keep)
+        masked = _split_rest(game, [v % 3 > 0 for v in game.vertices])
     except RestrictionError:
         masked = None
     if masked is not None:

@@ -3,10 +3,13 @@ import pytest
 from pgsolve import (
     GameError,
     ParityGame,
+    ParseError,
     Player,
     Strategy,
     StrategyError,
+    parse_game,
     play,
+    restrict,
     solve_constructive,
     solve_short,
 )
@@ -17,6 +20,18 @@ from games import chain_game, two_cycle_game
 def test_rejects_empty_successor_list():
     with pytest.raises(GameError):
         ParityGame.from_vertices([(0, 1, ())])
+
+
+def test_rejects_a_game_without_vertices():
+    # The text format cannot hold such a game: emit_game would write a
+    # header that parse_game refuses.
+    for build in (lambda: ParityGame((), (), ()), lambda: ParityGame.from_vertices([])):
+        with pytest.raises(GameError, match="at least one vertex"):
+            build()
+    with pytest.raises(GameError, match="at least one vertex"):
+        restrict(chain_game(), [])
+    with pytest.raises(ParseError, match="malformed header"):
+        parse_game("parity -1;\n")
 
 
 def test_rejects_dangling_edge():

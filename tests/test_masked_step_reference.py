@@ -13,12 +13,18 @@ arena, the same player, the same region and the same strategy entries,
 because the solver's output bytes depend on the exact choices.
 """
 
+from itertools import compress
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from pgsolve import ParityGame, Player, Strategy, gen_random, solve_short
 from pgsolve import solver_short
-from pgsolve.game import VertexClass, relevant_priorities
+from pgsolve.game import VertexClass, _relevant_vertices, classify, relevant_priorities
 from pgsolve.solver_short import _base_case, _nonempty_step
-from pgsolve.transforms import _split_rest
+from pgsolve.transforms import RestrictionError, _split_rest
 from games import cycle, random_corpus
+from test_closure_reference import arenas
 
 
 def reference_restrict(game: ParityGame, keep: list[int]):
@@ -41,7 +47,7 @@ def reference_split_top(game: ParityGame, k: int):
     split = [
         v
         for v, p in enumerate(game.priorities)
-        if p == k and game._classes[v] is VertexClass.RELEVANT
+        if p == k and classify(game, v) is VertexClass.RELEVANT
     ]
     copy_for = {v: game.n + i for i, v in enumerate(split)}
     plus = ParityGame(
@@ -107,7 +113,7 @@ def reference_base_case(game, keep):
     regions = {Player.P0: set(), Player.P1: set()}
     chosen = {Player.P0: {}, Player.P1: {}}
     for v in sub.vertices:
-        if sub._classes[v] is VertexClass.ABSORBING:
+        if classify(sub, v) is VertexClass.ABSORBING:
             regions[Player(sub.priorities[v] % 2)].add(v)
             continue
         owner = sub.owners[v]
@@ -130,12 +136,13 @@ def reference_base_case(game, keep):
 
 
 def reached_rests(games, monkeypatch):
-    """Every (game, undecided) pair the solve loop splits or finishes."""
+    """Every (game, undecided mask) pair the solve loop splits or
+    finishes; the solve goes on to change its mask, so a copy is kept."""
     reached = []
 
-    def recording(game, keep):
-        reached.append((game, keep))
-        return _split_rest(game, keep)
+    def recording(game, inside=None, k=None):
+        reached.append((game, list(inside)))
+        return _split_rest(game, inside, k)
 
     monkeypatch.setattr(solver_short, "_split_rest", recording)
     for game in games:
@@ -158,12 +165,12 @@ def assert_masked_step_matches_reference(games, monkeypatch):
 
     monkeypatch.setattr(solver_short, "_solve_short", memoized)
     cores = bases = masked = 0
-    for game, keep in reached:
-        masked += keep is not None
-        rest = list(game.vertices) if keep is None else keep
-        split = _split_rest(game, keep)
+    for game, inside in reached:
+        masked += not all(inside)
+        rest = list(compress(game.vertices, inside))
+        split = _split_rest(game, inside)
         if split is None:
-            base = _base_case(game, False, keep)
+            base = _base_case(game, False, inside)
             for player, (region, strategy) in reference_base_case(game, rest).items():
                 assert base.region(player) == region
                 assert base.strategy(player).choices == strategy.choices
@@ -192,3 +199,84 @@ def test_masked_step_matches_reference_on_larger_games(monkeypatch):
     games = [gen_random(200, 12, 3, seed) for seed in (1, 2, 3)]
     cores, bases = assert_masked_step_matches_reference(games, monkeypatch)
     assert cores > 100 and bases > 10
+
+
+@st.composite
+def arenas_and_masks(draw):
+    """Arenas with duplicate edges and self-loops, each with any mask.
+
+    A drawn number of rounds unmarks the marked vertices left without a
+    marked successor, so that many masks mark a subarena that is a game."""
+    game = draw(arenas())
+    inside = draw(st.lists(st.booleans(), min_size=game.n, max_size=game.n))
+    while draw(st.booleans()):
+        stuck = [
+            v
+            for v in compress(game.vertices, inside)
+            if not any(inside[u] for u in game.successors[v])
+        ]
+        if not stuck:
+            break
+        for v in stuck:
+            inside[v] = False
+    return game, inside
+
+
+# Vertex 0's only marked successor is itself, vertex 1's only marked
+# predecessor is itself; neither is so with every vertex marked.
+SELF_ONLY = ParityGame.from_vertices(
+    [(0, 2, (0, 3)), (1, 1, (1, 2)), (0, 2, (0, 1)), (1, 3, (1,))]
+)
+
+
+def test_relevance_where_a_vertex_sees_only_itself():
+    assert _relevant_vertices(SELF_ONLY) == [0, 1, 2, 3]
+    assert _relevant_vertices(SELF_ONLY, [True, True, True, False]) == [1, 2]
+    assert _split_rest(SELF_ONLY, [True, True, True, False]).split_set == {2}
+
+
+@settings(max_examples=400, deadline=None)
+@given(arenas_and_masks())
+@example((SELF_ONLY, [True, True, True, False]))
+@example((SELF_ONLY, [True] * 4))
+def test_relevance_and_split_match_the_subarena_on_any_mask(bundle):
+    game, inside = bundle
+    marked = set(compress(game.vertices, inside))
+    assert _relevant_vertices(game, inside) == [
+        v
+        for v in sorted(marked)
+        if any(v in game.successors[w] for w in marked)
+        and set(game.successors[v]) & marked - {v}
+    ]
+    assert _relevant_vertices(game, [True] * game.n) == _relevant_vertices(game)
+    keep = sorted(marked)
+    if not keep:
+        assert _split_rest(game, inside) is None
+        return
+    stuck = [v for v in keep if not set(game.successors[v]) & marked]
+    if stuck:
+        # Not a game: a split, when there is one, stops at the first
+        # marked vertex without a marked successor.
+        try:
+            split = _split_rest(game, inside)
+        except RestrictionError as exc:
+            assert exc.vertex == stuck[0]
+        else:
+            assert split is None
+        return
+    sub, to_old = reference_restrict(game, keep)
+    relevant = [v for v in sub.vertices if classify(sub, v) is VertexClass.RELEVANT]
+    assert _relevant_vertices(game, inside) == [to_old[v] for v in relevant]
+    top = max(relevant_priorities(sub), default=None)
+    for k in (None, *sorted(set(sub.priorities))):
+        split = _split_rest(game, inside, k)
+        k = top if k is None else k
+        if k not in relevant_priorities(sub):
+            assert split is None
+            continue
+        plus, copy_of = reference_split_top(sub, k)
+        assert split.k == k
+        assert split.plus == plus
+        assert list(split._kept) == keep
+        assert split.copy_of == {c: to_old[v] for c, v in copy_of.items()}
+        assert split.split_set == {to_old[v] for v in copy_of.values()}

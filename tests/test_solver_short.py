@@ -237,3 +237,36 @@ def test_solve_short_builds_one_arena_per_core_step(monkeypatch):
         solve_short(game)
     assert counts["steps"] > 200
     assert counts["arenas"] == counts["steps"]
+
+
+def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
+    # The solve loop hands its closure state's undecided list itself to
+    # the split builder and the base case: no step copies the mask.
+    states, masks = [], []
+    closure, split_rest, base_case = (
+        solver_short._Closure,
+        solver_short._split_rest,
+        solver_short._base_case,
+    )
+
+    def tracked(game):
+        states.append(closure(game))
+        return states[-1]
+
+    def splitting(game, *args):
+        masks.append((game, args[0] if args else None))
+        return split_rest(game, *args)
+
+    def finishing(game, debug, *args):
+        masks.append((game, args[0] if args else None))
+        return base_case(game, debug, *args)
+
+    monkeypatch.setattr(solver_short, "_Closure", tracked)
+    monkeypatch.setattr(solver_short, "_split_rest", splitting)
+    monkeypatch.setattr(solver_short, "_base_case", finishing)
+    for game in [*random_corpus(40, 8), cycle(9)]:
+        solve_short(game)
+    solve_short(cycle(6), debug=True)
+    assert len(masks) > 200
+    for game, mask in masks:
+        assert any(mask is state.undecided and game is state.game for state in states)

@@ -15,13 +15,13 @@ from pgsolve import solver_constructive, transforms
 from pgsolve.transforms import _rebased, _split_rest
 from games import cycle, ladder_game, random_corpus
 
-EDGE_TABLES = {"successors", "choices", "classes", "relevant", "predecessors", "mixed_loops"}
+EDGE_TABLES = {"successors", "choices", "predecessors", "mixed_loops"}
 
 
 def fresh_split(game: ParityGame, k: int):
     """The split of a new arena equal to ``game``, sharing no table."""
     fresh = ParityGame(game.owners, game.priorities, game.successors, game.names)
-    return _split_rest(fresh, fresh.vertices, k)
+    return _split_rest(fresh, k=k)
 
 
 def assert_same_split(split, game: ParityGame, k: int):
@@ -42,8 +42,8 @@ def fixpoint_splits(games, monkeypatch):
     """Every (game, k, split) ``_fixpoint`` uses, built or re-based."""
     splits = []
 
-    def building(game, keep, k=None):
-        split = _split_rest(game, keep, k)
+    def building(game, inside=None, k=None):
+        split = _split_rest(game, inside, k)
         if split is not None:
             splits.append((game, split.k, split))
         return split
