@@ -12,19 +12,25 @@ is losing, so merging the final strategies back yields both regions of
 the original game.  The opponent's strategy on earlier rounds' regions
 is frozen the moment a vertex first enters, which is what makes it a
 single memoryless witness.  Each recursion depth is split once per
-call; its later arenas re-base that split.
+call; its later arenas re-base that split.  A depth with nothing to
+split keeps its last base-case answer for the call and, at each later
+visit, re-decides only the vertices a bump can move: the predecessors
+of the copies whose priority changed.
 
 Each round is recorded as a FixpointState.  Monotone growth, strategy
 stability and, at the fixpoint, the equivalence between bumped copies
 and losing originals are asserted in every run.  ``solve_constructive``
 certifies the solution it returns with one ``check_solution``; the
-per-round verifier checks and the checks of every nested solution run
-only with ``debug=True``.
+per-round verifier checks, the checks of every nested solution and a
+from-scratch base case beside every incremental one run only with
+``debug=True``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Iterable, Sequence
 
 from .game import (
@@ -39,6 +45,7 @@ from .solver_short import (
     CertificationError,
     _base_case,
     _certified,
+    _decide,
     _require_solution,
 )
 from .transforms import (
@@ -92,13 +99,16 @@ def preprocess(game: ParityGame) -> TransformRecord:
 def _lift(record: TransformRecord, solution: Solution) -> Solution:
     original = record.original
     reduced = record.reduced
+    # The two games differ only where a self-loop was normalized, and
+    # each such vertex branched in the original.
+    normalized = record.absorbed | record.delooped
     strategies = {}
     for player in (Player.P0, Player.P1):
         choices = dict(solution.strategy(player).choices)
-        for v in sorted(solution.region(player)):
+        for v in sorted(normalized & solution.region(player)):
             if original.owners[v] is not player or v in choices:
                 continue
-            if len(original.choices_at(v)) > 1 and len(reduced.choices_at(v)) == 1:
+            if len(reduced.choices_at(v)) == 1:
                 choices[v] = reduced.choices_at(v)[0]
         strategies[player] = Strategy(player, choices)
     return Solution(
@@ -201,25 +211,95 @@ def _check_round(
         fail(f"round {state.alpha}: merged tau loses in the base game: {witness}")
 
 
+class _Bottom:
+    """The last answer of a split-free depth, for one public call.
+
+    Every arena a depth sees is relabelled from the same split, so it
+    shares the edge tables and owners of the last one and only the
+    priorities of absorbing copies differ.  A vertex's answer reads only
+    its owner and its targets' priorities, so a visit re-decides the
+    predecessors of the vertices whose priority changed (an absorbing
+    vertex is its own predecessor) and every other vertex keeps its
+    region and choice.  Other edges or owners are decided whole.
+    """
+
+    def __init__(self) -> None:
+        self.edges = self.owners = self.priorities = self.solution = None
+
+    def solve(self, game: ParityGame, debug: bool) -> Solution:
+        if game._edges is not self.edges or game.owners is not self.owners:
+            self.edges, self.owners = game._edges, game.owners
+            self.regions: tuple[set[int], set[int]] = (set(), set())
+            self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
+            _decide(game, game.vertices, self.regions, self.chosen)
+            self.settle(game)
+        elif game.priorities is not self.priorities:
+            self.redecide(game)
+        if debug:
+            self.check(game)
+        return self.solution
+
+    def redecide(self, game: ParityGame) -> None:
+        changed = compress(game.vertices, map(ne, self.priorities, game.priorities))
+        predecessors = self.edges.predecessors
+        redo = {w for v in changed for w in predecessors[v]}
+        if not redo:
+            self.priorities = game.priorities
+            return
+        regions, chosen = self.regions, self.chosen
+        for region in regions:
+            region.difference_update(redo)
+        for v in redo:
+            chosen[0].pop(v, None)
+            chosen[1].pop(v, None)
+        _decide(game, redo, regions, chosen)
+        self.settle(game)
+
+    def settle(self, game: ParityGame) -> None:
+        """Answer with copies: the ``solved`` memo keeps every answer."""
+        regions, chosen = self.regions, self.chosen
+        self.priorities = game.priorities
+        self.solution = Solution(
+            frozenset(regions[0]),
+            frozenset(regions[1]),
+            Strategy(Player.P0, chosen[0]),
+            Strategy(Player.P1, chosen[1]),
+        )
+
+    def check(self, game: ParityGame) -> None:
+        """Compare with a certified base case decided from scratch."""
+        fresh, kept = _base_case(game, True), self.solution
+        for v in game.vertices:
+            if (v in fresh.w0, v in fresh.w1) != (v in kept.w0, v in kept.w1) or any(
+                fresh.strategy(p).choices.get(v) != kept.strategy(p).choices.get(v)
+                for p in _PLAYERS
+            ):
+                raise CertificationError(
+                    f"incremental base case differs from a fresh one at vertex {v}"
+                )
+
+
 def _fixpoint(
     game: ParityGame, debug: bool, tower: list, history_out: list[FixpointState] | None
 ) -> Solution:
-    if game._mixed_loops:
-        v = game._mixed_loops[0]
-        raise GameError(
-            f"vertex {v} has a self-loop next to proper edges; normalize loops first"
-        )
-    # ``tower`` is [this depth's split, the tower below], one per public
-    # call.  Bumps change only the priorities of absorbing copies, so
-    # relevance, k and the split set are the same at every visit of a
-    # depth: its first split is re-based, not rebuilt.
+    # ``tower`` is [this depth's split or _Bottom, the tower below], one
+    # per public call.  Bumps change only the priorities of absorbing
+    # copies, so the edges, relevance, k and the split set are the same
+    # at every visit of a depth: its loops are checked once, its first
+    # split is re-based, not rebuilt, and a split-free depth re-decides
+    # only what the bump moved.
     if not tower:
-        tower += _split_rest(game), []
-    split = tower[0]
-    if split is not None and split.base is not game:
-        split = _rebased(split, game)
-    if split is None:
-        return _base_case(game, debug)
+        if game._mixed_loops:
+            v = game._mixed_loops[0]
+            raise GameError(
+                f"vertex {v} has a self-loop next to proper edges; normalize loops first"
+            )
+        split = _split_rest(game)
+        tower += _Bottom() if split is None else split, []
+    entry = tower[0]
+    if entry.__class__ is _Bottom:
+        return entry.solve(game, debug)
+    split = entry if entry.base is game else _rebased(entry, game)
     loser = _PLAYERS[1 - split.k % 2]
     history: list[FixpointState] = []
     solved: dict[tuple[int, ...], Solution] = {}

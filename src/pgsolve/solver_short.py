@@ -126,23 +126,25 @@ def _certified(
     raise CertificationError(message)
 
 
-def _base_case(
-    game: ParityGame, debug: bool, inside: Sequence[bool] | None = None
-) -> Solution:
-    """``base_case_solve`` on the subarena ``inside`` marks.
+def _decide(
+    game: ParityGame,
+    keep: Iterable[int],
+    regions: tuple[set[int], set[int]],
+    chosen: tuple[dict[int, int], dict[int, int]],
+    inside: Sequence[bool] | None = None,
+) -> None:
+    """Decide each vertex of ``keep`` into ``regions`` and ``chosen``.
 
-    ``inside`` holds one truth value per vertex; None marks every vertex.
-    The answer is in ``game``'s indices, with a choice wherever it
-    branches.  A vertex with one move inside the subarena (every
+    The base-case rule on the subarena ``inside`` marks (None marks
+    every vertex), with a choice wherever the vertex branches in
+    ``game``.  A vertex with one move inside the subarena (every
     absorbing vertex in it) goes to the player its target's priority
     favours.  Any other vertex goes to its owner, moving to the least
     target whose priority favours the owner, when there is one, and
-    else to the opponent.
+    else to the opponent.  A vertex's answer reads only its owner and
+    its targets' priorities.
     """
     owners, priorities, choices = game.owners, game.priorities, game._choices
-    keep = game.vertices if inside is None else [*compress(game.vertices, inside)]
-    regions = (set(), set())
-    chosen = ({}, {})
     for v in keep:
         targets = choices[v]
         if inside is not None:
@@ -161,6 +163,21 @@ def _base_case(
             chosen[owner][v] = min(good)
         else:
             regions[1 - owner].add(v)
+
+
+def _base_case(
+    game: ParityGame, debug: bool, inside: Sequence[bool] | None = None
+) -> Solution:
+    """``base_case_solve`` on the subarena ``inside`` marks.
+
+    ``inside`` holds one truth value per vertex; None marks every vertex.
+    Every kept vertex is decided by ``_decide``, in ``game``'s indices;
+    the fixpoint's split-free depths re-decide with the same rule.
+    """
+    keep = game.vertices if inside is None else [*compress(game.vertices, inside)]
+    regions = (set(), set())
+    chosen = ({}, {})
+    _decide(game, keep, regions, chosen, inside)
     solution = Solution(
         frozenset(regions[0]),
         frozenset(regions[1]),

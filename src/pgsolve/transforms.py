@@ -9,7 +9,7 @@ copies back is what both solvers are built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -105,11 +105,14 @@ def _rebased(split: SplitGame, game: ParityGame) -> SplitGame:
 
     Only priorities that leave ``k`` and the split set as they are may
     differ; the split arena takes them, copies in split order, and
-    keeps its edge tables.  Every other field carries over.
+    keeps its edge tables and owners.  Every other field carries over,
+    passed straight to the constructor.
     """
     order = (*split._kept, *split.copy_of.values())
     plus = split.plus._relabelled(priorities=tuple(map(game.priorities.__getitem__, order)))
-    return replace(split, base=game, plus=plus)
+    return SplitGame(
+        game, plus, split.k, split.split_set, split.copy_of, split.copy_for, split._kept
+    )
 
 
 def split_top(game: ParityGame, k: int) -> SplitGame:

@@ -5,7 +5,9 @@ that move's target alone, without listing the owner's good targets.
 The loop it replaced, kept here whole as the reference, listed them for
 every vertex.  Both must give the same regions and the same strategy
 entries, with a choice only where the vertex branches in the game: the
-solvers' output bytes depend on them.
+solvers' output bytes depend on them.  So must every answer a
+split-free fixpoint depth returns, most of them re-decided only where a
+bump moved a priority.
 """
 
 from itertools import compress
@@ -14,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsolve import ParityGame, Player, solve_constructive, solve_short
-from pgsolve import solver_constructive, solver_short
+from pgsolve import solver_short
 from pgsolve.game import relevant_priorities
+from pgsolve.solver_constructive import _Bottom
 from pgsolve.solver_short import _base_case
 from games import cycle, ladder_game, random_corpus
 
@@ -41,13 +44,16 @@ def reference_base_case(game: ParityGame, keep):
     return regions, chosen
 
 
-def assert_matches_reference(game: ParityGame, inside):
-    solution = _base_case(game, False, inside)
-    keep = game.vertices if inside is None else list(compress(game.vertices, inside))
+def assert_answer_matches_reference(game: ParityGame, keep, answer):
     regions, chosen = reference_base_case(game, keep)
     for player in (Player.P0, Player.P1):
-        assert solution.region(player) == regions[player]
-        assert solution.strategy(player).choices == chosen[player]
+        assert answer.region(player) == regions[player]
+        assert answer.strategy(player).choices == chosen[player]
+
+
+def assert_matches_reference(game: ParityGame, inside):
+    keep = game.vertices if inside is None else list(compress(game.vertices, inside))
+    assert_answer_matches_reference(game, keep, _base_case(game, False, inside))
 
 
 @st.composite
@@ -80,7 +86,7 @@ def test_base_case_matches_reference_without_relevant_vertices(game):
 
 
 def reached_base_cases(monkeypatch):
-    """Every (game, inside) the two solvers hand to the base case; the
+    """Every (game, inside) ``solve_short`` hands to the base case; the
     solve goes on to change its undecided mask, so a copy is kept."""
     reached = []
 
@@ -89,9 +95,30 @@ def reached_base_cases(monkeypatch):
         return _base_case(game, debug, inside)
 
     monkeypatch.setattr(solver_short, "_base_case", recording)
-    monkeypatch.setattr(solver_constructive, "_base_case", recording)
     for game in random_corpus(300, 8):
         solve_short(game)
+    monkeypatch.undo()
+    return reached
+
+
+def reached_bottoms(monkeypatch):
+    """Every (game, answer, re-decided) a split-free fixpoint depth
+    returns, re-decided when the visit went through ``redecide``."""
+    reached, redecided = [], []
+    solve, redecide = _Bottom.solve, _Bottom.redecide
+
+    def redeciding(self, game):
+        redecided.append(game)
+        return redecide(self, game)
+
+    def recording(self, game, debug):
+        before = len(redecided)
+        answer = solve(self, game, debug)
+        reached.append((game, answer, len(redecided) > before))
+        return answer
+
+    monkeypatch.setattr(_Bottom, "redecide", redeciding)
+    monkeypatch.setattr(_Bottom, "solve", recording)
     for game in (*random_corpus(60, 8), cycle(8), ladder_game(6)):
         solve_constructive(game)
     monkeypatch.undo()
@@ -104,3 +131,30 @@ def test_base_case_matches_reference_where_the_solvers_reach_it(monkeypatch):
     assert len(masked) > 100 and len(reached) - len(masked) > 100
     for game, inside in reached:
         assert_matches_reference(game, inside)
+
+
+def test_every_bottom_answer_matches_reference(monkeypatch):
+    reached = reached_bottoms(monkeypatch)
+    assert sum(redecided for _, _, redecided in reached) > 100
+    for game, answer, _ in reached:
+        assert_answer_matches_reference(game, game.vertices, answer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_games(), st.data())
+def test_incremental_bottom_matches_a_fresh_base_case(game, data):
+    # Bumps move only the priorities of absorbing vertices, and every
+    # arena a depth sees is a relabelling of the one before.
+    absorbing = [v for v in game.vertices if game._choices[v] == (v,)]
+    bottom, arena = _Bottom(), game
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        answer = bottom.solve(arena, False)
+        fresh = _base_case(arena, False)
+        assert bottom.edges is game._edges
+        assert answer.w0 == fresh.w0 and answer.w1 == fresh.w1
+        assert answer.sigma.choices == fresh.sigma.choices
+        assert answer.tau.choices == fresh.tau.choices
+        priorities = list(arena.priorities)
+        for v in data.draw(st.lists(st.sampled_from(absorbing), max_size=3), label="moved"):
+            priorities[v] = data.draw(st.integers(0, 6), label="priority")
+        arena = arena._relabelled(priorities=tuple(priorities))

@@ -1,6 +1,7 @@
 import pytest
 
 from pgsolve import (
+    CertificationError,
     FixpointState,
     GameError,
     ParityGame,
@@ -15,6 +16,7 @@ from pgsolve import (
 from pgsolve import solver_constructive
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import (
+    _Bottom,
     bump_priorities,
     compose_tau,
     fixpoint_solve,
@@ -190,6 +192,29 @@ def test_constructive_matches_oracle_with_debug_checks():
         reference = brute_force_solve(game)
         assert (solved.w0, solved.w1) == (reference.w0, reference.w1)
         assert check_solution(game, solved) is None
+
+
+def test_debug_mode_names_a_wrongly_redecided_vertex(monkeypatch):
+    # In debug mode a fresh, certified base case checks every answer of
+    # a split-free depth, so one vertex flipped by the incremental path
+    # is named.
+    redecide, flipped = _Bottom.redecide, []
+
+    def flipping(self, game):
+        redecide(self, game)
+        if not flipped:
+            v = max(game.vertices)
+            winner = int(v in self.regions[1])
+            self.regions[winner].discard(v)
+            self.regions[1 - winner].add(v)
+            self.chosen[winner].pop(v, None)
+            self.settle(game)
+            flipped.append(v)
+
+    monkeypatch.setattr(_Bottom, "redecide", flipping)
+    with pytest.raises(CertificationError, match="incremental base case") as caught:
+        solve_constructive(cycle(8), debug=True)
+    assert str(caught.value).endswith(f"at vertex {flipped[0]}")
 
 
 def test_constructive_matches_short_on_larger_games():
