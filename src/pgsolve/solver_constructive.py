@@ -43,10 +43,10 @@ from .game import (
 )
 from .solver_short import (
     CertificationError,
-    _base_case,
     _certified,
     _decide,
     _require_solution,
+    base_case_solve,
 )
 from .transforms import (
     SplitGame,
@@ -135,6 +135,11 @@ def bump_priorities(split: SplitGame, x: Iterable[int]) -> tuple[int, ...]:
     if x and not 0 <= min(x) <= max(x) < n:
         v = min(v for v in x if not 0 <= v < n)
         raise GameError(f"vertex {v} out of range 0..{n - 1}")
+    return _bumped(split, x)
+
+
+def _bumped(split: SplitGame, x: frozenset[int]) -> tuple[int, ...]:
+    """``bump_priorities`` unchecked: ``x`` is a round's region, in range."""
     priorities = list(split.plus.priorities)
     for v in split.split_set & x:
         priorities[split.copy_for[v]] = split.k + 1
@@ -163,7 +168,7 @@ def compose_tau(
 
 def _check_round(
     split: SplitGame,
-    arena: ParityGame,
+    arena: ParityGame | None,
     history: Sequence[FixpointState],
     state: FixpointState,
     thorough: bool,
@@ -176,7 +181,7 @@ def _check_round(
     the region, to name the vertex that drifted.  Each round is compared
     with the previous one only; by transitivity the chain covers every
     earlier round.  When ``thorough`` (debug mode): the round strategy
-    wins its whole region in the bumped game for ``state.tau.player``,
+    wins its whole region in ``arena``, the bumped game, for its player,
     and merged back it wins the region's originals in the base game.
     """
 
@@ -268,7 +273,7 @@ class _Bottom:
 
     def check(self, game: ParityGame) -> None:
         """Compare with a certified base case decided from scratch."""
-        fresh, kept = _base_case(game, True), self.solution
+        fresh, kept = base_case_solve(game), self.solution
         for v in game.vertices:
             if (v in fresh.w0, v in fresh.w1) != (v in kept.w0, v in kept.w1) or any(
                 fresh.strategy(p).choices.get(v) != kept.strategy(p).choices.get(v)
@@ -308,9 +313,9 @@ def _fixpoint(
         alpha = len(history)
         if alpha > split.plus.n + 1:
             raise CertificationError("fixpoint failed to converge in |V+|+1 rounds")
-        pi = bump_priorities(split, x)
-        arena = split.plus._relabelled(priorities=pi)
+        pi = _bumped(split, x)
         inner = solved.get(pi)
+        arena = split.plus._relabelled(priorities=pi) if inner is None or debug else None
         if inner is None:
             inner = solved[pi] = _fixpoint(arena, debug, tower[1], None)
             if debug:

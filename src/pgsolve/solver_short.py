@@ -6,23 +6,21 @@ strictly fewer relevant priorities.  Either the favoured player wins
 the whole split game and the merged strategy wins everywhere, or the
 opponent's split-game region, merged back, is a winning core for the
 opponent.  The step is the same for both parities; no priority is
-shifted.  The main loop grows one closure state, both regions and
-choice maps, for the whole call: it adds each core, closes off from the
-core's vertices alone, and recurses on the undecided rest.
+shifted.  Each level grows one closure state, both regions and choice
+maps: it adds each core, closes off from the core's vertices alone, and
+recurses on the undecided rest.
 
-A step never builds the subarena of the undecided vertices.  Its
-relevant vertices and its base case are read off the game, with the
-closure state's own undecided list as the mask, never a copy of it; its
-split game, the one arena a step builds, comes straight from the game,
-and the core maps back through one map.
+A call builds no arena.  It copies its game's tables once into a stack;
+a step appends the copies of its split set, solves the split subarena
+and takes them off again.  Every level works in the game's indices, on
+the subarena its closure state's undecided list marks.
 
 ``solve_short`` certifies the partition it returns with one
 ``check_solution``; that single check is a complete proof, so the
-recursion below it does not re-verify.  With ``debug=True`` every
-intermediate result is certified as well (base cases and cores on the
-undecided subarena, built for that alone, fused pairs and nested
-solutions), which points at the first step that went wrong.  A failed
-check means a bug, not a losing position, and raises
+recursion below it does not re-verify.  With ``debug=True`` every base
+case, core and fused pair is certified as well, on an arena built from
+the stack for that alone, which points at the first step that went
+wrong.  A failed check means a bug, not a losing position, and raises
 CertificationError.
 """
 
@@ -40,15 +38,10 @@ from .game import (
     Strategy,
     StrategyError,
     _PLAYERS,
+    _relevant_vertices,
     relevant_priorities,
 )
-from .transforms import (
-    SplitGame,
-    _Closure,
-    _merged,
-    _split_rest,
-    restrict,
-)
+from .transforms import _Closure, _Stack, restrict
 from .verification import check_solution, verify_strategy
 
 
@@ -165,49 +158,26 @@ def _decide(
             regions[1 - owner].add(v)
 
 
-def _base_case(
-    game: ParityGame, debug: bool, inside: Sequence[bool] | None = None
-) -> Solution:
-    """``base_case_solve`` on the subarena ``inside`` marks.
-
-    ``inside`` holds one truth value per vertex; None marks every vertex.
-    Every kept vertex is decided by ``_decide``, in ``game``'s indices;
-    the fixpoint's split-free depths re-decide with the same rule.
-    """
-    keep = game.vertices if inside is None else [*compress(game.vertices, inside)]
-    regions = (set(), set())
-    chosen = ({}, {})
-    _decide(game, keep, regions, chosen, inside)
-    solution = Solution(
-        frozenset(regions[0]),
-        frozenset(regions[1]),
-        Strategy(Player.P0, chosen[0]),
-        Strategy(Player.P1, chosen[1]),
-    )
-    if debug:
-        for player in (Player.P0, Player.P1):
-            _require_winning(
-                game,
-                player,
-                solution.strategy(player),
-                solution.region(player),
-                "base case failed its own check",
-                keep,
-            )
-    return solution
-
-
 def base_case_solve(game: ParityGame) -> Solution:
     """Solve a game with no relevant vertex by backward induction.
 
     Absorbing vertices go to the player of their parity.  A vanishing
     vertex only sees absorbing successors, so its owner wins iff some
-    successor has the owner's parity, taking the least-index one.  Both
-    strategies are certified before the solution is returned.
+    successor has the owner's parity, taking the least-index one.  Each
+    vertex is decided by ``_decide``, the rule of ``solve_short``'s base
+    cases and the fixpoint's split-free depths.  Both strategies are
+    certified before the solution is returned.
     """
     if relevant_priorities(game):
         raise GameError("base case called with relevant vertices present")
-    return _base_case(game, True)
+    regions, chosen = (set(), set()), ({}, {})
+    _decide(game, game.vertices, regions, chosen)
+    strategies = [Strategy(player, chosen[player]) for player in _PLAYERS]
+    for player in _PLAYERS:
+        _require_winning(
+            game, player, strategies[player], regions[player], "base case failed its own check"
+        )
+    return Solution(*regions, *strategies)
 
 
 def combine_strategies(
@@ -247,41 +217,44 @@ def combine_strategies(
     return fused, frozenset(union)
 
 
-def _nonempty_step(split: SplitGame, debug: bool) -> WinningCore:
-    """The core of the split subarena, in ``split.base`` indices.
+def _unsplit(choices: dict[int, int], n: int, split: Sequence[int]) -> dict[int, int]:
+    """``choices`` less the copies from ``n`` on, a move to a copy made one to its original."""
+    return {v: u if u < n else split[u - n] for v, u in choices.items() if v < n}
 
-    A move the subarena forces where ``split.base`` branches is named.
+
+def _core(
+    stack: _Stack, state: _Closure, relevant: list[int], debug: bool
+) -> tuple[Player, set[int], dict[int, int]]:
+    """One winning core of the subarena ``state.undecided`` marks.
+
+    ``relevant`` lists its relevant vertices; less the split set, they
+    are the split subarena's.  ``state`` is closed: ``outside`` counts
+    each undecided vertex's moves inside the subarena, as in the split
+    subarena, whose state starts from copies of it.
     """
-    game, kept, k = split.base, split._kept, split.k
+    priorities = stack.priorities
+    k = max(map(priorities.__getitem__, relevant))
+    split = [v for v in relevant if priorities[v] == k]
+    n, added = stack.n, len(split)
+    with stack.split(split, k):
+        inner = _Closure(stack, state.undecided + [True] * added, state.outside + [1] * added)
+        _solve_short(stack, inner, [v for v in relevant if priorities[v] != k], debug)
     favoured = _PLAYERS[k % 2]
-    inner = _solve_short(split.plus, debug)
-    if debug:
-        _require_solution(split.plus, inner, "split-game solution")
     player = favoured.opponent
-    domain = inner.region(player)
-    if not domain:
-        player, domain = favoured, range(split.plus.n - len(split.copy_of))
-    elif not domain.isdisjoint(split.copy_of):
+    region = inner.regions[player]
+    if not region:
+        player, region = favoured, inner.regions[favoured].difference(range(n, n + added))
+    elif max(region) >= n:
         raise CertificationError(
             f"a copy of the top priority {k} ended up in the {player.name} region"
         )
-    choices = dict(inner.strategy(player).choices)
-    forced = split.plus._choices
-    for v in domain:
-        original = kept[v]
-        if game.owners[original] is player and len(forced[v]) == 1:
-            if len(game._choices[original]) > 1:
-                choices.setdefault(v, forced[v][0])
-    core = WinningCore(
-        player,
-        frozenset(map(kept.__getitem__, domain)),
-        _merged(split, Strategy(player, choices)),
-    )
+    choices = _unsplit(inner.chosen[player], n, split)
     if debug:
         _require_winning(
-            game, player, core.strategy, core.region, "core failed verification", kept
+            stack.snapshot(), player, Strategy(player, choices), region,
+            "core failed verification", [*compress(stack.vertices, state.undecided)],
         )
-    return core
+    return player, region, choices
 
 
 def nonempty_step(game: ParityGame) -> WinningCore:
@@ -294,51 +267,70 @@ def nonempty_step(game: ParityGame) -> WinningCore:
     it is a core for the opponent.  The core, and every result it is
     built from, is certified before it is returned.
     """
-    split = _split_rest(game)
-    if split is None:
+    relevant = _relevant_vertices(game)
+    if not relevant:
         raise GameError("nonempty_step needs at least one relevant vertex")
-    return _nonempty_step(split, debug=True)
+    stack = _Stack(game)
+    player, region, choices = _core(stack, _Closure(stack), relevant, True)
+    return WinningCore(player, frozenset(region), Strategy(player, choices))
 
 
-def _solve_short(game: ParityGame, debug: bool) -> Solution:
-    """Grow one closure state, its regions and choice maps, core by core.
-
-    A core is disjoint from the earlier regions, but its adversary may
-    escape into them, so debug mode verifies each fused pair on the game.
+def _solve_short(
+    stack: _Stack, state: _Closure, relevant: list[int] | None, debug: bool
+) -> None:
+    """Solve the subarena ``state.undecided`` marks, whose relevant
+    vertices ``relevant`` lists when known, into ``state``.  A core's
+    adversary may escape into earlier regions, so debug mode verifies
+    each fused pair on the subarena.
     """
-    state = _Closure(game)
-    regions, chosen, undecided = state.regions, state.chosen, state.undecided
+    undecided = state.undecided
+    whole = [*compress(stack.vertices, undecided)] if debug else None
     while any(undecided):
-        split = _split_rest(game, undecided)
-        if split is None:
-            base = _base_case(game, debug, undecided)
-            cores = [WinningCore(p, base.region(p), base.strategy(p)) for p in _PLAYERS]
+        if relevant is None:
+            relevant = _relevant_vertices(stack, undecided)
+        if relevant:
+            cores = [_core(stack, state, relevant, debug)]
         else:
-            cores = [_nonempty_step(split, debug)]
-        for core in cores:
-            player = core.player
-            state.add(player, core.region, core.strategy.choices)
-            if debug:
-                fused = Strategy(player, chosen[player])
+            keep = [*compress(stack.vertices, undecided)]
+            regions, chosen = (set(), set()), ({}, {})
+            _decide(stack, keep, regions, chosen, undecided)
+            cores = [(p, regions[p], chosen[p]) for p in _PLAYERS]
+            for player, region, choices in cores if debug else ():
                 _require_winning(
-                    game, player, fused, regions[player], "fused strategy is not winning"
+                    stack.snapshot(), player, Strategy(player, choices), region,
+                    "base case failed its own check", keep,
                 )
-        if split is None:
-            break
+        for player, region, choices in cores:
+            state.add(player, region, choices)
+            if debug:
+                _require_winning(
+                    stack.snapshot(), player, Strategy(player, state.chosen[player]),
+                    state.regions[player], "fused strategy is not winning", whole,
+                )
+        if not relevant:
+            return
         state.close()
-    return Solution(*regions, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1]))
+        relevant = None
+
+
+def _solve(game: ParityGame, debug: bool) -> Solution:
+    stack = _Stack(game)
+    state = _Closure(stack)
+    _solve_short(stack, state, None, debug)
+    (w0, w1), (sigma, tau) = state.regions, state.chosen
+    return Solution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
 
 
 def solve_short(game: ParityGame, *, debug: bool = False) -> Solution:
     """Solve a game by repeated winning cores and closure.
 
-    Each round takes the subarena of the undecided vertices (a legal
-    subgame by the closure guarantees), splits it straight from the
-    game, extracts one core in the game's vertices, fuses it with the
-    matching accumulated pair and closes off from the core alone: over
-    the call every vertex joins once and every edge counts down once.
-    The base case finishes the last residual.  The final partition is
-    certified once before being returned; ``debug=True`` also certifies
-    every intermediate result, and a failed check raises CertificationError.
+    Each round splits the subarena of the undecided vertices (a legal
+    subgame by the closure guarantees) in place on one stack of the
+    game's tables, extracts one core in the game's vertices, fuses it
+    with the matching accumulated pair and closes off from the core
+    alone.  The base case finishes the last residual.  The final
+    partition is certified once before being returned; ``debug=True``
+    also certifies every intermediate result, and a failed check raises
+    CertificationError.
     """
-    return _certified(game, _solve_short, debug, "final solution")
+    return _certified(game, _solve, debug, "final solution")

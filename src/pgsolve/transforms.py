@@ -9,10 +9,10 @@ copies back is what both solvers are built on.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .game import (
     GameError,
@@ -30,10 +30,8 @@ from .game import (
 class SplitGame:
     """A game, its split version, and the correspondence between them.
 
-    Plus vertex i is base vertex ``_kept[i]`` up to the copies, which
-    follow in ascending order of their originals: a plus vertex maps
-    back through ``_kept`` or, for a copy, ``copy_of``.  ``split_set``,
-    ``copy_of`` and ``copy_for`` name originals by their ``base`` index.
+    Plus vertex i is base vertex i up to the copies, which follow in
+    ascending order of their originals: ``copy_of`` maps them back.
     """
 
     base: ParityGame
@@ -42,7 +40,6 @@ class SplitGame:
     split_set: frozenset[int]
     copy_of: Mapping[int, int]  # copy index -> original index
     copy_for: Mapping[int, int]  # original index -> copy index
-    _kept: Sequence[int]  # plus index -> base index, for the non-copies
 
 
 def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> ParityGame:
@@ -75,29 +72,24 @@ def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> Par
     )
 
 
-def _split_rest(
-    game: ParityGame, inside: Sequence[bool] | None = None, k: int | None = None
-) -> SplitGame | None:
-    """``split_top`` of the subarena ``inside`` marks, or None.
+def _split_rest(game: ParityGame, k: int | None = None) -> SplitGame | None:
+    """``split_top`` of ``game``, or None.
 
-    ``inside`` holds one truth value per vertex of ``game``; None marks
-    every vertex.  k defaults to the subarena's top relevant priority.
-    Only the split game is built, by ``_induced``, from the kept
-    vertices in ascending order, and nothing is stored on ``game``.
+    k defaults to the top relevant priority.  Only the split game is
+    built, by ``_induced``, and nothing is stored on ``game``.
     """
     priorities = game.priorities
-    relevant = _relevant_vertices(game, inside)
+    relevant = _relevant_vertices(game)
     if k is None and relevant:
         k = max(priorities[v] for v in relevant)
     split = tuple(v for v in relevant if priorities[v] == k)
     if not split:
         return None
-    keep = game.vertices if inside is None else [*compress(game.vertices, inside)]
-    m = len(keep)
-    copy_for = dict(zip(split, range(m, m + len(split))))
+    n = game.n
+    copy_for = dict(zip(split, range(n, n + len(split))))
     copy_of = dict(zip(copy_for.values(), split))
-    plus = _induced(game, keep, split)
-    return SplitGame(game, plus, k, frozenset(split), copy_of, copy_for, keep)
+    plus = _induced(game, game.vertices, split)
+    return SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
 
 
 def _rebased(split: SplitGame, game: ParityGame) -> SplitGame:
@@ -108,11 +100,9 @@ def _rebased(split: SplitGame, game: ParityGame) -> SplitGame:
     keeps its edge tables and owners.  Every other field carries over,
     passed straight to the constructor.
     """
-    order = (*split._kept, *split.copy_of.values())
-    plus = split.plus._relabelled(priorities=tuple(map(game.priorities.__getitem__, order)))
-    return SplitGame(
-        game, plus, split.k, split.split_set, split.copy_of, split.copy_for, split._kept
-    )
+    copies = map(game.priorities.__getitem__, split.copy_of.values())
+    plus = split.plus._relabelled(priorities=(*game.priorities, *copies))
+    return SplitGame(game, plus, split.k, split.split_set, split.copy_of, split.copy_for)
 
 
 def split_top(game: ParityGame, k: int) -> SplitGame:
@@ -143,9 +133,8 @@ def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
 
 def _merged(split: SplitGame, strategy: Strategy) -> Strategy:
     """``merge_strategy`` unvalidated: solver results are certified once."""
-    base_of = (*split._kept, *split.copy_of.values())  # the merge map as a table
-    originals = len(split._kept)
-    choices = {base_of[v]: base_of[u] for v, u in strategy.choices.items() if v < originals}
+    n, copy_of = split.base.n, split.copy_of
+    choices = {v: copy_of.get(u, u) for v, u in strategy.choices.items() if v < n}
     return Strategy(strategy.player, choices)
 
 
@@ -274,20 +263,21 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
 
 
 class _Closure:
-    """Both players' regions and choices, as one ``solve_short`` call grows them.
+    """Both players' regions and choices, as one ``solve_short`` level grows them.
 
     Between closes no undecided vertex moves into its owner's region and
     each has a move ``outside`` the opponent's, so a close starts from the
     vertices added since: each vertex joins once, each edge counts down once.
+    ``game`` is a ParityGame or a _Stack; lists given start from a close.
     """
 
-    def __init__(self, game: ParityGame):
+    def __init__(self, game, undecided: list | None = None, outside: list | None = None):
         self.game = game
         self.regions: tuple[set[int], set[int]] = (set(), set())
         self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self.undecided = [True] * game.n
+        self.undecided = [True] * game.n if undecided is None else undecided
         self.queued = [False] * game.n  # eligible for rule (a), in some queue
-        self.outside = list(map(len, game._choices))
+        self.outside = list(map(len, game._choices)) if outside is None else outside
         self.added: list[tuple[int, Iterable[int]]] = []  # not walked yet
 
     def add(self, player: int, region: Iterable[int], choices: Mapping[int, int]) -> None:
@@ -349,3 +339,56 @@ class _Closure:
             while heap:
                 v = heappop(heap)
                 join(v, 1 - owners[v], None, heap)
+
+
+class _Stack:
+    """A game's tables as lists, which read like a ParityGame's.
+
+    ``split`` appends the absorbing copies of a split set in ascending
+    order of their originals and moves the set's in-edges onto them, so
+    vertices keep their indices and their order, and a vertex branches
+    exactly where it branches in the game.  Its block ends with every
+    table as it was.
+    """
+
+    def __init__(self, game: ParityGame):
+        self.owners = list(game.owners)
+        self.priorities = list(game.priorities)
+        self._choices = list(game._choices)
+        self._predecessors = list(game._predecessors)
+
+    @property
+    def n(self) -> int:
+        return len(self.owners)
+
+    @property
+    def vertices(self) -> range:
+        return range(len(self.owners))
+
+    @contextmanager
+    def split(self, split: Sequence[int], k: int) -> Iterator[None]:
+        """Within the block, each vertex of ``split`` (ascending) has its copy."""
+        owners, choices, predecessors = self.owners, self._choices, self._predecessors
+        n = len(owners)
+        copy_for = dict(zip(split, range(n, n + len(split))))
+        moved = {w for v in split for w in predecessors[v]}
+        log = [(choices, w, choices[w]) for w in moved]
+        log += [(predecessors, v, predecessors[v]) for v in split]
+        for w in moved:
+            choices[w] = tuple(map(copy_for.get, choices[w], choices[w]))
+        owners.extend(map(owners.__getitem__, split))
+        self.priorities.extend([k] * len(split))
+        choices.extend((c,) for c in copy_for.values())
+        predecessors.extend(predecessors[v] + (c,) for v, c in copy_for.items())
+        for v in split:
+            predecessors[v] = ()
+        yield  # no undo on an exception: it ends the call, stack and all
+        for table in (owners, self.priorities, choices, predecessors):
+            del table[n:]
+        for table, i, before in log:
+            table[i] = before
+
+    def snapshot(self) -> ParityGame:
+        """The stack as an arena, choices for successors: for debug checks."""
+        owners, priorities, choices = map(tuple, (self.owners, self.priorities, self._choices))
+        return _arena(owners, priorities, choices, (None,) * len(choices))

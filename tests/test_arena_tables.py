@@ -190,8 +190,8 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
     arenas: list[ParityGame] = []
     real_split, real_fixpoint = _split_rest, solver_constructive._fixpoint
 
-    def recording_split(game, inside=None, k=None):
-        split = real_split(game, inside, k)
+    def recording_split(game, k=None):
+        split = real_split(game, k)
         if split is not None:
             splits.append(split)
         return split

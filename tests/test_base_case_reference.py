@@ -1,25 +1,24 @@
 """The base case against the general per-vertex loop it replaced.
 
-``_base_case`` decides a vertex with one move inside the kept set by
-that move's target alone, without listing the owner's good targets.
-The loop it replaced, kept here whole as the reference, listed them for
-every vertex.  Both must give the same regions and the same strategy
+``_decide``, the rule of ``base_case_solve`` and of every base case
+``solve_short`` reaches on its stack, decides a vertex with one move
+inside the kept set by that move's target alone, without listing the
+owner's good targets.  The loop it replaced, kept here whole as the
+reference, listed them for every vertex.  Both must give the same regions and the same strategy
 entries, with a choice only where the vertex branches in the game: the
 solvers' output bytes depend on them.  So must every answer a
 split-free fixpoint depth returns, most of them re-decided only where a
 bump moved a priority.
 """
 
-from itertools import compress
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsolve import ParityGame, Player, solve_constructive, solve_short
+from pgsolve import ParityGame, Player, Solution, Strategy, solve_constructive, solve_short
 from pgsolve import solver_short
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import _Bottom
-from pgsolve.solver_short import _base_case
+from pgsolve.solver_short import base_case_solve
 from games import cycle, ladder_game, random_corpus
 
 
@@ -51,9 +50,8 @@ def assert_answer_matches_reference(game: ParityGame, keep, answer):
         assert answer.strategy(player).choices == chosen[player]
 
 
-def assert_matches_reference(game: ParityGame, inside):
-    keep = game.vertices if inside is None else list(compress(game.vertices, inside))
-    assert_answer_matches_reference(game, keep, _base_case(game, False, inside))
+def assert_matches_reference(game: ParityGame):
+    assert_answer_matches_reference(game, game.vertices, base_case_solve(game))
 
 
 @st.composite
@@ -82,19 +80,21 @@ def base_games(draw, max_n=8, max_priority=5):
 @given(base_games())
 def test_base_case_matches_reference_without_relevant_vertices(game):
     assert not relevant_priorities(game)
-    assert_matches_reference(game, None)
+    assert_matches_reference(game)
 
 
 def reached_base_cases(monkeypatch):
-    """Every (game, inside) ``solve_short`` hands to the base case; the
-    solve goes on to change its undecided mask, so a copy is kept."""
+    """Every base case ``solve_short`` decides: its stack as an arena,
+    the undecided vertices and the answer."""
     reached = []
+    decide = solver_short._decide
 
-    def recording(game, debug, inside=None):
-        reached.append((game, None if inside is None else list(inside)))
-        return _base_case(game, debug, inside)
+    def recording(stack, keep, regions, chosen, inside):
+        decide(stack, keep, regions, chosen, inside)
+        answer = Solution(*regions, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1]))
+        reached.append((stack.snapshot(), keep, answer))
 
-    monkeypatch.setattr(solver_short, "_base_case", recording)
+    monkeypatch.setattr(solver_short, "_decide", recording)
     for game in random_corpus(300, 8):
         solve_short(game)
     monkeypatch.undo()
@@ -127,10 +127,10 @@ def reached_bottoms(monkeypatch):
 
 def test_base_case_matches_reference_where_the_solvers_reach_it(monkeypatch):
     reached = reached_base_cases(monkeypatch)
-    masked = [inside for game, inside in reached if inside is not None and not all(inside)]
+    masked = [keep for game, keep, _ in reached if len(keep) < game.n]
     assert len(masked) > 100 and len(reached) - len(masked) > 100
-    for game, inside in reached:
-        assert_matches_reference(game, inside)
+    for game, keep, answer in reached:
+        assert_answer_matches_reference(game, keep, answer)
 
 
 def test_every_bottom_answer_matches_reference(monkeypatch):
@@ -149,7 +149,7 @@ def test_incremental_bottom_matches_a_fresh_base_case(game, data):
     bottom, arena = _Bottom(), game
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
         answer = bottom.solve(arena, False)
-        fresh = _base_case(arena, False)
+        fresh = base_case_solve(arena)
         assert bottom.edges is game._edges
         assert answer.w0 == fresh.w0 and answer.w1 == fresh.w1
         assert answer.sigma.choices == fresh.sigma.choices

@@ -70,34 +70,54 @@ def test_default_mode_certifies_exactly_once(solve, monkeypatch):
         assert calls["verify_strategy"] > 2
 
 
+UNSPLIT = solver_short._unsplit
+
+
+def without_least(choices):
+    """``choices`` less its least-index entry, the one bug both corruptions add."""
+    if choices:
+        del choices[min(choices)]
+    return choices
+
+
 def drop_first_choice(split, strategy):
-    """The solvers' merge with one bug: the least-index choice goes missing."""
+    """The fixpoint's merge with one bug: the least-index choice goes missing."""
     merged = merge_strategy(split, strategy)
-    if not merged.choices:
-        return merged
-    lost = min(merged.choices)
-    return Strategy(
-        merged.player, {v: u for v, u in merged.choices.items() if v != lost}
-    )
+    return Strategy(merged.player, without_least(dict(merged.choices)))
+
+
+def drop_first_unsplit(choices, n, split):
+    """The short solver's merge back from the stack, with the same bug."""
+    return without_least(UNSPLIT(choices, n, split))
 
 
 # Each game needs an explicit choice that the bug then drops.
 CORRUPTIBLE = (
-    (solve_short, solver_short, [(0, 0, (0, 1)), (1, 1, (0, 1))]),
+    (
+        solve_short,
+        solver_short,
+        "_unsplit",
+        drop_first_unsplit,
+        [(0, 0, (0, 1)), (1, 1, (0, 1))],
+    ),
     (
         solve_constructive,
         solver_constructive,
+        "_merged",
+        drop_first_choice,
         [(1, 1, (2, 0)), (1, 1, (2,)), (1, 0, (2, 0, 1))],
     ),
 )
 
 
 @pytest.mark.parametrize(
-    "solve, module, rows", CORRUPTIBLE, ids=["short", "constructive"]
+    "solve, module, name, corruption, rows", CORRUPTIBLE, ids=["short", "constructive"]
 )
-def test_corrupted_step_is_caught_and_localized(solve, module, rows, monkeypatch):
+def test_corrupted_step_is_caught_and_localized(
+    solve, module, name, corruption, rows, monkeypatch
+):
     game = ParityGame.from_vertices(rows)
-    monkeypatch.setattr(module, "_merged", drop_first_choice)
+    monkeypatch.setattr(module, name, corruption)
     with pytest.raises(CertificationError) as localized:
         solve(game, debug=True)
     with pytest.raises(CertificationError) as caught:
@@ -109,14 +129,14 @@ def test_corrupted_step_is_caught_and_localized(solve, module, rows, monkeypatch
 
 
 def test_exported_helpers_certify_their_output(monkeypatch):
-    (_, _, short_rows), (_, _, constructive_rows) = CORRUPTIBLE
+    (*_, short_rows), (*_, constructive_rows) = CORRUPTIBLE
     game = chain_game()
     wrong = Solution(
         frozenset(game.vertices), frozenset(), Strategy(0, {}), Strategy(1, {})
     )
     with pytest.raises(CertificationError, match="lifted solution"):
         lift_solution(preprocess(game), wrong)
-    monkeypatch.setattr(solver_short, "_merged", drop_first_choice)
+    monkeypatch.setattr(solver_short, "_unsplit", drop_first_unsplit)
     monkeypatch.setattr(solver_constructive, "_merged", drop_first_choice)
     with pytest.raises(CertificationError, match="core failed verification"):
         nonempty_step(ParityGame.from_vertices(short_rows))

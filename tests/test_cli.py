@@ -227,10 +227,10 @@ def test_solve_reports_certification_error(chain_file, capsys, monkeypatch):
 
 
 def test_solve_reports_a_real_inner_failure(tmp_path, capsys, monkeypatch):
-    def drop_choices(split, strategy):
-        return Strategy(strategy.player, {})
+    def drop_choices(choices, n, split):
+        return {}
 
-    monkeypatch.setattr(solver_short, "_merged", drop_choices)
+    monkeypatch.setattr(solver_short, "_unsplit", drop_choices)
     game = ParityGame.from_vertices([(0, 0, (0, 1)), (1, 1, (0, 1))])
     path = tmp_path / "core.pg"
     path.write_text(emit_game(game))

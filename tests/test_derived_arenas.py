@@ -1,7 +1,8 @@
 """Arenas derived from a valid arena are built once, unchecked.
 
 ``ParityGame(...)`` validates outside input.  Splits, restrictions,
-relabellings, loop normalizations and parsed text are built by
+relabellings, loop normalizations, the debug snapshots of a
+``solve_short`` stack and parsed text are built by
 ``game._arena`` without that check, each from tables its own code has
 already checked or taken from a valid arena.  Every such arena must
 equal the validated rebuild of its own tables, with the exact types
@@ -33,12 +34,12 @@ from pgsolve import (
     split_top,
 )
 from pgsolve import solver_constructive
-from pgsolve.game import VertexClass, classify, relevant_priorities
+from pgsolve.game import VertexClass, _relevant_vertices, classify, relevant_priorities
 from pgsolve.solver_constructive import bump_priorities, preprocess
 from pgsolve.transforms import (
     RestrictionError,
+    _Stack,
     _rebased,
-    _split_rest,
     remove_unfair_win,
     remove_useless_self_loops,
 )
@@ -106,12 +107,13 @@ def derived(game: ParityGame):
             yield restrict(game, keep).game
     except RestrictionError:
         pass
-    try:
-        masked = _split_rest(game, [v % 3 > 0 for v in game.vertices])
-    except RestrictionError:
-        masked = None
-    if masked is not None:
-        yield masked.plus
+    relevant = _relevant_vertices(game)
+    if relevant:
+        stack = _Stack(game)
+        top = max(game.priorities[v] for v in relevant)
+        with stack.split([v for v in relevant if game.priorities[v] == top], top):
+            arena = stack.snapshot()
+        yield arena
     for k in sorted(relevant_priorities(game)):
         split = split_top(game, k)
         yield split.plus

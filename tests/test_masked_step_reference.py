@@ -1,16 +1,18 @@
-"""The masked core step of ``solve_short`` against the two-arena path it
+"""The stack core step of ``solve_short`` against the two-arena path it
 replaced.
 
-``solve_short`` splits the undecided rest of a game straight from the
-parent arena and the undecided vertex list.  The path it replaced first
-built the undecided subarena with a restriction, split and solved that,
-merged the split strategy back to the subarena and lifted the core to
-the parent, materializing every move forced in the subarena where the
-parent branches; the base case likewise ran on the subarena and was
-lifted.  That path is kept here, whole, as the reference.  On every
-undecided set the solve loop reaches, both must give the same split
-arena, the same player, the same region and the same strategy entries,
-because the solver's output bytes depend on the exact choices.
+``solve_short`` splits the undecided rest of a game in place, on one
+stack of the game's tables, and takes the split off again on return.
+The path before it first built the undecided subarena with a
+restriction, split and solved that, merged the split strategy back to
+the subarena and lifted the core to the parent, materializing every
+move forced in the subarena where the parent branches; the base case
+likewise ran on the subarena and was lifted.  That path is kept here,
+whole, as the reference.  On every undecided set the solve loop
+reaches, both must give the same player, the same region and the same
+strategy entries, because the solver's output bytes depend on the exact
+choices; and the stack's split subarena of any mask must equal the
+reference split of the subarena.
 """
 
 from itertools import compress
@@ -18,12 +20,12 @@ from itertools import compress
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgsolve import ParityGame, Player, Strategy, gen_random, solve_short
+from pgsolve import ParityGame, Player, Strategy, gen_random, restrict, solve_short
 from pgsolve import solver_short
 from pgsolve.game import VertexClass, _relevant_vertices, classify, relevant_priorities
-from pgsolve.solver_short import _base_case, _nonempty_step
-from pgsolve.transforms import RestrictionError, _split_rest
+from pgsolve.transforms import _Stack
 from games import cycle, random_corpus
+import reference_solve_short as reference
 from test_closure_reference import arenas
 
 
@@ -89,7 +91,7 @@ def reference_core(game, keep):
     sub, to_old = reference_restrict(game, keep)
     k = max(relevant_priorities(sub))
     plus, copy_of = reference_split_top(sub, k)
-    inner = solver_short._solve_short(plus, False)
+    inner = reference.reference_solve_short(plus)
     favoured = Player(k % 2)
     lost = inner.region(favoured.opponent)
     player = favoured.opponent if lost else favoured
@@ -103,7 +105,7 @@ def reference_core(game, keep):
         },
     )
     lifted = reference_lift(sub, to_old, game, merged, region)
-    return plus, player, frozenset(to_old[v] for v in region), lifted
+    return player, frozenset(to_old[v] for v in region), lifted
 
 
 def reference_base_case(game, keep):
@@ -135,57 +137,55 @@ def reference_base_case(game, keep):
     }
 
 
-def reached_rests(games, monkeypatch):
-    """Every (game, undecided mask) pair the solve loop splits or
-    finishes; the solve goes on to change its mask, so a copy is kept."""
-    reached = []
+def reached_steps(games, monkeypatch):
+    """Every core step and every base case the solve loop takes: its
+    stack as an arena, the undecided rest, and the answer."""
+    cores, bases = [], []
+    core, decide = solver_short._core, solver_short._decide
 
-    def recording(game, inside=None, k=None):
-        reached.append((game, list(inside)))
-        return _split_rest(game, inside, k)
+    def stepping(stack, state, relevant, debug):
+        game, rest = stack.snapshot(), [*compress(stack.vertices, state.undecided)]
+        answer = core(stack, state, relevant, debug)
+        cores.append((game, rest, answer))
+        return answer
 
-    monkeypatch.setattr(solver_short, "_split_rest", recording)
+    def deciding(stack, keep, regions, chosen, inside):
+        decide(stack, keep, regions, chosen, inside)
+        bases.append((stack.snapshot(), keep, (regions, chosen)))
+
+    monkeypatch.setattr(solver_short, "_core", stepping)
+    monkeypatch.setattr(solver_short, "_decide", deciding)
     for game in games:
         solve_short(game)
     monkeypatch.undo()
-    return reached
+    return cores, bases
 
 
 def assert_masked_step_matches_reference(games, monkeypatch):
-    reached = reached_rests(games, monkeypatch)
-    # Both paths solve the same split arenas, many of them again and
-    # again; the solver is deterministic, so each is solved once.
+    cores, bases = reached_steps(games, monkeypatch)
+    # The reference solves the same split arenas again and again; it is
+    # deterministic, so each is solved once.
     solved = {}
-    solve = solver_short._solve_short
+    solve = reference.reference_solve_short
 
-    def memoized(game, debug):
+    def memoized(game):
         if game not in solved:
-            solved[game] = solve(game, debug)
+            solved[game] = solve(game)
         return solved[game]
 
-    monkeypatch.setattr(solver_short, "_solve_short", memoized)
-    cores = bases = masked = 0
-    for game, inside in reached:
-        masked += not all(inside)
-        rest = list(compress(game.vertices, inside))
-        split = _split_rest(game, inside)
-        if split is None:
-            base = _base_case(game, False, inside)
-            for player, (region, strategy) in reference_base_case(game, rest).items():
-                assert base.region(player) == region
-                assert base.strategy(player).choices == strategy.choices
-            bases += 1
-            continue
-        plus, player, region, strategy = reference_core(game, rest)
-        assert split.plus == plus
-        core = _nonempty_step(split, False)
-        assert core.player is player
-        assert core.region == region
-        assert core.strategy.player is player
-        assert core.strategy.choices == strategy.choices
-        cores += 1
-    assert masked > len(reached) // 5
-    return cores, bases
+    monkeypatch.setattr(reference, "reference_solve_short", memoized)
+    for game, rest, (player, region, choices) in cores:
+        want_player, want_region, strategy = reference_core(game, rest)
+        assert player is want_player
+        assert region == want_region
+        assert choices == strategy.choices
+    for game, rest, (regions, chosen) in bases:
+        for player, (region, strategy) in reference_base_case(game, rest).items():
+            assert regions[player] == region
+            assert chosen[player] == strategy.choices
+    reached = [*cores, *bases]
+    assert sum(len(rest) < game.n for game, rest, _ in reached) > len(reached) // 5
+    return len(cores), len(bases)
 
 
 def test_masked_step_matches_reference_on_random_corpus(monkeypatch):
@@ -229,10 +229,24 @@ SELF_ONLY = ParityGame.from_vertices(
 )
 
 
+def split_on_stack(game: ParityGame, inside, k: int):
+    """The split set and the split subarena the stack makes of the mask
+    ``inside`` at priority k, checking that the stack's tables are the
+    game's again after the split."""
+    split = [v for v in _relevant_vertices(game, inside) if game.priorities[v] == k]
+    stack = _Stack(game)
+    with stack.split(split, k):
+        keep = [*compress(game.vertices, inside), *range(game.n, stack.n)]
+        sub = restrict(stack.snapshot(), keep)
+    assert (stack.owners, stack.priorities) == (list(game.owners), list(game.priorities))
+    assert (stack._choices, stack._predecessors) == (list(game._choices), list(game._predecessors))
+    return split, sub.game
+
+
 def test_relevance_where_a_vertex_sees_only_itself():
     assert _relevant_vertices(SELF_ONLY) == [0, 1, 2, 3]
     assert _relevant_vertices(SELF_ONLY, [True, True, True, False]) == [1, 2]
-    assert _split_rest(SELF_ONLY, [True, True, True, False]).split_set == {2}
+    assert split_on_stack(SELF_ONLY, [True, True, True, False], 2)[0] == [2]
 
 
 @settings(max_examples=400, deadline=None)
@@ -250,33 +264,15 @@ def test_relevance_and_split_match_the_subarena_on_any_mask(bundle):
     ]
     assert _relevant_vertices(game, [True] * game.n) == _relevant_vertices(game)
     keep = sorted(marked)
-    if not keep:
-        assert _split_rest(game, inside) is None
-        return
-    stuck = [v for v in keep if not set(game.successors[v]) & marked]
-    if stuck:
-        # Not a game: a split, when there is one, stops at the first
-        # marked vertex without a marked successor.
-        try:
-            split = _split_rest(game, inside)
-        except RestrictionError as exc:
-            assert exc.vertex == stuck[0]
-        else:
-            assert split is None
-        return
+    if not keep or any(not set(game.successors[v]) & marked for v in keep):
+        return  # not a game, so the solver never splits it
     sub, to_old = reference_restrict(game, keep)
     relevant = [v for v in sub.vertices if classify(sub, v) is VertexClass.RELEVANT]
     assert _relevant_vertices(game, inside) == [to_old[v] for v in relevant]
-    top = max(relevant_priorities(sub), default=None)
-    for k in (None, *sorted(set(sub.priorities))):
-        split = _split_rest(game, inside, k)
-        k = top if k is None else k
-        if k not in relevant_priorities(sub):
-            assert split is None
-            continue
+    for k in sorted(relevant_priorities(sub)):
+        split, arena = split_on_stack(game, inside, k)
         plus, copy_of = reference_split_top(sub, k)
-        assert split.k == k
-        assert split.plus == plus
-        assert list(split._kept) == keep
-        assert split.copy_of == {c: to_old[v] for c, v in copy_of.items()}
-        assert split.split_set == {to_old[v] for v in copy_of.values()}
+        assert split == [to_old[v] for v in copy_of.values()]
+        assert arena.owners == plus.owners
+        assert arena.priorities == plus.priorities
+        assert arena.successors == plus._choices

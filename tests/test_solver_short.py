@@ -7,6 +7,7 @@ from pgsolve import (
     Player,
     Strategy,
     brute_force_solve,
+    gen_random,
     check_solution,
     shift_and_swap,
     solve_short,
@@ -210,63 +211,90 @@ def test_solve_short_deep_cycle_within_default_recursion_limit():
     assert solved.w1 == frozenset(game.vertices)
 
 
-def test_solve_short_builds_one_arena_per_core_step(monkeypatch):
-    # a core step builds the split game of the undecided rest straight
-    # from the parent; the undecided subarena itself is never built
+def test_default_mode_builds_no_arena_and_calls_no_restrict(monkeypatch):
+    # a core step splits the undecided rest in place on the call's one
+    # stack; only debug mode builds arenas, to certify on
     games = [*random_corpus(200, 8), cycle(48)]
-    counts = {"arenas": 0, "steps": 0}
-    arena, step = game_module._arena, solver_short._nonempty_step
+    steps = []
+    core = solver_short._core
 
-    def counting_arena(*args):
-        counts["arenas"] += 1
-        return arena(*args)
+    def counting_core(*args):
+        steps.append(args)
+        return core(*args)
 
-    def counting_step(split, debug):
-        counts["steps"] += 1
-        return step(split, debug)
+    def forbidden(*args):
+        raise AssertionError("an arena was built in default mode")
 
-    def no_restrict(game, keep):
-        raise AssertionError("restrict called in default mode")
-
-    monkeypatch.setattr(game_module, "_arena", counting_arena)
-    monkeypatch.setattr(transforms, "_arena", counting_arena)
-    monkeypatch.setattr(solver_short, "_nonempty_step", counting_step)
-    monkeypatch.setattr(solver_short, "restrict", no_restrict)
-    monkeypatch.setattr(transforms, "restrict", no_restrict)
+    for module, name in (
+        (game_module, "_arena"),
+        (transforms, "_arena"),
+        (transforms, "_induced"),
+        (transforms, "restrict"),
+        (solver_short, "restrict"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(solver_short, "_core", counting_core)
     for game in games:
         solve_short(game)
-    assert counts["steps"] > 200
-    assert counts["arenas"] == counts["steps"]
+    assert len(steps) > 200
 
 
 def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
-    # The solve loop hands its closure state's undecided list itself to
-    # the split builder and the base case: no step copies the mask.
+    # Every level hands its closure state's undecided list itself to the
+    # relevance scan and the base case: no step copies the mask, and
+    # every level reads the one stack of its call.
     states, masks = [], []
-    closure, split_rest, base_case = (
+    closure, relevant, decide = (
         solver_short._Closure,
-        solver_short._split_rest,
-        solver_short._base_case,
+        solver_short._relevant_vertices,
+        solver_short._decide,
     )
 
-    def tracked(game):
-        states.append(closure(game))
+    def tracked(game, *args):
+        states.append(closure(game, *args))
         return states[-1]
 
-    def splitting(game, *args):
-        masks.append((game, args[0] if args else None))
-        return split_rest(game, *args)
+    def scanning(game, inside=None):
+        masks.append((game, inside))
+        return relevant(game, inside)
 
-    def finishing(game, debug, *args):
-        masks.append((game, args[0] if args else None))
-        return base_case(game, debug, *args)
+    def deciding(game, keep, regions, chosen, inside=None):
+        masks.append((game, inside))
+        return decide(game, keep, regions, chosen, inside)
 
     monkeypatch.setattr(solver_short, "_Closure", tracked)
-    monkeypatch.setattr(solver_short, "_split_rest", splitting)
-    monkeypatch.setattr(solver_short, "_base_case", finishing)
-    for game in [*random_corpus(40, 8), cycle(9)]:
+    monkeypatch.setattr(solver_short, "_relevant_vertices", scanning)
+    monkeypatch.setattr(solver_short, "_decide", deciding)
+    for game in [*random_corpus(60, 8), cycle(9)]:
         solve_short(game)
     solve_short(cycle(6), debug=True)
     assert len(masks) > 200
     for game, mask in masks:
         assert any(mask is state.undecided and game is state.game for state in states)
+    assert len({id(state.game) for state in states}) == 62
+
+
+def test_each_step_leaves_the_stack_as_it_found_it(monkeypatch):
+    core, steps = solver_short._core, []
+
+    def wrapped(stack, state, relevant, debug):
+        tables = (stack.owners, stack.priorities, stack._choices, stack._predecessors)
+        before = [list(table) for table in tables]
+        result = core(stack, state, relevant, debug)
+        assert [list(table) for table in tables] == before
+        steps.append(result)
+        return result
+
+    monkeypatch.setattr(solver_short, "_core", wrapped)
+    for game in [*random_corpus(100, 8), cycle(12), gen_random(60, 10, 3, 1)]:
+        solve_short(game)
+    assert len(steps) > 200
+
+
+def test_solve_short_leaves_the_games_tables_alone():
+    for game in [*random_corpus(60, 8), cycle(12)]:
+        choices, predecessors = game._choices, game._predecessors
+        copies = (list(choices), list(predecessors))
+        solve_short(game)
+        assert game._choices is choices and game._predecessors is predecessors
+        assert (list(choices), list(predecessors)) == copies

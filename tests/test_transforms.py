@@ -29,7 +29,7 @@ def test_split_chain_at_top():
     assert plus.owners == (Player.P0,) * 4
     assert plus.names == ("u", "v", "w", "v~")
     assert split.split_set == {1}
-    assert split.copy_of[3] == 1 and split._kept[0] == 0
+    assert split.copy_of == {3: 1} and split.copy_for == {1: 3}
 
 
 def test_split_classifies_copies_and_originals():
