@@ -16,13 +16,17 @@ at most the best bad top found so far is pruned.  Only a refuted claim
 runs one more SCC pass, on the vertices of priority at most the largest
 bad top p, to build the witness through a priority-p vertex.  The worst
 case stays O(d * (n + m)) for d distinct priorities, but a typical
-claim costs a constant number of passes.
+claim costs a constant number of passes.  Each call keeps the
+restricted graph as one list of edge tuples indexed by vertex, and its
+passes share one pair of Tarjan tables over all vertices, so a pass
+allocates no set or dict.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .game import (
@@ -52,74 +56,89 @@ class BadCycleWitness:
 
 def _reachable(
     game: ParityGame, player: Player, strategy: Strategy, region: list[int]
-) -> dict[int, tuple[int, ...]]:
-    """Restricted adjacency of everything reachable from the ascending region.
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Restricted adjacency, and the ascending vertices reached from the region.
 
-    The player's vertices keep only the chosen edge, adversary vertices
-    keep every edge.  Raises StrategyError at a reached branching player
-    vertex with no choice.  The strategy is validated, so a choice at a
-    forced vertex is its one successor.
+    The adjacency is indexed by vertex.  A reached vertex of the player
+    keeps only the chosen edge, an adversary vertex keeps every edge;
+    an unreached entry is the vertex's full choice tuple and is never
+    read.  The walk is FIFO from the ascending region and raises
+    StrategyError at the first reached branching player vertex with no
+    choice.  The strategy is validated, so a choice at a forced vertex
+    is its one successor.
     """
-    owners, options, moves = game.owners, game._choices, strategy.choices
-    edges: dict[int, tuple[int, ...]] = {}
-    queue = deque(region)
-    seen = set(region)
-    while queue:
-        v = queue.popleft()
-        out = options[v]
+    owners, moves = game.owners, strategy.choices
+    edges = list(game._choices)
+    seen = bytearray(game.n)
+    for v in region:
+        seen[v] = 1
+    queue = list(region)
+    for v in queue:
+        out = edges[v]
         if owners[v] is player and len(out) > 1:
             move = moves.get(v)
             if move is None:
                 raise StrategyError(f"strategy has no choice at reachable vertex {v}", v)
-            out = (move,)
-        edges[v] = out
+            out = edges[v] = (move,)
         for u in out:
-            if u not in seen:
-                seen.add(u)
+            if not seen[u]:
+                seen[u] = 1
                 queue.append(u)
-    return edges
+    return edges, list(compress(range(game.n), seen))
 
 
-def _sccs(vertices: list[int], edges: dict[int, tuple[int, ...]]) -> list[list[int]]:
+def _sccs(
+    vertices: list[int],
+    edges: list[tuple[int, ...]],
+    tables: tuple[list[int], list[int]],
+) -> list[list[int]]:
     """Iterative Tarjan over the induced subgraph on ``vertices``.
 
     Components come out in Tarjan's order, each listed from its last
-    stacked vertex back to its root.  ``low`` holds exactly the vertices
-    still on the stack.
+    stacked vertex back to its root.  ``tables`` is the pair of ``index``
+    and ``low`` lists over all n vertices that every pass of one
+    ``verify_strategy`` call shares.  ``index`` is -1 at a vertex of
+    this pass not yet visited and n at every vertex off the Tarjan
+    stack, which includes the vertices outside the pass.  A pass ends
+    with every index back at n, so the next one needs no reset and no
+    membership set.
     """
-    keep = set(vertices)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
+    index, low = tables
+    done = len(index)
+    for v in vertices:
+        index[v] = -1
+    counter = 0
     stack: list[int] = []
     components: list[list[int]] = []
     for root in vertices:
-        if root in index:
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
         work = [(root, iter(edges[root]))]
         while work:
             v, children = work[-1]
             for u in children:
-                if u in low:
-                    if index[u] < low[v]:
-                        low[v] = index[u]
-                elif u not in index and u in keep:
-                    index[u] = low[u] = len(index)
+                at = index[u]
+                if at < 0:
+                    index[u] = low[u] = counter
+                    counter += 1
                     stack.append(u)
                     work.append((u, iter(edges[u])))
                     break
+                if at < low[v]:
+                    low[v] = at
             else:
                 work.pop()
                 if low[v] == index[v]:
-                    at = len(stack) - 1
-                    while stack[at] != v:
-                        at -= 1
-                    component = stack[at:]
-                    del stack[at:]
-                    component.reverse()
-                    for w in component:
-                        del low[w]
+                    w = stack.pop()
+                    index[w] = done
+                    component = [w]
+                    while w != v:
+                        w = stack.pop()
+                        index[w] = done
+                        component.append(w)
                     components.append(component)
                 elif low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
@@ -127,7 +146,7 @@ def _sccs(vertices: list[int], edges: dict[int, tuple[int, ...]]) -> list[list[i
 
 
 def _shortest_cycle(
-    start: int, members: set[int], edges: dict[int, tuple[int, ...]]
+    start: int, members: set[int], edges: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Shortest closed walk from ``start`` back to itself inside an SCC."""
     if start in edges[start]:
@@ -153,7 +172,7 @@ def _shortest_cycle(
 
 
 def _path_to(
-    target: int, region: list[int], edges: dict[int, tuple[int, ...]]
+    target: int, region: list[int], edges: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Shortest path from the ascending ``region`` to ``target``, without it."""
     parent: dict[int, int | None] = dict.fromkeys(region)
@@ -182,7 +201,8 @@ def _worst_top(
     player: Player,
     priorities: tuple[int, ...],
     reached: list[int],
-    edges: dict[int, tuple[int, ...]],
+    edges: list[tuple[int, ...]],
+    tables: tuple[list[int], list[int]],
 ) -> int | None:
     """Largest adversary-parity priority topping a cycle, or None.
 
@@ -194,7 +214,7 @@ def _worst_top(
     best = -1
     pending = [reached]
     while pending:
-        for component in _sccs(pending.pop(), edges):
+        for component in _sccs(pending.pop(), edges, tables):
             if len(component) == 1 and component[0] not in edges[component[0]]:
                 continue  # acyclic: one vertex without a self-loop
             top = max(map(priorities.__getitem__, component))
@@ -214,7 +234,8 @@ def _witness(
     region: list[int],
     reached: list[int],
     priorities: tuple[int, ...],
-    edges: dict[int, tuple[int, ...]],
+    edges: list[tuple[int, ...]],
+    tables: tuple[list[int], list[int]],
 ) -> BadCycleWitness:
     """The refutation of a claim whose largest bad cycle top is ``p``.
 
@@ -223,7 +244,7 @@ def _witness(
     least priority-p vertex, reached by a shortest path from the region.
     """
     capped = [v for v in reached if priorities[v] <= p]
-    for component in _sccs(capped, edges):
+    for component in _sccs(capped, edges, tables):
         carriers = sorted(v for v in component if priorities[v] == p)
         if carriers and (len(component) > 1 or carriers[0] in edges[carriers[0]]):
             cycle = _shortest_cycle(carriers[0], set(component), edges)
@@ -249,12 +270,12 @@ def verify_strategy(
     if not (0 <= region[0] and region[-1] < n):
         bad = next(v for v in region if not 0 <= v < n)
         raise GameError(f"region vertex {bad} out of range 0..{n - 1}")
-    edges = _reachable(game, player, strategy, region)
-    reached = sorted(edges)
-    p = _worst_top(player, game.priorities, reached, edges)
+    edges, reached = _reachable(game, player, strategy, region)
+    tables = [n] * n, [0] * n
+    p = _worst_top(player, game.priorities, reached, edges, tables)
     if p is None:
         return None
-    return _witness(p, region, reached, game.priorities, edges)
+    return _witness(p, region, reached, game.priorities, edges, tables)
 
 
 @dataclass(frozen=True)

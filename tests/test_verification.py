@@ -6,6 +6,7 @@ import pytest
 import pgsolve.verification as verification
 from pgsolve import (
     BadCycleWitness,
+    Diagnostic,
     ParityGame,
     Player,
     Solution,
@@ -148,6 +149,24 @@ def test_check_solution_rejects_gap():
     assert "cover" in diagnostic.clause
 
 
+def test_check_solution_rejects_unknown_vertices():
+    game = chain_game()
+    no_moves = Strategy(Player.P0, {}), Strategy(Player.P1, {})
+    solution = Solution(frozenset({0, 3}), frozenset({-1, 1, 2}), *no_moves)
+    assert check_solution(game, solution) == Diagnostic(
+        "regions mention unknown vertices [-1, 3]"
+    )
+
+
+def test_check_solution_reports_a_gap_before_an_unknown_vertex():
+    game = chain_game()
+    no_moves = Strategy(Player.P0, {}), Strategy(Player.P1, {})
+    solution = Solution(frozenset({0, 3}), frozenset({1}), *no_moves)
+    assert check_solution(game, solution) == Diagnostic(
+        "regions do not cover vertices [2]"
+    )
+
+
 def test_check_solution_refutes_false_claim_with_witness():
     game = chain_game()
     solution = Solution(
@@ -167,9 +186,9 @@ def spy_on_scc_passes(monkeypatch):
     passes = []
     sccs = verification._sccs
 
-    def spy(vertices, edges):
+    def spy(vertices, edges, tables):
         passes.append(list(vertices))
-        return sccs(vertices, edges)
+        return sccs(vertices, edges, tables)
 
     monkeypatch.setattr(verification, "_sccs", spy)
     return passes

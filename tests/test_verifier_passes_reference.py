@@ -5,12 +5,15 @@ strongly-connected-component decomposition and builds its witness with
 one more pass.  The reference below is the verifier it replaced: a full
 Tarjan pass over the capped reachable set for every adversary-parity
 priority, from the top down, stopping at the first cyclic component
-with a vertex of that priority.  It shares the reachability, cycle and
-path helpers, which did not change.  Both must give field-for-field
+with a vertex of that priority.  It keeps its own reachability walk,
+which builds a dict of the reached vertices' restricted edges and sorts
+its keys, and shares only the cycle and path helpers, which read one
+edge tuple per vertex from either form.  Both must give field-for-field
 equal witnesses, errors and ``check_solution`` diagnostics.
 """
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,63 @@ def reference_sccs(vertices, edges):
     return components
 
 
+def test_passes_on_one_shared_table_match_fresh_tarjan_runs():
+    """Marks that earlier passes leave on the table never leak into a later one.
+
+    Each pass is a subset of the previous one, a list disjoint from it
+    or a fresh sample, in shuffled order, and most lists have edges
+    that leave them.
+    """
+    rng = random.Random(18)
+    passes = leaving = 0
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        edges = [
+            tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))) for _ in range(n)
+        ]
+        tables = [n] * n, [0] * n
+        vertices = list(range(n))
+        for _ in range(25):
+            kind = rng.randrange(3)
+            if kind == 0 and len(vertices) > 1:
+                vertices = rng.sample(vertices, rng.randint(1, len(vertices) - 1))
+            elif kind == 1 and len(vertices) < n:
+                previous = set(vertices)
+                vertices = [v for v in range(n) if v not in previous]
+                rng.shuffle(vertices)
+            else:
+                vertices = rng.sample(range(n), rng.randint(1, n))
+            got = verification._sccs(vertices, edges, tables)
+            assert got == reference_sccs(vertices, edges)
+            members = set(vertices)
+            leaving += any(u not in members for v in vertices for u in edges[v])
+            passes += 1
+    assert passes == 1500
+    assert leaving > 500
+
+
+def reference_reachable(game, player, strategy, region):
+    """Restricted edges of every vertex reached from the ascending region."""
+    owners, options, moves = game.owners, game._choices, strategy.choices
+    edges = {}
+    queue = deque(region)
+    seen = set(region)
+    while queue:
+        v = queue.popleft()
+        out = options[v]
+        if owners[v] is player and len(out) > 1:
+            move = moves.get(v)
+            if move is None:
+                raise StrategyError(f"strategy has no choice at reachable vertex {v}", v)
+            out = (move,)
+        edges[v] = out
+        for u in out:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return edges
+
+
 def reference_verify_strategy(game, player, strategy, region):
     """One Tarjan pass per adversary-parity priority, largest first."""
     player = Player(player)
@@ -87,7 +147,7 @@ def reference_verify_strategy(game, player, strategy, region):
             raise GameError(f"region vertex {v} out of range 0..{game.n - 1}")
     if not region:
         return None
-    edges = verification._reachable(game, player, strategy, region)
+    edges = reference_reachable(game, player, strategy, region)
     reached = sorted(edges)
     bad_priorities = sorted(
         {game.priorities[v] for v in reached if not player.favours(game.priorities[v])},
