@@ -263,21 +263,24 @@ def _arena(owners, priorities, successors, names, edges=None) -> ParityGame:
     return arena
 
 
-def _relevant_vertices(game: ParityGame, inside: Sequence[bool] | None = None) -> list[int]:
+def _relevant_vertices(
+    game: ParityGame, inside: Sequence[bool] | None = None, among: Iterable[int] | None = None
+) -> list[int]:
     """The ascending vertices relevant in the subarena ``inside`` marks.
 
     ``inside`` holds one truth value per vertex; None marks every vertex.
     A marked vertex is relevant when a marked vertex, maybe itself, moves
-    to it and it can move to a marked vertex other than itself.  With
-    every vertex marked the marks are not looked up.
+    to it and it can move to a marked vertex other than itself.  Only
+    ``among`` (ascending) is tested when given; else, with every vertex
+    marked, the marks are not looked up.
     """
     choices, predecessors = game._choices, game._predecessors
-    if inside is None or all(inside):
+    if inside is None or among is None and all(inside):
         return [v for v in game.vertices if predecessors[v] and choices[v] != (v,)]
     marked = inside.__getitem__
     return [
         v
-        for v in compress(game.vertices, inside)
+        for v in (compress(game.vertices, inside) if among is None else filter(marked, among))
         if any(map(marked, predecessors[v]))
         and any(inside[u] and u != v for u in choices[v])
     ]

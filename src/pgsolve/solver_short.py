@@ -13,14 +13,16 @@ recurses on the undecided rest.
 A call builds no arena.  It copies its game's tables once into a stack;
 a step appends the copies of its split set, solves the split subarena
 and takes them off again.  Every level works in the game's indices, on
-the subarena its closure state's undecided list marks.
+the subarena its closure state's undecided list marks, which only
+shrinks: a step filters the last relevant list, at first the caller's.
 
 ``solve_short`` certifies the partition it returns with one
 ``check_solution``; that single check is a complete proof, so the
 recursion below it does not re-verify.  With ``debug=True`` every base
 case, core and fused pair is certified as well, on an arena built from
 the stack for that alone, which points at the first step that went
-wrong.  A failed check means a bug, not a losing position, and raises
+wrong; every filtered relevant list is compared with a fresh scan.  A
+failed check means a bug, not a losing position, and raises
 CertificationError.
 """
 
@@ -138,9 +140,10 @@ def _decide(
     its targets' priorities.
     """
     owners, priorities, choices = game.owners, game.priorities, game._choices
+    marked = None if inside is None else inside.__getitem__
     for v in keep:
         targets = choices[v]
-        if inside is not None:
+        if marked is not None and not all(map(marked, targets)):
             targets = [u for u in targets if inside[u]]
         if len(targets) == 1:
             u = targets[0]
@@ -275,19 +278,20 @@ def nonempty_step(game: ParityGame) -> WinningCore:
     return WinningCore(player, frozenset(region), Strategy(player, choices))
 
 
-def _solve_short(
-    stack: _Stack, state: _Closure, relevant: list[int] | None, debug: bool
-) -> None:
+def _solve_short(stack: _Stack, state: _Closure, relevant: list[int], debug: bool) -> None:
     """Solve the subarena ``state.undecided`` marks, whose relevant
-    vertices ``relevant`` lists when known, into ``state``.  A core's
-    adversary may escape into earlier regions, so debug mode verifies
-    each fused pair on the subarena.
+    vertices ``relevant`` lists, into ``state``.  Debug mode compares
+    each filtered list with a fresh scan and, as a core's adversary may
+    escape into earlier regions, verifies each fused pair on the subarena.
     """
     undecided = state.undecided
     whole = [*compress(stack.vertices, undecided)] if debug else None
     while any(undecided):
-        if relevant is None:
-            relevant = _relevant_vertices(stack, undecided)
+        if debug:
+            fresh = _relevant_vertices(stack, undecided)
+            if relevant != fresh:
+                v = min(set(relevant).symmetric_difference(fresh))
+                raise CertificationError(f"relevant list differs from a fresh scan at vertex {v}")
         if relevant:
             cores = [_core(stack, state, relevant, debug)]
         else:
@@ -310,13 +314,13 @@ def _solve_short(
         if not relevant:
             return
         state.close()
-        relevant = None
+        relevant = _relevant_vertices(stack, undecided, relevant)
 
 
 def _solve(game: ParityGame, debug: bool) -> Solution:
     stack = _Stack(game)
     state = _Closure(stack)
-    _solve_short(stack, state, None, debug)
+    _solve_short(stack, state, _relevant_vertices(game), debug)
     (w0, w1), (sigma, tau) = state.regions, state.chosen
     return Solution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
 

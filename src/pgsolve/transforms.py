@@ -267,8 +267,9 @@ class _Closure:
 
     Between closes no undecided vertex moves into its owner's region and
     each has a move ``outside`` the opponent's, so a close starts from the
-    vertices added since: each vertex joins once, each edge counts down once.
-    ``game`` is a ParityGame or a _Stack; lists given start from a close.
+    predecessors of the vertices added since, which ``add`` has already
+    placed: each vertex joins once, each edge counts down once.  ``game``
+    is a ParityGame or a _Stack; lists given start from a close.
     """
 
     def __init__(self, game, undecided: list | None = None, outside: list | None = None):
@@ -318,9 +319,18 @@ class _Closure:
                         else:
                             pending_b.append(w)
 
-        for player, region in added:
+        for player, region in added:  # join's walk with no pass running: add placed them
             for v in region:
-                join(v, player, None, None)
+                for w in predecessors[v]:
+                    if undecided[w]:
+                        if owners[w] == player:
+                            if not queued[w]:
+                                queued[w] = True
+                                pending_a.append(w)
+                        else:
+                            outside[w] -= 1
+                            if not outside[w]:
+                                pending_b.append(w)
         added.clear()
         while pending_a or pending_b:
             while pending_a:

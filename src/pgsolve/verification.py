@@ -252,6 +252,13 @@ def _witness(
     raise AssertionError(f"no reachable cycle is topped by priority {p}")
 
 
+def _not_ints(values: Iterable) -> list:
+    """The members of ``values`` that are not exact ints, like 1.0 or True, by repr."""
+    if {*map(type, values)} <= {int}:
+        return []
+    return sorted((v for v in values if type(v) is not int), key=repr)
+
+
 def verify_strategy(
     game: ParityGame, player: Player, strategy: Strategy, region: Iterable[int]
 ) -> BadCycleWitness | None:
@@ -263,7 +270,11 @@ def verify_strategy(
     """
     player = Player(player)
     strategy.validate(game)
-    region = sorted(set(region))
+    region = set(region)
+    strays = _not_ints(region)
+    if strays:
+        raise GameError(f"region vertex {strays[0]!r} is not an int")
+    region = sorted(region)
     if not region:
         return None
     n = game.n
@@ -304,9 +315,10 @@ def check_solution(game: ParityGame, solution: Solution) -> Diagnostic | None:
     missing = vertices - solution.w0 - solution.w1
     if missing:
         return Diagnostic(f"regions do not cover vertices {sorted(missing)}")
-    stray = (solution.w0 | solution.w1) - vertices
+    members = solution.w0 | solution.w1
+    stray = _not_ints(members) or sorted(members - vertices)
     if stray:
-        return Diagnostic(f"regions mention unknown vertices {sorted(stray)}")
+        return Diagnostic(f"regions mention unknown vertices {stray}")
     if solution.sigma.player is not Player.P0:
         return Diagnostic("sigma is not a P0 strategy")
     if solution.tau.player is not Player.P1:

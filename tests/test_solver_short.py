@@ -241,8 +241,9 @@ def test_default_mode_builds_no_arena_and_calls_no_restrict(monkeypatch):
 
 def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
     # Every level hands its closure state's undecided list itself to the
-    # relevance scan and the base case: no step copies the mask, and
-    # every level reads the one stack of its call.
+    # relevance filter and the base case: no step copies the mask, and
+    # every level reads the one stack of its call.  Only the whole game's
+    # first scan goes unmasked.
     states, masks = [], []
     closure, relevant, decide = (
         solver_short._Closure,
@@ -254,9 +255,10 @@ def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
         states.append(closure(game, *args))
         return states[-1]
 
-    def scanning(game, inside=None):
-        masks.append((game, inside))
-        return relevant(game, inside)
+    def scanning(game, inside=None, among=None):
+        if inside is not None:
+            masks.append((game, inside))
+        return relevant(game, inside, among)
 
     def deciding(game, keep, regions, chosen, inside=None):
         masks.append((game, inside))
@@ -272,6 +274,23 @@ def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
     for game, mask in masks:
         assert any(mask is state.undecided and game is state.game for state in states)
     assert len({id(state.game) for state in states}) == 62
+
+
+def test_debug_mode_names_a_vertex_the_relevance_filter_dropped(monkeypatch):
+    # the filtered list loses one vertex once; the fresh scan of the next
+    # step has it, and debug mode names it
+    relevant, dropped = solver_short._relevant_vertices, []
+
+    def dropping(game, inside=None, among=None):
+        found = relevant(game, inside, among)
+        if among is not None and len(found) > 1 and not dropped:
+            dropped.append(found.pop(len(found) // 2))
+        return found
+
+    monkeypatch.setattr(solver_short, "_relevant_vertices", dropping)
+    with pytest.raises(CertificationError) as caught:
+        solve_short(gen_random(60, 10, 3, 1), debug=True)
+    assert str(caught.value) == f"relevant list differs from a fresh scan at vertex {dropped[0]}"
 
 
 def test_each_step_leaves_the_stack_as_it_found_it(monkeypatch):

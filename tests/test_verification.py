@@ -7,6 +7,7 @@ import pgsolve.verification as verification
 from pgsolve import (
     BadCycleWitness,
     Diagnostic,
+    GameError,
     ParityGame,
     Player,
     Solution,
@@ -156,6 +157,35 @@ def test_check_solution_rejects_unknown_vertices():
     assert check_solution(game, solution) == Diagnostic(
         "regions mention unknown vertices [-1, 3]"
     )
+
+
+@pytest.mark.parametrize(
+    "w1, strays",
+    [
+        ({0, 1.0, 2}, "[1.0]"),
+        ({0, True, 2}, "[True]"),
+        ({0, 1, 2, 0.5}, "[0.5]"),
+        ({0, 1, 2, "a"}, "['a']"),
+        ({-1, 0, 1, 2, "a"}, "['a']"),
+    ],
+)
+def test_check_solution_reports_a_region_member_that_is_not_an_int(w1, strays):
+    # 1.0 and True equal vertex 1, so only the type test tells them apart
+    no_moves = Strategy(Player.P0, {}), Strategy(Player.P1, {})
+    solution = Solution(frozenset(), frozenset(w1), *no_moves)
+    assert check_solution(chain_game(), solution) == Diagnostic(
+        f"regions mention unknown vertices {strays}"
+    )
+
+
+@pytest.mark.parametrize(
+    "region, bad",
+    [([0.5], "0.5"), ([1.0], "1.0"), (["a"], "'a'"), ([0, "1"], "'1'"), ([True], "True")],
+)
+def test_verify_strategy_rejects_a_region_member_that_is_not_an_int(region, bad):
+    with pytest.raises(GameError) as caught:
+        verify_strategy(chain_game(), Player.P0, Strategy(Player.P0, {}), region)
+    assert str(caught.value) == f"region vertex {bad} is not an int"
 
 
 def test_check_solution_reports_a_gap_before_an_unknown_vertex():
