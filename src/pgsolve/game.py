@@ -396,8 +396,10 @@ class PartialSolution:
     def __post_init__(self):
         object.__setattr__(self, "w0", frozenset(self.w0))
         object.__setattr__(self, "w1", frozenset(self.w1))
-        if self.w0 & self.w1:
-            raise GameError(f"regions intersect: {sorted(self.w0 & self.w1)}")
+        overlap = self.w0 & self.w1
+        if overlap:  # members of mixed types do not compare: listed by repr
+            ordered = sorted(overlap) if {*map(type, overlap)} <= {int} else sorted(overlap, key=repr)
+            raise GameError(f"regions intersect: {ordered}")
 
     def region(self, player: Player) -> frozenset[int]:
         return self.w0 if _as_player(player) is Player.P0 else self.w1

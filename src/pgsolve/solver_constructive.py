@@ -11,11 +11,13 @@ parities.  At the fixpoint a copy is bumped exactly when its original
 is losing, so merging the final strategies back yields both regions of
 the original game.  The opponent's strategy on earlier rounds' regions
 is frozen the moment a vertex first enters, which is what makes it a
-single memoryless witness.  Each recursion depth is split once per
-call; its later arenas re-base that split.  A depth with nothing to
-split keeps its last base-case answer for the call and, at each later
-visit, re-decides only the vertices a bump can move: the predecessors
-of the copies whose priority changed.
+single memoryless witness.  A bump changes only the priorities of
+absorbing copies, so each recursion depth is split once per call, on
+its first arena, and a later visit is handed a priority tuple alone.
+Answers inside the recursion are pairs of regions and choice maps.  A
+depth with nothing to split decides on a stack of its first arena and,
+at each later visit, re-decides only the vertices a bump can move: the
+predecessors of the copies whose priority changed.
 
 Each round is recorded as a FixpointState.  Monotone growth, strategy
 stability and, at the fixpoint, the equivalence between bumped copies
@@ -23,7 +25,7 @@ and losing originals are asserted in every run.  ``solve_constructive``
 certifies the solution it returns with one ``check_solution``; the
 per-round verifier checks, the checks of every nested solution and a
 from-scratch base case beside every incremental one run only with
-``debug=True``.
+``debug=True``, on arenas built for those checks alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .game import (
     GameError,
@@ -46,12 +48,12 @@ from .solver_short import (
     _certified,
     _decide,
     _require_solution,
+    _unsplit as _merged,  # a split answer's choices, copies dropped, moves mapped back
     base_case_solve,
 )
 from .transforms import (
     SplitGame,
-    _merged,
-    _rebased,
+    _Stack,
     _split_rest,
     remove_unfair_win,
     remove_useless_self_loops,
@@ -81,6 +83,21 @@ class FixpointState:
     w1: frozenset[int]
 
 
+# An answer inside the recursion: (w0, w1), then (sigma's, tau's) choices.
+_Answer = tuple[tuple[frozenset[int], frozenset[int]], tuple[dict[int, int], dict[int, int]]]
+
+
+class _Depth(NamedTuple):
+    """What every visit of one split depth shares, for one public call."""
+
+    split: SplitGame  # of the depth's first arena
+    k: int
+    order: tuple[int, ...]  # the split set ascending: copy n + i is order[i]'s
+    loser: Player  # the player k disfavours
+    n: int
+    vertices: frozenset[int]  # range(n)
+
+
 def preprocess(game: ParityGame) -> TransformRecord:
     """Normalize self-loops so only absorbing vertices carry them.
 
@@ -96,24 +113,20 @@ def preprocess(game: ParityGame) -> TransformRecord:
     return TransformRecord(game, reduced, absorbed, delooped)
 
 
-def _lift(record: TransformRecord, solution: Solution) -> Solution:
-    original = record.original
-    reduced = record.reduced
+def _lift(record: TransformRecord, answer: _Answer) -> Solution:
+    original, reduced = record.original, record.reduced
     # The two games differ only where a self-loop was normalized, and
     # each such vertex branched in the original.
     normalized = record.absorbed | record.delooped
-    strategies = {}
-    for player in (Player.P0, Player.P1):
-        choices = dict(solution.strategy(player).choices)
-        for v in sorted(normalized & solution.region(player)):
-            if original.owners[v] is not player or v in choices:
-                continue
-            if len(reduced.choices_at(v)) == 1:
-                choices[v] = reduced.choices_at(v)[0]
-        strategies[player] = Strategy(player, choices)
-    return Solution(
-        solution.w0, solution.w1, strategies[Player.P0], strategies[Player.P1]
-    )
+    regions, choices = answer
+    strategies = []
+    for player in _PLAYERS:
+        moves = dict(choices[player])
+        for v in sorted(normalized & regions[player]):
+            if original.owners[v] is player and v not in moves and len(reduced.choices_at(v)) == 1:
+                moves[v] = reduced.choices_at(v)[0]
+        strategies.append(Strategy(player, moves))
+    return Solution(*regions, *strategies)
 
 
 def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
@@ -123,7 +136,8 @@ def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
     may branch in the original, so the forced move is materialized.
     The lifted solution is certified before it is returned.
     """
-    lifted = _lift(record, solution)
+    answer = (solution.w0, solution.w1), (solution.sigma.choices, solution.tau.choices)
+    lifted = _lift(record, answer)
     _require_solution(record.original, lifted, "lifted solution")
     return lifted
 
@@ -135,11 +149,6 @@ def bump_priorities(split: SplitGame, x: Iterable[int]) -> tuple[int, ...]:
     if x and not 0 <= min(x) <= max(x) < n:
         v = min(v for v in x if not 0 <= v < n)
         raise GameError(f"vertex {v} out of range 0..{n - 1}")
-    return _bumped(split, x)
-
-
-def _bumped(split: SplitGame, x: frozenset[int]) -> tuple[int, ...]:
-    """``bump_priorities`` unchecked: ``x`` is a round's region, in range."""
     priorities = list(split.plus.priorities)
     for v in split.split_set & x:
         priorities[split.copy_for[v]] = split.k + 1
@@ -167,7 +176,7 @@ def compose_tau(
 
 
 def _check_round(
-    split: SplitGame,
+    depth: _Depth,
     arena: ParityGame | None,
     history: Sequence[FixpointState],
     state: FixpointState,
@@ -182,7 +191,8 @@ def _check_round(
     with the previous one only; by transitivity the chain covers every
     earlier round.  When ``thorough`` (debug mode): the round strategy
     wins its whole region in ``arena``, the bumped game, for its player,
-    and merged back it wins the region's originals in the base game.
+    and merged back it wins the region's originals in the visit's base
+    game, the depth's first one relabelled with the first n of ``pi``.
     """
 
     def fail(reason: str) -> None:
@@ -206,10 +216,10 @@ def _check_round(
         fail(f"round {state.alpha}: tau rejected: {exc}")
     if witness is not None:
         fail(f"round {state.alpha}: tau loses in the bumped game: {witness}")
-    merged = _merged(split, state.tau)
-    base_region = frozenset(v for v in state.w1 if v < split.base.n)
+    merged = Strategy(state.tau.player, _merged(state.tau.choices, depth.n, depth.order))
+    base = depth.split.base._relabelled(priorities=state.pi[: depth.n])
     try:
-        witness = verify_strategy(split.base, state.tau.player, merged, base_region)
+        witness = verify_strategy(base, state.tau.player, merged, state.w1 & depth.vertices)
     except Exception as exc:  # noqa: BLE001
         fail(f"round {state.alpha}: merged tau rejected: {exc}")
     if witness is not None:
@@ -219,37 +229,35 @@ def _check_round(
 class _Bottom:
     """The last answer of a split-free depth, for one public call.
 
-    Every arena a depth sees is relabelled from the same split, so it
-    shares the edge tables and owners of the last one and only the
-    priorities of absorbing copies differ.  A vertex's answer reads only
-    its owner and its targets' priorities, so a visit re-decides the
-    predecessors of the vertices whose priority changed (an absorbing
-    vertex is its own predecessor) and every other vertex keeps its
-    region and choice.  Other edges or owners are decided whole.
+    Every visit of the depth has the edges and owners of its first
+    arena, copied once into a stack, and only the priorities of
+    absorbing copies differ.  A vertex's answer reads only its owner
+    and its targets' priorities, so a visit swaps the stack's priorities
+    and re-decides the predecessors of the vertices whose priority
+    changed (an absorbing vertex is its own predecessor); every other
+    vertex keeps its region and choice.
     """
 
-    def __init__(self) -> None:
-        self.edges = self.owners = self.priorities = self.solution = None
+    def __init__(self, game: ParityGame) -> None:
+        self.stack = _Stack(game)
+        self.regions: tuple[set[int], set[int]] = (set(), set())
+        self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        _decide(self.stack, game.vertices, self.regions, self.chosen)
+        self.settle()
 
-    def solve(self, game: ParityGame, debug: bool) -> Solution:
-        if game._edges is not self.edges or game.owners is not self.owners:
-            self.edges, self.owners = game._edges, game.owners
-            self.regions: tuple[set[int], set[int]] = (set(), set())
-            self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
-            _decide(game, game.vertices, self.regions, self.chosen)
-            self.settle(game)
-        elif game.priorities is not self.priorities:
-            self.redecide(game)
+    def solve(self, priorities: tuple[int, ...], debug: bool) -> _Answer:
+        if priorities is not self.stack.priorities:
+            self.redecide(priorities)
         if debug:
-            self.check(game)
-        return self.solution
+            self.check()
+        return self.answer
 
-    def redecide(self, game: ParityGame) -> None:
-        changed = compress(game.vertices, map(ne, self.priorities, game.priorities))
-        predecessors = self.edges.predecessors
-        redo = {w for v in changed for w in predecessors[v]}
+    def redecide(self, priorities: tuple[int, ...]) -> None:
+        stack = self.stack
+        changed = compress(stack.vertices, map(ne, stack.priorities, priorities))
+        redo = {w for v in changed for w in stack._predecessors[v]}
+        stack.priorities = priorities
         if not redo:
-            self.priorities = game.priorities
             return
         regions, chosen = self.regions, self.chosen
         for region in regions:
@@ -257,96 +265,103 @@ class _Bottom:
         for v in redo:
             chosen[0].pop(v, None)
             chosen[1].pop(v, None)
-        _decide(game, redo, regions, chosen)
-        self.settle(game)
+        _decide(stack, redo, regions, chosen)
+        self.settle()
 
-    def settle(self, game: ParityGame) -> None:
+    def settle(self) -> None:
         """Answer with copies: the ``solved`` memo keeps every answer."""
-        regions, chosen = self.regions, self.chosen
-        self.priorities = game.priorities
-        self.solution = Solution(
-            frozenset(regions[0]),
-            frozenset(regions[1]),
-            Strategy(Player.P0, chosen[0]),
-            Strategy(Player.P1, chosen[1]),
-        )
+        (w0, w1), (sigma, tau) = self.regions, self.chosen
+        self.answer = (frozenset(w0), frozenset(w1)), (dict(sigma), dict(tau))
 
-    def check(self, game: ParityGame) -> None:
+    def check(self) -> None:
         """Compare with a certified base case decided from scratch."""
-        fresh, kept = base_case_solve(game), self.solution
+        game = self.stack.snapshot()
+        fresh, (regions, chosen) = base_case_solve(game), self.answer
         for v in game.vertices:
-            if (v in fresh.w0, v in fresh.w1) != (v in kept.w0, v in kept.w1) or any(
-                fresh.strategy(p).choices.get(v) != kept.strategy(p).choices.get(v)
-                for p in _PLAYERS
+            if (v in fresh.w0, v in fresh.w1) != (v in regions[0], v in regions[1]) or any(
+                fresh.strategy(p).choices.get(v) != chosen[p].get(v) for p in _PLAYERS
             ):
                 raise CertificationError(
                     f"incremental base case differs from a fresh one at vertex {v}"
                 )
 
 
+def _solution(answer: _Answer) -> Solution:
+    (w0, w1), (sigma, tau) = answer
+    return Solution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
+
+
 def _fixpoint(
-    game: ParityGame, debug: bool, tower: list, history_out: list[FixpointState] | None
-) -> Solution:
-    # ``tower`` is [this depth's split or _Bottom, the tower below], one
-    # per public call.  Bumps change only the priorities of absorbing
-    # copies, so the edges, relevance, k and the split set are the same
-    # at every visit of a depth: its loops are checked once, its first
-    # split is re-based, not rebuilt, and a split-free depth re-decides
-    # only what the bump moved.
+    first: ParityGame,
+    priorities: tuple[int, ...],
+    debug: bool,
+    tower: list,
+    history_out: list[FixpointState] | None,
+) -> _Answer:
+    # ``tower`` is [this depth's _Depth or _Bottom, the tower below], one
+    # per public call, built from ``first``, the arena of the first visit.
+    # Bumps change only the priorities of absorbing copies, so edges,
+    # owners, relevance, k and the split set are the same at every
+    # visit: a visit is ``priorities`` read against the first split.
     if not tower:
-        if game._mixed_loops:
-            v = game._mixed_loops[0]
+        if first._mixed_loops:
+            v = first._mixed_loops[0]
             raise GameError(
                 f"vertex {v} has a self-loop next to proper edges; normalize loops first"
             )
-        split = _split_rest(game)
-        tower += _Bottom() if split is None else split, []
-    entry = tower[0]
+        split = _split_rest(first)
+        if split is None:
+            tower += _Bottom(first), []
+        else:
+            k, n = split.k, first.n
+            order = tuple(sorted(split.split_set))
+            tower += _Depth(split, k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n))), []
+    entry, below = tower
     if entry.__class__ is _Bottom:
-        return entry.solve(game, debug)
-    split = entry if entry.base is game else _rebased(entry, game)
-    loser = _PLAYERS[1 - split.k % 2]
+        return entry.solve(priorities, debug)
+    split, k, order, loser, n, vertices = entry
+    plus = split.plus
     history: list[FixpointState] = []
-    solved: dict[tuple[int, ...], Solution] = {}
+    solved: dict[tuple[int, ...], _Answer] = {}
     x: frozenset[int] = frozenset()
     while True:
         alpha = len(history)
-        if alpha > split.plus.n + 1:
+        if alpha > plus.n + 1:
             raise CertificationError("fixpoint failed to converge in |V+|+1 rounds")
-        pi = _bumped(split, x)
+        pi = (*priorities, *[k + 1 if v in x else k for v in order])
         inner = solved.get(pi)
-        arena = split.plus._relabelled(priorities=pi) if inner is None or debug else None
+        arena = plus._relabelled(priorities=pi) if debug else None
         if inner is None:
-            inner = solved[pi] = _fixpoint(arena, debug, tower[1], None)
+            inner = solved[pi] = _fixpoint(plus, pi, debug, below, None)
             if debug:
-                _require_solution(arena, inner, f"round {alpha} split-game solution")
-        lost = inner.region(loser)
+                _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
+        regions, choices = inner
+        lost = regions[loser]
         # regions only grow (checked below), so the last round's tau
         # already holds the earliest choice on every earlier region
-        tau = compose_tau(history[-1:], lost, inner.strategy(loser))
+        tau = compose_tau(history[-1:], lost, Strategy(loser, choices[loser]))
         state = FixpointState(alpha, x, pi, tau, lost)
-        _check_round(split, arena, history, state, thorough=debug)
+        _check_round(entry, arena, history, state, thorough=debug)
         history.append(state)
         if lost == x:
             break
         x = lost
-    final = history[-1]
-    for v in sorted(split.split_set):
-        bumped = final.pi[split.copy_for[v]] == split.k + 1
-        if bumped != (v in final.w1):
+    for i, v in enumerate(order):
+        bumped = pi[n + i] == k + 1
+        if bumped != (v in lost):
             raise CertificationError(
                 f"fixpoint equivalence broken at vertex {v}: "
-                f"bumped={bumped}, losing={v in final.w1}"
+                f"bumped={bumped}, losing={v in lost}"
             )
-    lost = final.w1.intersection(game.vertices)
-    won = frozenset(game.vertices) - lost
-    favoured = _merged(split, inner.strategy(loser.opponent))
-    disfavoured = _merged(split, final.tau)
+    lost = lost & vertices
+    won = vertices - lost
+    favoured = _merged(choices[1 - loser], n, order)
+    disfavoured = _merged(tau.choices, n, order)
     if history_out is not None:
         history_out.extend(history)
     if loser is Player.P1:
-        return Solution(won, lost, favoured, disfavoured)
-    return Solution(lost, won, disfavoured, favoured)
+        return (won, lost), (favoured, disfavoured)
+    return (lost, won), (disfavoured, favoured)
 
 
 def fixpoint_solve(
@@ -367,7 +382,7 @@ def fixpoint_solve(
     history: list[FixpointState] = []
     solution = _certified(
         game,
-        lambda g, d: _fixpoint(g, d, [], history),
+        lambda g, d: _solution(_fixpoint(g, g.priorities, d, [], history)),
         debug,
         "fixpoint solution",
     )
@@ -392,10 +407,11 @@ def solve_constructive(
 
     def solve(game: ParityGame, debug: bool) -> Solution:
         record = preprocess(game)
-        inner = _fixpoint(record.reduced, debug, [], history)
+        reduced = record.reduced
+        answer = _fixpoint(reduced, reduced.priorities, debug, [], history)
         if debug:
-            _require_solution(record.reduced, inner, "fixpoint solution")
-        return _lift(record, inner)
+            _require_solution(reduced, _solution(answer), "fixpoint solution")
+        return _lift(record, answer)
 
     solution = _certified(game, solve, debug, "lifted solution")
     if history_out is not None:

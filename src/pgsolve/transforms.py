@@ -92,19 +92,6 @@ def _split_rest(game: ParityGame, k: int | None = None) -> SplitGame | None:
     return SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
 
 
-def _rebased(split: SplitGame, game: ParityGame) -> SplitGame:
-    """``split`` moved onto ``game``, a relabelling of its base.
-
-    Only priorities that leave ``k`` and the split set as they are may
-    differ; the split arena takes them, copies in split order, and
-    keeps its edge tables and owners.  Every other field carries over,
-    passed straight to the constructor.
-    """
-    copies = map(game.priorities.__getitem__, split.copy_of.values())
-    plus = split.plus._relabelled(priorities=(*game.priorities, *copies))
-    return SplitGame(game, plus, split.k, split.split_set, split.copy_of, split.copy_for)
-
-
 def split_top(game: ParityGame, k: int) -> SplitGame:
     """Split every relevant vertex of priority k.
 
@@ -126,16 +113,11 @@ def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
     Sound because an edge into a copy exists exactly when the original
     edge does, and copies only ever loop on themselves.
     """
-    merged = _merged(split, strategy)
-    merged.validate(split.base)
-    return merged
-
-
-def _merged(split: SplitGame, strategy: Strategy) -> Strategy:
-    """``merge_strategy`` unvalidated: solver results are certified once."""
     n, copy_of = split.base.n, split.copy_of
     choices = {v: copy_of.get(u, u) for v, u in strategy.choices.items() if v < n}
-    return Strategy(strategy.player, choices)
+    merged = Strategy(strategy.player, choices)
+    merged.validate(split.base)
+    return merged
 
 
 def _normalized(game: ParityGame, looping_wins: bool) -> tuple[ParityGame, frozenset[int]]:

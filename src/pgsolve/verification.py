@@ -270,11 +270,11 @@ def verify_strategy(
     """
     player = Player(player)
     strategy.validate(game)
-    region = set(region)
+    region = list(region)  # a set could not take an unhashable member
     strays = _not_ints(region)
     if strays:
         raise GameError(f"region vertex {strays[0]!r} is not an int")
-    region = sorted(region)
+    region = sorted(set(region))
     if not region:
         return None
     n = game.n

@@ -186,8 +186,10 @@ def test_bumped_split_games_share_the_split_games_tables():
 
 
 def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
+    # a round hands the depth below its bumped priorities and the split
+    # arena itself, whose tables every visit of that depth reads
     splits: list = []
-    arenas: list[ParityGame] = []
+    visits: list = []
     real_split, real_fixpoint = _split_rest, solver_constructive._fixpoint
 
     def recording_split(game, k=None):
@@ -196,20 +198,21 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
             splits.append(split)
         return split
 
-    def recording_fixpoint(game, *args):
-        arenas.append(game)
-        return real_fixpoint(game, *args)
+    def recording_fixpoint(game, priorities, *args):
+        visits.append((game, priorities))
+        return real_fixpoint(game, priorities, *args)
 
     monkeypatch.setattr(solver_constructive, "_split_rest", recording_split)
     monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
     for game in (cycle(7), ladder_game(3)):
         solve_constructive(game)
     bumped = 0
-    for arena in arenas:
+    for arena, priorities in visits:
         for split in splits:
             if arena.successors is split.plus.successors:
+                assert arena is split.plus
                 assert_shares_edges(arena, split.plus)
-                bumped += arena.priorities != split.plus.priorities
+                bumped += priorities != split.plus.priorities
     assert bumped > 0
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from pgsolve import ParityGame, Player, Solution, Strategy, solve_constructive, solve_short
 from pgsolve import solver_short
 from pgsolve.game import relevant_priorities
-from pgsolve.solver_constructive import _Bottom
+from pgsolve.solver_constructive import _Bottom, _solution
 from pgsolve.solver_short import base_case_solve
 from games import cycle, ladder_game, random_corpus
 
@@ -103,18 +103,21 @@ def reached_base_cases(monkeypatch):
 
 def reached_bottoms(monkeypatch):
     """Every (game, answer, re-decided) a split-free fixpoint depth
-    returns, re-decided when the visit went through ``redecide``."""
+    returns, the game its stack as an arena, re-decided when the visit
+    went through ``redecide``."""
     reached, redecided = [], []
     solve, redecide = _Bottom.solve, _Bottom.redecide
 
-    def redeciding(self, game):
-        redecided.append(game)
-        return redecide(self, game)
+    def redeciding(self, priorities):
+        redecided.append(priorities)
+        return redecide(self, priorities)
 
-    def recording(self, game, debug):
+    def recording(self, priorities, debug):
         before = len(redecided)
-        answer = solve(self, game, debug)
-        reached.append((game, answer, len(redecided) > before))
+        answer = solve(self, priorities, debug)
+        game = self.stack.snapshot()
+        assert game.priorities == priorities
+        reached.append((game, _solution(answer), len(redecided) > before))
         return answer
 
     monkeypatch.setattr(_Bottom, "redecide", redeciding)
@@ -144,13 +147,15 @@ def test_every_bottom_answer_matches_reference(monkeypatch):
 @given(base_games(), st.data())
 def test_incremental_bottom_matches_a_fresh_base_case(game, data):
     # Bumps move only the priorities of absorbing vertices, and every
-    # arena a depth sees is a relabelling of the one before.
+    # visit of a depth hands it the priorities of a relabelling of the
+    # one before.
     absorbing = [v for v in game.vertices if game._choices[v] == (v,)]
-    bottom, arena = _Bottom(), game
+    bottom, arena = _Bottom(game), game
+    stack = bottom.stack
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
-        answer = bottom.solve(arena, False)
+        answer = _solution(bottom.solve(arena.priorities, False))
         fresh = base_case_solve(arena)
-        assert bottom.edges is game._edges
+        assert bottom.stack is stack and stack.priorities is arena.priorities
         assert answer.w0 == fresh.w0 and answer.w1 == fresh.w1
         assert answer.sigma.choices == fresh.sigma.choices
         assert answer.tau.choices == fresh.tau.choices

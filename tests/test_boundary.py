@@ -22,7 +22,6 @@ from pgsolve import (
 )
 from pgsolve.solver_constructive import fixpoint_solve, lift_solution, preprocess
 from pgsolve.solver_short import nonempty_step
-from pgsolve.transforms import merge_strategy
 from games import chain_game, ladder_game, random_corpus
 
 SOLVERS = (solve_short, solve_constructive)
@@ -70,7 +69,7 @@ def test_default_mode_certifies_exactly_once(solve, monkeypatch):
         assert calls["verify_strategy"] > 2
 
 
-UNSPLIT = solver_short._unsplit
+UNSPLIT, MERGED = solver_short._unsplit, solver_constructive._merged
 
 
 def without_least(choices):
@@ -80,10 +79,9 @@ def without_least(choices):
     return choices
 
 
-def drop_first_choice(split, strategy):
+def drop_first_choice(choices, n, order):
     """The fixpoint's merge with one bug: the least-index choice goes missing."""
-    merged = merge_strategy(split, strategy)
-    return Strategy(merged.player, without_least(dict(merged.choices)))
+    return without_least(MERGED(choices, n, order))
 
 
 def drop_first_unsplit(choices, n, split):

@@ -23,7 +23,6 @@ from pgsolve import (
     CertificationError,
     ParityGame,
     Player,
-    Solution,
     Strategy,
     emit_game,
     parse_game,
@@ -39,7 +38,6 @@ from pgsolve.solver_constructive import bump_priorities, preprocess
 from pgsolve.transforms import (
     RestrictionError,
     _Stack,
-    _rebased,
     remove_unfair_win,
     remove_useless_self_loops,
 )
@@ -119,11 +117,12 @@ def derived(game: ParityGame):
         yield split.plus
         for x in (split.split_set, frozenset(list(split.split_set)[::2])):
             yield split.plus._relabelled(priorities=bump_priorities(split, x))
+        # a later visit of the split's depth, with the priorities of ``moved``
         moved = game._relabelled(priorities=same_split_priorities(game, k, split.split_set))
-        rebased = _rebased(split, moved)
-        assert rebased.plus == split_top(moved, k).plus
+        visit = split.plus._relabelled(priorities=(*moved.priorities, *[k] * len(split.split_set)))
+        assert visit == split_top(moved, k).plus
         yield moved
-        yield rebased.plus
+        yield visit
     parsed = parse_game(emit_game(named(game)))
     assert parsed == named(game)
     yield parsed
@@ -228,32 +227,33 @@ def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
     real_fixpoint, real_check = solver_constructive._fixpoint, solver_constructive._check_round
     fired = 0
     for game in [*random_corpus(80, 12), *map(ladder_game, range(2, 6))]:
-        top: list = []  # the top-level call's tower, then its inner results
+        top: list = []  # the top-level call's tower, then its inner answers
         dropped: list[int] = []
         alphas: list[int] = []
 
-        def shrinking(arena, debug, tower, history_out):
+        def shrinking(arena, priorities, debug, tower, history_out):
             if history_out is not None:
                 top.append(tower)
-            solution = real_fixpoint(arena, debug, tower, history_out)
+            answer = real_fixpoint(arena, priorities, debug, tower, history_out)
             if dropped or tower is not top[0][1]:
-                return solution
+                return answer
             loser = Player(1 - top[0][0].k % 2)
-            earlier = set().union(*(s.region(loser) for s in top[1:]))
-            top.append(solution)
-            common = sorted(earlier & solution.region(loser))
+            regions, choices = answer
+            earlier = set().union(*(inner[0][loser] for inner in top[1:]))
+            top.append(answer)
+            common = sorted(earlier & regions[loser])
             if not common:
-                return solution
+                return answer
             v = common[0]
             dropped.append(v)
-            regions = [set(solution.w0), set(solution.w1)]
-            regions[loser].discard(v)
-            regions[1 - loser].add(v)
-            return Solution(*regions, solution.sigma, solution.tau)
+            shrunk = [set(regions[0]), set(regions[1])]
+            shrunk[loser].discard(v)
+            shrunk[1 - loser].add(v)
+            return tuple(map(frozenset, shrunk)), choices
 
-        def checking(split, arena, history, state, thorough):
+        def checking(depth, arena, history, state, thorough):
             alphas.append(state.alpha)
-            real_check(split, arena, history, state, thorough)
+            real_check(depth, arena, history, state, thorough)
 
         monkeypatch.setattr(solver_constructive, "_fixpoint", shrinking)
         monkeypatch.setattr(solver_constructive, "_check_round", checking)

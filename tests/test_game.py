@@ -5,6 +5,7 @@ from pgsolve import (
     ParityGame,
     ParseError,
     Player,
+    Solution,
     Strategy,
     StrategyError,
     parse_game,
@@ -208,3 +209,14 @@ def test_accepts_names_with_other_characters():
 def test_rejects_names_that_are_not_strings(rows, vertex):
     with pytest.raises(GameError, match=f"vertex {vertex} has invalid name"):
         ParityGame.from_vertices(rows)
+
+
+@pytest.mark.parametrize(
+    "overlap, listed", [({3, 10, 2}, "[2, 3, 10]"), ({"a", 1}, "['a', 1]"), ({1.5, 1}, "[1, 1.5]")]
+)
+def test_overlapping_regions_are_listed_whatever_their_types(overlap, listed):
+    # members of mixed types do not compare, so they are listed by repr
+    no_moves = Strategy(Player.P0, {}), Strategy(Player.P1, {})
+    with pytest.raises(GameError) as caught:
+        Solution(frozenset(overlap), frozenset(overlap), *no_moves)
+    assert str(caught.value) == f"regions intersect: {listed}"

@@ -13,7 +13,8 @@ from pgsolve import (
     solve_short,
     split_top,
 )
-from pgsolve import solver_constructive
+from pgsolve import game as game_module
+from pgsolve import pgfile, solver_constructive, transforms
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import (
     _Bottom,
@@ -22,7 +23,7 @@ from pgsolve.solver_constructive import (
     fixpoint_solve,
     preprocess,
 )
-from games import chain_game, cycle, random_corpus, two_cycle_game
+from games import chain_game, cycle, ladder_game, random_corpus, two_cycle_game
 
 
 def mixed_loops_game():
@@ -200,15 +201,15 @@ def test_debug_mode_names_a_wrongly_redecided_vertex(monkeypatch):
     # is named.
     redecide, flipped = _Bottom.redecide, []
 
-    def flipping(self, game):
-        redecide(self, game)
+    def flipping(self, priorities):
+        redecide(self, priorities)
         if not flipped:
-            v = max(game.vertices)
+            v = max(self.stack.vertices)
             winner = int(v in self.regions[1])
             self.regions[winner].discard(v)
             self.regions[1 - winner].add(v)
             self.chosen[winner].pop(v, None)
-            self.settle(game)
+            self.settle()
             flipped.append(v)
 
     monkeypatch.setattr(_Bottom, "redecide", flipping)
@@ -223,3 +224,35 @@ def test_constructive_matches_short_on_larger_games():
         other = solve_short(game)
         assert (solved.w0, solved.w1) == (other.w0, other.w1)
         assert check_solution(game, solved) is None
+
+
+def test_default_mode_builds_one_arena_per_fixpoint_depth(monkeypatch):
+    # A round hands the depth below its priority tuple, not an arena:
+    # only loop normalization (at most two arenas) and the one split of
+    # each depth build arenas, and a split-free depth decides on a stack.
+    built, towers = [], []
+    arena, fixpoint = game_module._arena, solver_constructive._fixpoint
+
+    def counting(*args):
+        built.append(args)
+        return arena(*args)
+
+    def top_tower(*args):
+        if args[-1] is not None:  # the top-level call records its rounds
+            towers.append(args[-2])
+        return fixpoint(*args)
+
+    for module in (game_module, transforms, pgfile):
+        monkeypatch.setattr(module, "_arena", counting)
+    monkeypatch.setattr(solver_constructive, "_fixpoint", top_tower)
+    # cycle(11) has 12 depths: one arena per round would be 607 arenas
+    games = [(cycle(11), 25), (ladder_game(14), 25), *((g, None) for g in random_corpus(100, 10))]
+    for game, bound in games:
+        built.clear()
+        towers.clear()
+        solve_constructive(game)
+        depths, tower = 0, towers[0]
+        while tower:
+            depths, tower = depths + 1, tower[1]
+        assert len(built) <= depths + 2
+        assert bound is None or len(built) <= bound

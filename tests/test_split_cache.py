@@ -1,18 +1,19 @@
 """The fixpoint splits each recursion depth once per call.
 
-Within one ``solve_constructive`` call every arena at a given recursion
+Within one ``solve_constructive`` call every visit of a given recursion
 depth of ``_fixpoint`` has the same edges and split set: a bump changes
 only the priorities of absorbing copies.  So ``_fixpoint`` builds the
-split of a depth once, with ``_split_rest``, and re-bases it onto each
-later arena of that depth with ``transforms._rebased``.  Every split it
-uses must equal, field by field, the one ``_split_rest`` builds from
-scratch on a fresh arena of the same content; and no split outlives the
-call on the caller's game.
+split of a depth once, with ``_split_rest`` on the depth's first arena,
+and hands each later visit only its priority tuple.  Read with those
+priorities, the depth's split must equal, field by field, the one
+``_split_rest`` builds from scratch on a fresh arena of the same
+content; and no split outlives the call on the caller's game.
 """
 
-from pgsolve import ParityGame, gen_random, solve_constructive, solve_short, split_top
+from pgsolve import ParityGame, Player, gen_random, solve_constructive, solve_short, split_top
 from pgsolve import solver_constructive, transforms
-from pgsolve.transforms import _rebased, _split_rest
+from pgsolve.solver_constructive import _Depth
+from pgsolve.transforms import _split_rest
 from games import cycle, ladder_game, random_corpus
 
 EDGE_TABLES = {"successors", "choices", "predecessors", "mixed_loops"}
@@ -37,27 +38,51 @@ def assert_same_split(split, game: ParityGame, k: int):
     assert split.plus.names == expected.plus.names
 
 
-def fixpoint_splits(games, monkeypatch):
-    """Every (game, k, split) ``_fixpoint`` uses, built or re-based."""
-    splits = []
+def assert_same_visit(arena: ParityGame, priorities, depth) -> None:
+    """The split ``depth`` holds, read with ``priorities``, is the fresh
+    split of the arena those priorities relabel."""
+    split = depth.split
+    assert arena is split.base  # every visit is handed the first arena
+    game = arena._relabelled(priorities=priorities)
+    expected = fresh_split(game, None)
+    k = depth.k
+    assert split.k == expected.k == k
+    assert split.split_set == expected.split_set
+    assert depth.order == tuple(sorted(expected.split_set))
+    assert depth.loser is Player(1 - k % 2)
+    assert depth.n == game.n and depth.vertices == frozenset(game.vertices)
+    assert split.copy_of == expected.copy_of
+    assert split.copy_for == expected.copy_for
+    assert split.plus.successors == expected.plus.successors
+    assert split.plus.owners == expected.plus.owners
+    assert (*priorities, *[k] * len(depth.order)) == expected.plus.priorities
+    assert split.plus.names == expected.plus.names
+
+
+def fixpoint_visits(games, monkeypatch):
+    """Every (arena, priorities, depth) of a visit ``_fixpoint`` makes to
+    a depth with a split, and every split ``_split_rest`` built for it."""
+    visits, built = [], []
+    real_fixpoint = solver_constructive._fixpoint
 
     def building(game, k=None):
         split = _split_rest(game, k)
         if split is not None:
-            splits.append((game, split.k, split))
+            built.append(split)
         return split
 
-    def rebasing(split, game):
-        rebased = _rebased(split, game)
-        splits.append((game, rebased.k, rebased))
-        return rebased
+    def visiting(arena, priorities, debug, tower, history_out):
+        answer = real_fixpoint(arena, priorities, debug, tower, history_out)
+        if tower[0].__class__ is _Depth:
+            visits.append((arena, priorities, tower[0]))
+        return answer
 
     monkeypatch.setattr(solver_constructive, "_split_rest", building)
-    monkeypatch.setattr(solver_constructive, "_rebased", rebasing)
+    monkeypatch.setattr(solver_constructive, "_fixpoint", visiting)
     for game in games:
         solve_constructive(game)
     monkeypatch.undo()
-    return splits
+    return visits, built
 
 
 def test_cached_splits_match_fresh_splits(monkeypatch):
@@ -66,11 +91,11 @@ def test_cached_splits_match_fresh_splits(monkeypatch):
         *(cycle(n) for n in range(2, 13)),
         *(ladder_game(m) for m in range(2, 11)),
     ]
-    splits = fixpoint_splits(games, monkeypatch)
-    for game, k, split in splits:
-        assert_same_split(split, game, k)
-    tables = {id(split.plus._edges) for _, _, split in splits}
-    assert len(tables) < len(splits) // 2  # most of them were re-based
+    visits, built = fixpoint_visits(games, monkeypatch)
+    for arena, priorities, depth in visits:
+        assert_same_visit(arena, priorities, depth)
+    assert {id(depth.split) for _, _, depth in visits} == set(map(id, built))
+    assert len(built) < len(visits) // 2  # most visits reused their depth's split
 
 
 def test_same_top_priority_on_other_vertices_is_a_new_split():
@@ -95,15 +120,15 @@ def test_one_split_arena_per_edge_table_and_split_set(monkeypatch):
             return built[-1]
 
         monkeypatch.setattr(transforms, "_induced", counting)
-        splits = fixpoint_splits([game], monkeypatch)
+        visits, _ = fixpoint_visits([game], monkeypatch)
         first: dict = {}  # (edge tables, split vertices) -> first split arena
-        for arena, _, split in splits:
-            key = (arena._edges, tuple(sorted(split.split_set)))
+        for arena, _, depth in visits:
+            key = (arena._edges, depth.order)
             if key in first:
-                assert split.plus._edges is first[key]._edges
+                assert depth.split.plus._edges is first[key]._edges
             else:
-                first[key] = split.plus
-        assert len(built) == len(first) < len(splits)
+                first[key] = depth.split.plus
+        assert len(built) == len(first) < len(visits)
 
 
 def test_no_split_outlives_a_call():

@@ -180,7 +180,15 @@ def test_check_solution_reports_a_region_member_that_is_not_an_int(w1, strays):
 
 @pytest.mark.parametrize(
     "region, bad",
-    [([0.5], "0.5"), ([1.0], "1.0"), (["a"], "'a'"), ([0, "1"], "'1'"), ([True], "True")],
+    [
+        ([0.5], "0.5"),
+        ([1.0], "1.0"),
+        (["a"], "'a'"),
+        ([0, "1"], "'1'"),
+        ([True], "True"),
+        ([[1]], "[1]"),  # unhashable: no set can hold it
+        ([0, [1], "a"], "'a'"),
+    ],
 )
 def test_verify_strategy_rejects_a_region_member_that_is_not_an_int(region, bad):
     with pytest.raises(GameError) as caught:
