@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
@@ -68,10 +68,11 @@ def _coerced(values: Iterable, kind: type, what: str, at: int | None = None) -> 
     return tuple(converted)
 
 
-class VertexClass(Enum):
-    ABSORBING = "absorbing"  # only outgoing edge is the self-loop
-    VANISHING = "vanishing"  # no incoming edge at all
-    RELEVANT = "relevant"  # neither of the above
+def _not_ints(values: Iterable) -> list:
+    """The members of ``values`` that are not exact ints, like 1.0 or True, by repr."""
+    if {*map(type, values)} <= {int}:
+        return []
+    return sorted((v for v in values if type(v) is not int), key=repr)
 
 
 class GameError(ValueError):
@@ -246,9 +247,6 @@ class ParityGame:
         """Distinct successors of v in first-occurrence order."""
         return self._choices[v]
 
-    def has_edge(self, v: int, u: int) -> bool:
-        return u in self._choices[v]
-
 
 def _arena(owners, priorities, successors, names, edges=None) -> ParityGame:
     """An arena over tables known valid, for derived arenas and parsed text.
@@ -286,20 +284,6 @@ def _relevant_vertices(
     ]
 
 
-def classify(game: ParityGame, v: int) -> VertexClass:
-    """Classify v as absorbing, vanishing or relevant.
-
-    The classes partition the vertex set: an absorbing vertex is its own
-    predecessor through the self-loop, so it can never be vanishing.
-    Read from the arena's distinct successors and predecessors.
-    """
-    if not 0 <= v < game.n:
-        raise IndexError(f"vertex {v} out of range 0..{game.n - 1}")
-    if game._choices[v] == (v,):
-        return VertexClass.ABSORBING
-    return VertexClass.RELEVANT if game._predecessors[v] else VertexClass.VANISHING
-
-
 def relevant_priorities(game: ParityGame) -> frozenset[int]:
     """Priorities carried by at least one relevant vertex.
 
@@ -320,9 +304,13 @@ class Strategy:
         object.__setattr__(self, "choices", dict(self.choices))
 
     def validate(self, game: ParityGame) -> None:
-        """Raise StrategyError unless every entry is an owned, real edge."""
-        n = game.n
-        for v, u in self.choices.items():
+        """Raise StrategyError unless every entry is an owned, real edge
+        between exact ints (``1.0`` and ``True`` are not)."""
+        choices, n = self.choices, game.n
+        if _not_ints(choices) or _not_ints(choices.values()):
+            v, u = next((v, u) for v, u in choices.items() if {type(v), type(u)} != {int})
+            raise StrategyError(f"choice ({v!r}, {u!r}) names a vertex that is not an int", v)
+        for v, u in choices.items():
             if not 0 <= v < n:
                 raise StrategyError(f"choice at unknown vertex {v}", v)
             if game.owners[v] is not self.player:

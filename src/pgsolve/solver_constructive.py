@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .game import (
     GameError,
@@ -42,6 +42,7 @@ from .game import (
     Solution,
     Strategy,
     _PLAYERS,
+    relevant_priorities,
 )
 from .solver_short import (
     CertificationError,
@@ -51,13 +52,7 @@ from .solver_short import (
     _unsplit as _merged,  # a split answer's choices, copies dropped, moves mapped back
     base_case_solve,
 )
-from .transforms import (
-    SplitGame,
-    _Stack,
-    _split_rest,
-    remove_unfair_win,
-    remove_useless_self_loops,
-)
+from .transforms import SplitGame, _Stack, _normalized, split_top
 from .verification import verify_strategy
 
 
@@ -67,8 +62,7 @@ class TransformRecord:
 
     original: ParityGame
     reduced: ParityGame
-    absorbed: frozenset[int]  # proper edges dropped, vertex now absorbing
-    delooped: frozenset[int]  # useless self-loop dropped
+    normalized: frozenset[int]  # now absorbing, or its useless self-loop dropped
 
 
 @dataclass(frozen=True)
@@ -101,28 +95,26 @@ class _Depth(NamedTuple):
 def preprocess(game: ParityGame) -> TransformRecord:
     """Normalize self-loops so only absorbing vertices carry them.
 
-    First vertices whose own loop already wins for their owner become
-    absorbing, then loops that lose for their owner are dropped.  Both
-    steps preserve the winning regions of the game.
+    In one pass, a vertex whose own loop wins for its owner becomes
+    absorbing and a loop that loses for its owner is dropped.  Both
+    rewrites preserve the winning regions of the game.
     """
-    halfway, absorbed = remove_unfair_win(game)
-    reduced, delooped = remove_useless_self_loops(halfway)
+    reduced, normalized = _normalized(game, True, False)
     if reduced._mixed_loops:
         v = reduced._mixed_loops[0]
         raise CertificationError(f"vertex {v} kept a self-loop next to proper edges")
-    return TransformRecord(game, reduced, absorbed, delooped)
+    return TransformRecord(game, reduced, normalized)
 
 
 def _lift(record: TransformRecord, answer: _Answer) -> Solution:
     original, reduced = record.original, record.reduced
     # The two games differ only where a self-loop was normalized, and
     # each such vertex branched in the original.
-    normalized = record.absorbed | record.delooped
     regions, choices = answer
     strategies = []
     for player in _PLAYERS:
         moves = dict(choices[player])
-        for v in sorted(normalized & regions[player]):
+        for v in sorted(record.normalized & regions[player]):
             if original.owners[v] is player and v not in moves and len(reduced.choices_at(v)) == 1:
                 moves[v] = reduced.choices_at(v)[0]
         strategies.append(Strategy(player, moves))
@@ -140,19 +132,6 @@ def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
     lifted = _lift(record, answer)
     _require_solution(record.original, lifted, "lifted solution")
     return lifted
-
-
-def bump_priorities(split: SplitGame, x: Iterable[int]) -> tuple[int, ...]:
-    """Priorities with every copy of an x-member raised from k to k+1."""
-    x = frozenset(x)
-    n = split.plus.n
-    if x and not 0 <= min(x) <= max(x) < n:
-        v = min(v for v in x if not 0 <= v < n)
-        raise GameError(f"vertex {v} out of range 0..{n - 1}")
-    priorities = list(split.plus.priorities)
-    for v in split.split_set & x:
-        priorities[split.copy_for[v]] = split.k + 1
-    return tuple(priorities)
 
 
 def compose_tau(
@@ -309,11 +288,12 @@ def _fixpoint(
             raise GameError(
                 f"vertex {v} has a self-loop next to proper edges; normalize loops first"
             )
-        split = _split_rest(first)
-        if split is None:
+        relevant = relevant_priorities(first)
+        if not relevant:
             tower += _Bottom(first), []
         else:
-            k, n = split.k, first.n
+            k, n = max(relevant), first.n
+            split = split_top(first, k)
             order = tuple(sorted(split.split_set))
             tower += _Depth(split, k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n))), []
     entry, below = tower

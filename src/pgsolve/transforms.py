@@ -22,6 +22,7 @@ from .game import (
     Solution,
     Strategy,
     _arena,
+    _not_ints,
     _relevant_vertices,
 )
 
@@ -72,26 +73,6 @@ def _induced(game: ParityGame, keep: Sequence[int], split: Sequence[int]) -> Par
     )
 
 
-def _split_rest(game: ParityGame, k: int | None = None) -> SplitGame | None:
-    """``split_top`` of ``game``, or None.
-
-    k defaults to the top relevant priority.  Only the split game is
-    built, by ``_induced``, and nothing is stored on ``game``.
-    """
-    priorities = game.priorities
-    relevant = _relevant_vertices(game)
-    if k is None and relevant:
-        k = max(priorities[v] for v in relevant)
-    split = tuple(v for v in relevant if priorities[v] == k)
-    if not split:
-        return None
-    n = game.n
-    copy_for = dict(zip(split, range(n, n + len(split))))
-    copy_of = dict(zip(copy_for.values(), split))
-    plus = _induced(game, game.vertices, split)
-    return SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
-
-
 def split_top(game: ParityGame, k: int) -> SplitGame:
     """Split every relevant vertex of priority k.
 
@@ -101,10 +82,15 @@ def split_top(game: ParityGame, k: int) -> SplitGame:
     Raises GameError when no relevant vertex carries priority k.
     Every call builds a new split arena and stores nothing on ``game``.
     """
-    split = _split_rest(game, k=k)
-    if split is None:
+    priorities = game.priorities
+    split = tuple(v for v in _relevant_vertices(game) if priorities[v] == k)
+    if not split:
         raise GameError(f"priority {k} is carried by no relevant vertex")
-    return split
+    n = game.n
+    copy_for = dict(zip(split, range(n, n + len(split))))
+    copy_of = dict(zip(copy_for.values(), split))
+    plus = _induced(game, game.vertices, split)
+    return SplitGame(game, plus, k, frozenset(split), copy_of, copy_for)
 
 
 def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
@@ -120,19 +106,20 @@ def merge_strategy(split: SplitGame, strategy: Strategy) -> Strategy:
     return merged
 
 
-def _normalized(game: ParityGame, looping_wins: bool) -> tuple[ParityGame, frozenset[int]]:
-    """Rewrite every mixed self-loop vertex whose loop wins for its owner
-    exactly when ``looping_wins``: keep only the loop if it wins, drop
-    it if it loses.  Either way the vertex keeps a successor, so the
-    arena is built unchecked."""
+def _normalized(game: ParityGame, *looping_wins: bool) -> tuple[ParityGame, frozenset[int]]:
+    """Rewrite each mixed self-loop vertex whose loop winning for its owner
+    is among ``looping_wins`` (both kinds, in one pass, for True, False):
+    keep only the loop if it wins, drop it if it loses.  Either way the
+    vertex keeps a successor, so the arena is built unchecked."""
     owners, priorities, successors = game.owners, game.priorities, list(game.successors)
-    changed = [
-        v for v in game._mixed_loops if owners[v].favours(priorities[v]) is looping_wins
-    ]
+    changed = []
+    for v in game._mixed_loops:
+        wins = owners[v].favours(priorities[v])
+        if wins in looping_wins:
+            changed.append(v)
+            successors[v] = (v,) if wins else tuple(u for u in successors[v] if u != v)
     if not changed:
         return game, frozenset()
-    for v in changed:
-        successors[v] = (v,) if looping_wins else tuple(u for u in successors[v] if u != v)
     return _arena(owners, priorities, tuple(successors), game.names), frozenset(changed)
 
 
@@ -203,9 +190,14 @@ def restrict(game: ParityGame, keep: Iterable[int]) -> Subgame:
     When ``keep`` is every vertex the subgame is ``game`` itself, with
     identity maps, so it shares every table ``game`` has computed.  Any
     other restriction builds a new arena with ``_induced``.  Raises
-    GameError when ``keep`` is empty, and RestrictionError naming the
-    first vertex left without a successor inside ``keep``.
+    GameError when ``keep`` is empty or names a vertex that is not an
+    exact int in range, and RestrictionError naming the first vertex
+    left without a successor inside ``keep``.
     """
+    keep = list(keep)  # a set could not take an unhashable member
+    strays = _not_ints(keep)
+    if strays:
+        raise GameError(f"vertex {strays[0]!r} is not an int")
     to_old = tuple(sorted(set(keep)))
     n = game.n
     if not to_old:
@@ -232,9 +224,11 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
     Keeps both strategies certified when the input regions were; on
     return no undecided vertex can move into its owner's region and
     every undecided vertex keeps an undecided successor.  ``partial``
-    is left as it was; a region vertex the game lacks raises GameError.
+    is left as it was; a region vertex the game lacks, or one that is
+    not an exact int, raises GameError.
     """
-    if not (partial.w0 | partial.w1) <= set(game.vertices):
+    members = partial.w0 | partial.w1
+    if _not_ints(members) or not members <= set(game.vertices):
         raise GameError("regions mention vertices the game does not have")
     state = _Closure(game)
     state.add(Player.P0, partial.w0, partial.sigma.choices)

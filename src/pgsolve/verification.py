@@ -36,6 +36,7 @@ from .game import (
     Solution,
     Strategy,
     StrategyError,
+    _not_ints,
 )
 
 
@@ -250,13 +251,6 @@ def _witness(
             cycle = _shortest_cycle(carriers[0], set(component), edges)
             return BadCycleWitness(_path_to(cycle[0], region, edges), cycle, p)
     raise AssertionError(f"no reachable cycle is topped by priority {p}")
-
-
-def _not_ints(values: Iterable) -> list:
-    """The members of ``values`` that are not exact ints, like 1.0 or True, by repr."""
-    if {*map(type, values)} <= {int}:
-        return []
-    return sorted((v for v in values if type(v) is not int), key=repr)
 
 
 def verify_strategy(

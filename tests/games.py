@@ -69,6 +69,21 @@ def random_corpus(count: int, max_n: int) -> list[ParityGame]:
     ]
 
 
+def scratch_class(game: ParityGame, v: int) -> str:
+    """"absorbing", "vanishing" or "relevant", from the successor lists alone.
+
+    Absorbing: v's only target is itself.  Vanishing: no edge enters v.
+    The package has no such function; its one relevance test is
+    ``game._relevant_vertices``, which tests compare with this rule.
+    """
+    targets = set(game.successors[v])
+    if targets == {v}:
+        return "absorbing"
+    if not any(v in succ for succ in game.successors):
+        return "vanishing"
+    return "relevant"
+
+
 def cycle(n: int) -> ParityGame:
     """Vertex v has owner v % 2, priority v and one edge to v + 1 mod n."""
     return ParityGame.from_vertices([(v % 2, v, ((v + 1) % n,)) for v in range(n)])

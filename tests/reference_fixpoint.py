@@ -17,10 +17,10 @@ from itertools import compress
 from operator import ne
 
 from pgsolve import FixpointState, ParityGame, Player, Solution, Strategy
-from pgsolve.game import _PLAYERS
+from pgsolve.game import _PLAYERS, relevant_priorities
 from pgsolve.solver_constructive import compose_tau, preprocess
 from pgsolve.solver_short import _decide
-from pgsolve.transforms import SplitGame, _split_rest
+from pgsolve.transforms import SplitGame, split_top
 
 
 def rebased(split: SplitGame, game: ParityGame) -> SplitGame:
@@ -83,8 +83,8 @@ class Bottom:
 
 def fixpoint(game: ParityGame, tower: list, history_out: list | None) -> Solution:
     if not tower:
-        split = _split_rest(game)
-        tower += Bottom() if split is None else split, []
+        relevant = relevant_priorities(game)
+        tower += split_top(game, max(relevant)) if relevant else Bottom(), []
     entry = tower[0]
     if entry.__class__ is Bottom:
         return entry.solve(game)
@@ -127,7 +127,7 @@ def reference_solve_constructive(
     strategies = {}
     for player in _PLAYERS:
         choices = dict(solution.strategy(player).choices)
-        for v in sorted((record.absorbed | record.delooped) & solution.region(player)):
+        for v in sorted(record.normalized & solution.region(player)):
             if original.owners[v] is player and v not in choices:
                 if len(reduced.choices_at(v)) == 1:
                     choices[v] = reduced.choices_at(v)[0]

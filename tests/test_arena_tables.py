@@ -1,9 +1,9 @@
 """Per-arena vertex tables and the Player coercions around them.
 
-``ParityGame`` computes the class of every vertex, its relevant
-priorities and its distinct predecessors once per arena.  Each table
-must equal a from-scratch computation, on generated arenas and on the
-arenas the transforms derive from them.
+``ParityGame`` computes its relevant vertices and priorities and its
+distinct predecessors once per arena.  Each table must equal a
+from-scratch computation, on generated arenas and on the arenas the
+transforms derive from them.
 """
 
 from dataclasses import replace
@@ -22,32 +22,23 @@ from pgsolve import (
     solve_constructive,
     split_top,
 )
-from pgsolve.game import VertexClass, _relevant_vertices, classify, relevant_priorities
-from pgsolve.solver_constructive import bump_priorities, fixpoint_solve, preprocess
+from pgsolve.game import _relevant_vertices, relevant_priorities
+from pgsolve.solver_constructive import fixpoint_solve, preprocess
 from pgsolve import solver_constructive
-from pgsolve.transforms import RestrictionError, _split_rest
-from games import cycle, ladder_game, random_corpus
-
-
-def scratch_class(game: ParityGame, v: int) -> VertexClass:
-    targets = set(game.successors[v])
-    if targets == {v}:
-        return VertexClass.ABSORBING
-    if not any(v in succ for succ in game.successors):
-        return VertexClass.VANISHING
-    return VertexClass.RELEVANT
+from pgsolve.transforms import RestrictionError
+from games import cycle, ladder_game, random_corpus, scratch_class
+from reference_fixpoint import bumped
 
 
 def assert_tables(game: ParityGame):
     classes = [scratch_class(game, v) for v in game.vertices]
-    assert [classify(game, v) for v in game.vertices] == classes
     assert _relevant_vertices(game) == [
-        v for v in game.vertices if classes[v] is VertexClass.RELEVANT
+        v for v in game.vertices if classes[v] == "relevant"
     ]
     assert relevant_priorities(game) == frozenset(
         game.priorities[v]
         for v in game.vertices
-        if classes[v] is VertexClass.RELEVANT
+        if classes[v] == "relevant"
     )
     assert game._predecessors == tuple(
         tuple(w for w in game.vertices if v in game.successors[w])
@@ -68,11 +59,9 @@ def derived(game: ParityGame):
     if relevant:
         split = split_top(game, max(relevant))
         yield split.plus
-        bumped = replace(
-            split.plus, priorities=bump_priorities(split, split.split_set)
-        )
-        assert bumped.priorities != split.plus.priorities
-        yield bumped
+        bumped_plus = replace(split.plus, priorities=bumped(split, split.split_set))
+        assert bumped_plus.priorities != split.plus.priorities
+        yield bumped_plus
 
 
 DUPLICATES = ParityGame.from_vertices(
@@ -85,12 +74,6 @@ def test_tables_match_scratch_computation():
         assert_tables(game)
         for arena in derived(game):
             assert_tables(arena)
-
-
-def test_classify_rejects_a_negative_vertex():
-    # The edge tables are tuples, so v = -1 would index them silently.
-    with pytest.raises(IndexError):
-        classify(DUPLICATES, -1)
 
 
 def test_opponent_is_the_other_member():
@@ -176,13 +159,9 @@ def test_bumped_split_games_share_the_split_games_tables():
         if not relevant:
             continue
         split = split_top(game, max(relevant))
-        bumped = split.plus._relabelled(
-            priorities=bump_priorities(split, split.split_set)
-        )
-        assert bumped == replace(
-            split.plus, priorities=bump_priorities(split, split.split_set)
-        )
-        assert_shares_edges(bumped, split.plus)
+        bumped_plus = split.plus._relabelled(priorities=bumped(split, split.split_set))
+        assert bumped_plus == replace(split.plus, priorities=bumped(split, split.split_set))
+        assert_shares_edges(bumped_plus, split.plus)
 
 
 def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
@@ -190,19 +169,17 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
     # arena itself, whose tables every visit of that depth reads
     splits: list = []
     visits: list = []
-    real_split, real_fixpoint = _split_rest, solver_constructive._fixpoint
+    real_split, real_fixpoint = split_top, solver_constructive._fixpoint
 
-    def recording_split(game, k=None):
-        split = real_split(game, k)
-        if split is not None:
-            splits.append(split)
-        return split
+    def recording_split(game, k):
+        splits.append(real_split(game, k))
+        return splits[-1]
 
     def recording_fixpoint(game, priorities, *args):
         visits.append((game, priorities))
         return real_fixpoint(game, priorities, *args)
 
-    monkeypatch.setattr(solver_constructive, "_split_rest", recording_split)
+    monkeypatch.setattr(solver_constructive, "split_top", recording_split)
     monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
     for game in (cycle(7), ladder_game(3)):
         solve_constructive(game)
@@ -253,7 +230,7 @@ def test_fixpoint_solve_still_rejects_a_mixed_self_loop():
 def test_preprocess_still_guards_its_own_output(monkeypatch):
     game = ParityGame.from_vertices([(0, 1, (0, 1)), (1, 2, (1,))])
     monkeypatch.setattr(
-        solver_constructive, "remove_useless_self_loops", lambda g: (g, frozenset())
+        solver_constructive, "_normalized", lambda g, *wins: (g, frozenset())
     )
     with pytest.raises(CertificationError, match="vertex 0 kept a self-loop"):
         preprocess(game)

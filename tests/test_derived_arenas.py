@@ -33,15 +33,16 @@ from pgsolve import (
     split_top,
 )
 from pgsolve import solver_constructive
-from pgsolve.game import VertexClass, _relevant_vertices, classify, relevant_priorities
-from pgsolve.solver_constructive import bump_priorities, preprocess
+from pgsolve.game import _relevant_vertices, relevant_priorities
+from pgsolve.solver_constructive import preprocess
 from pgsolve.transforms import (
     RestrictionError,
     _Stack,
     remove_unfair_win,
     remove_useless_self_loops,
 )
-from games import cycle, ladder_game, random_corpus
+from games import cycle, ladder_game, random_corpus, scratch_class
+from reference_fixpoint import bumped
 
 DUPLICATES = ParityGame.from_vertices(
     [(0, 1, (1, 1, 0)), (1, 2, (2, 0, 2)), (0, 3, (3, 2, 2)), (1, 0, (3,))]
@@ -87,7 +88,7 @@ def same_split_priorities(game: ParityGame, k: int, split_set) -> tuple[int, ...
     return tuple(
         p
         if v in split_set
-        else (p + 7 if p > k or classify(game, v) is not VertexClass.RELEVANT else p // 2)
+        else (p + 7 if p > k or scratch_class(game, v) != "relevant" else p // 2)
         for v, p in enumerate(game.priorities)
     )
 
@@ -116,7 +117,7 @@ def derived(game: ParityGame):
         split = split_top(game, k)
         yield split.plus
         for x in (split.split_set, frozenset(list(split.split_set)[::2])):
-            yield split.plus._relabelled(priorities=bump_priorities(split, x))
+            yield split.plus._relabelled(priorities=bumped(split, x))
         # a later visit of the split's depth, with the priorities of ``moved``
         moved = game._relabelled(priorities=same_split_priorities(game, k, split.split_set))
         visit = split.plus._relabelled(priorities=(*moved.priorities, *[k] * len(split.split_set)))

@@ -14,8 +14,8 @@ from pgsolve import (
     solve_constructive,
     solve_short,
 )
-from pgsolve.game import VertexClass, classify, relevant_priorities
-from games import chain_game, two_cycle_game
+from pgsolve.game import _relevant_vertices, relevant_priorities
+from games import chain_game, scratch_class, two_cycle_game
 
 
 def test_rejects_empty_successor_list():
@@ -84,32 +84,29 @@ def test_all_int_tables_are_kept_as_given():
 
 def test_classify_chain():
     game = chain_game()
-    assert classify(game, 0) is VertexClass.VANISHING
-    assert classify(game, 1) is VertexClass.RELEVANT
-    assert classify(game, 2) is VertexClass.ABSORBING
+    assert [scratch_class(game, v) for v in game.vertices] == [
+        "vanishing",
+        "relevant",
+        "absorbing",
+    ]
+    assert _relevant_vertices(game) == [1]
 
 
 def test_classify_self_loop_with_exit_is_relevant():
     # a self-loop makes the vertex its own predecessor, so with a proper
     # edge on the side it is neither absorbing nor vanishing
     game = ParityGame.from_vertices([(0, 2, (0, 1)), (1, 1, (1,))])
-    assert classify(game, 0) is VertexClass.RELEVANT
-    assert classify(game, 1) is VertexClass.ABSORBING
-
-
-def test_classify_rejects_out_of_range():
-    with pytest.raises(IndexError):
-        classify(chain_game(), 3)
+    assert [scratch_class(game, v) for v in game.vertices] == ["relevant", "absorbing"]
+    assert _relevant_vertices(game) == [0]
 
 
 def test_classes_partition():
     for game in (chain_game(), two_cycle_game()):
-        for v in game.vertices:
-            assert classify(game, v) in (
-                VertexClass.ABSORBING,
-                VertexClass.VANISHING,
-                VertexClass.RELEVANT,
-            )
+        classes = [scratch_class(game, v) for v in game.vertices]
+        assert set(classes) <= {"absorbing", "vanishing", "relevant"}
+        assert _relevant_vertices(game) == [
+            v for v in game.vertices if classes[v] == "relevant"
+        ]
 
 
 def test_relevant_priorities_chain():

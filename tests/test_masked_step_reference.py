@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from pgsolve import ParityGame, Player, Strategy, gen_random, restrict, solve_short
 from pgsolve import solver_short
-from pgsolve.game import VertexClass, _relevant_vertices, classify, relevant_priorities
+from pgsolve.game import _relevant_vertices, relevant_priorities
 from pgsolve.transforms import _Stack
-from games import cycle, random_corpus
+from games import cycle, random_corpus, scratch_class
 import reference_solve_short as reference
 from test_closure_reference import arenas
 
@@ -49,7 +49,7 @@ def reference_split_top(game: ParityGame, k: int):
     split = [
         v
         for v, p in enumerate(game.priorities)
-        if p == k and classify(game, v) is VertexClass.RELEVANT
+        if p == k and scratch_class(game, v) == "relevant"
     ]
     copy_for = {v: game.n + i for i, v in enumerate(split)}
     plus = ParityGame(
@@ -115,7 +115,7 @@ def reference_base_case(game, keep):
     regions = {Player.P0: set(), Player.P1: set()}
     chosen = {Player.P0: {}, Player.P1: {}}
     for v in sub.vertices:
-        if classify(sub, v) is VertexClass.ABSORBING:
+        if scratch_class(sub, v) == "absorbing":
             regions[Player(sub.priorities[v] % 2)].add(v)
             continue
         owner = sub.owners[v]
@@ -267,7 +267,7 @@ def test_relevance_and_split_match_the_subarena_on_any_mask(bundle):
     if not keep or any(not set(game.successors[v]) & marked for v in keep):
         return  # not a game, so the solver never splits it
     sub, to_old = reference_restrict(game, keep)
-    relevant = [v for v in sub.vertices if classify(sub, v) is VertexClass.RELEVANT]
+    relevant = [v for v in sub.vertices if scratch_class(sub, v) == "relevant"]
     assert _relevant_vertices(game, inside) == [to_old[v] for v in relevant]
     for k in sorted(relevant_priorities(sub)):
         split, arena = split_on_stack(game, inside, k)

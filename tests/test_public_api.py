@@ -1,6 +1,8 @@
-"""The package namespace is what README.md documents, and every function
-the benchmark's tracer wraps still exists in its module."""
+"""The package namespace is what README.md documents, every function
+the benchmark's tracer wraps still exists in its module, and a module
+defines no other public name beyond a short allowlist."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -82,3 +84,42 @@ def test_tracer_targets_resolve():
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attribute)
 
+
+
+# Public names that are neither exported nor traced: the loop
+# normalization record, the answer of nonempty_step, the oracle's budget
+# knobs and the command line's entry points.
+UNDOCUMENTED = {
+    "TransformRecord",
+    "WinningCore",
+    "DEFAULT_PROFILE_BUDGET",
+    "profile_count",
+    "BUDGET_VAR",
+    "build_parser",
+    "main",
+    "run",
+}
+
+
+def _defined_names(path: Path):
+    """Names a module's own top-level defs, classes and assignments bind."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_public_name_is_exported_traced_or_allowed():
+    traced = {(module, attribute.split(".")[0]) for module, attribute in _tracer_targets()}
+    stray = [
+        f"{path.stem}.{name}"
+        for path in sorted((ROOT / "src" / "pgsolve").glob("*.py"))
+        for name in _defined_names(path)
+        if not name.startswith("_")
+        and name not in pgsolve.__all__
+        and (path.stem, name) not in traced
+        and name not in UNDOCUMENTED
+    ]
+    assert not stray, f"public but neither exported, traced nor allowed: {stray}"

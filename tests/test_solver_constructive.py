@@ -9,16 +9,16 @@ from pgsolve import (
     Strategy,
     brute_force_solve,
     check_solution,
+    remove_unfair_win,
+    remove_useless_self_loops,
     solve_constructive,
     solve_short,
-    split_top,
 )
 from pgsolve import game as game_module
 from pgsolve import pgfile, solver_constructive, transforms
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import (
     _Bottom,
-    bump_priorities,
     compose_tau,
     fixpoint_solve,
     preprocess,
@@ -38,16 +38,29 @@ def mixed_loops_game():
 
 def test_preprocess_golden():
     record = preprocess(mixed_loops_game())
-    assert record.absorbed == {0}
-    assert record.delooped == {1}
+    # 0 keeps only its loop, 1 loses its loop
+    assert record.normalized == {0, 1}
     assert record.reduced.successors == ((0,), (0,))
 
 
 def test_preprocess_keeps_normalized_games():
     record = preprocess(chain_game())
     assert record.reduced == chain_game()
-    assert record.absorbed == frozenset()
-    assert record.delooped == frozenset()
+    assert record.normalized == frozenset()
+
+
+def test_one_pass_preprocess_equals_the_two_normalizations():
+    both = 0
+    for game in random_corpus(400, 10):
+        if not game._mixed_loops:
+            continue
+        halfway, absorbed = remove_unfair_win(game)
+        reduced, delooped = remove_useless_self_loops(halfway)
+        record = preprocess(game)
+        assert record.reduced == reduced
+        assert record.normalized == absorbed | delooped
+        both += bool(absorbed) and bool(delooped)
+    assert both > 10  # games with both kinds of mixed self-loop
 
 
 def test_preprocess_postcondition():
@@ -79,26 +92,6 @@ def test_lift_materializes_choice_forced_only_in_reduced():
     assert solved.w1 == {0}
     assert solved.w0 == {1}
     assert solved.tau.choices == {0: 0}
-
-
-def test_bump_priorities_golden():
-    split = split_top(chain_game(), 4)
-    assert split.plus.priorities == (3, 4, 1, 4)
-    assert bump_priorities(split, frozenset()) == (3, 4, 1, 4)
-    assert bump_priorities(split, {1}) == (3, 4, 1, 5)
-    # members outside the split set do not bump anything
-    assert bump_priorities(split, {1, 2}) == (3, 4, 1, 5)
-    assert bump_priorities(split, {2, 3}) == (3, 4, 1, 4)
-
-
-def test_bump_priorities_range_check():
-    split = split_top(chain_game(), 4)
-    with pytest.raises(GameError):
-        bump_priorities(split, {4})
-    # the least out-of-range member is named, whatever the set order
-    for x, least in (({9, 4, 1, 70}, 4), ({-1, 2, 8}, -1), ({5, 4}, 4)):
-        with pytest.raises(GameError, match=f"^vertex {least} out of range 0..3$"):
-            bump_priorities(split, x)
 
 
 def test_compose_tau_keeps_earliest_choice():

@@ -3,26 +3,28 @@
 Within one ``solve_constructive`` call every visit of a given recursion
 depth of ``_fixpoint`` has the same edges and split set: a bump changes
 only the priorities of absorbing copies.  So ``_fixpoint`` builds the
-split of a depth once, with ``_split_rest`` on the depth's first arena,
-and hands each later visit only its priority tuple.  Read with those
-priorities, the depth's split must equal, field by field, the one
-``_split_rest`` builds from scratch on a fresh arena of the same
-content; and no split outlives the call on the caller's game.
+split of a depth once, with ``split_top`` at the top relevant priority
+of the depth's first arena, and hands each later visit only its
+priority tuple.  Read with those priorities, the depth's split must
+equal, field by field, the one ``split_top`` builds from scratch on a
+fresh arena of the same content; and no split outlives the call on the
+caller's game.
 """
 
 from pgsolve import ParityGame, Player, gen_random, solve_constructive, solve_short, split_top
 from pgsolve import solver_constructive, transforms
+from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import _Depth
-from pgsolve.transforms import _split_rest
 from games import cycle, ladder_game, random_corpus
 
 EDGE_TABLES = {"successors", "choices", "predecessors", "mixed_loops"}
 
 
-def fresh_split(game: ParityGame, k: int):
-    """The split of a new arena equal to ``game``, sharing no table."""
+def fresh_split(game: ParityGame, k: int | None):
+    """The split of a new arena equal to ``game``, sharing no table, at k
+    or, when k is None, at the top relevant priority."""
     fresh = ParityGame(game.owners, game.priorities, game.successors, game.names)
-    return _split_rest(fresh, k=k)
+    return split_top(fresh, max(relevant_priorities(fresh)) if k is None else k)
 
 
 def assert_same_split(split, game: ParityGame, k: int):
@@ -61,15 +63,13 @@ def assert_same_visit(arena: ParityGame, priorities, depth) -> None:
 
 def fixpoint_visits(games, monkeypatch):
     """Every (arena, priorities, depth) of a visit ``_fixpoint`` makes to
-    a depth with a split, and every split ``_split_rest`` built for it."""
+    a depth with a split, and every split ``split_top`` built for it."""
     visits, built = [], []
     real_fixpoint = solver_constructive._fixpoint
 
-    def building(game, k=None):
-        split = _split_rest(game, k)
-        if split is not None:
-            built.append(split)
-        return split
+    def building(game, k):
+        built.append(split_top(game, k))
+        return built[-1]
 
     def visiting(arena, priorities, debug, tower, history_out):
         answer = real_fixpoint(arena, priorities, debug, tower, history_out)
@@ -77,7 +77,7 @@ def fixpoint_visits(games, monkeypatch):
             visits.append((arena, priorities, tower[0]))
         return answer
 
-    monkeypatch.setattr(solver_constructive, "_split_rest", building)
+    monkeypatch.setattr(solver_constructive, "split_top", building)
     monkeypatch.setattr(solver_constructive, "_fixpoint", visiting)
     for game in games:
         solve_constructive(game)

@@ -7,6 +7,7 @@ from pgsolve import (
     Player,
     RestrictionError,
     Strategy,
+    StrategyError,
     brute_force_solve,
     closure,
     merge_strategy,
@@ -16,8 +17,8 @@ from pgsolve import (
     shift_and_swap,
     split_top,
 )
-from pgsolve.game import VertexClass, classify, relevant_priorities
-from games import chain_game, two_cycle_game
+from pgsolve.game import relevant_priorities
+from games import chain_game, scratch_class, two_cycle_game
 
 
 def test_split_chain_at_top():
@@ -34,8 +35,8 @@ def test_split_chain_at_top():
 
 def test_split_classifies_copies_and_originals():
     split = split_top(chain_game(), 4)
-    assert classify(split.plus, 1) is VertexClass.VANISHING
-    assert classify(split.plus, 3) is VertexClass.ABSORBING
+    assert scratch_class(split.plus, 1) == "vanishing"
+    assert scratch_class(split.plus, 3) == "absorbing"
 
 
 def test_split_redirects_self_loop_of_split_vertex():
@@ -83,7 +84,7 @@ def test_remove_unfair_win_absorbs():
     reduced, changed = remove_unfair_win(game)
     assert changed == {0}
     assert reduced.successors[0] == (0,)
-    assert classify(reduced, 0) is VertexClass.ABSORBING
+    assert scratch_class(reduced, 0) == "absorbing"
 
 
 def test_remove_unfair_win_respects_owner_parity():
@@ -154,6 +155,16 @@ def test_restrict_rejects_starved_vertex():
     assert err.value.vertex == 0
 
 
+@pytest.mark.parametrize(
+    "keep, bad",
+    [([0.0, 1], "0.0"), (["a"], "'a'"), ([1, True], "True"), ([2, [1]], "[1]")],
+)
+def test_restrict_rejects_a_vertex_that_is_not_an_int(keep, bad):
+    with pytest.raises(GameError) as caught:
+        restrict(chain_game(), keep)
+    assert str(caught.value) == f"vertex {bad} is not an int"
+
+
 def test_restrict_everything_is_identity_up_to_indices():
     game = chain_game()
     sub = restrict(game, game.vertices)
@@ -173,6 +184,12 @@ def test_closure_rule_b_pulls_vertex_into_opponent_region():
     assert closed.w1 == {0, 1, 2}
     assert closed.w0 == frozenset()
     assert closed.sigma.choices == {}
+
+
+def test_merge_strategy_rejects_a_target_that_is_not_an_int():
+    split = split_top(chain_game(), 4)
+    with pytest.raises(StrategyError, match=r"^choice \(0, 1\.0\) names a vertex"):
+        merge_strategy(split, Strategy(Player.P0, {0: 1.0}))
 
 
 def test_closure_rule_a_records_least_target():
@@ -234,7 +251,7 @@ def test_closure_is_monotone_and_idempotent():
 
 def test_closure_rejects_region_vertices_the_game_lacks():
     game = ParityGame.from_vertices([(0, 0, (0,)), (1, 1, (0,))])
-    for stray in (2, -1):
+    for stray in (2, -1, 1.0, True, "a"):  # 1.0 and True equal vertex 1
         partial = PartialSolution(
             frozenset(), frozenset({stray}), Strategy(Player.P0, {}), Strategy(Player.P1, {})
         )

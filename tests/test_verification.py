@@ -196,6 +196,33 @@ def test_verify_strategy_rejects_a_region_member_that_is_not_an_int(region, bad)
     assert str(caught.value) == f"region vertex {bad} is not an int"
 
 
+BRANCHING = ParityGame.from_vertices([(0, 0, (1, 2)), (1, 2, (0,)), (0, 1, (2,))])
+
+
+@pytest.mark.parametrize(
+    "choices, entry, vertex",
+    [
+        ({0: 1.0}, "(0, 1.0)", 0),
+        ({0.0: 1}, "(0.0, 1)", 0.0),
+        ({0: True}, "(0, True)", 0),
+        ({0: 2, 2.0: 2}, "(2.0, 2)", 2.0),
+        ({"0": 1}, "('0', 1)", "0"),
+    ],
+)
+def test_a_choice_that_is_not_an_int_is_a_strategy_error(choices, entry, vertex):
+    # 1.0 and True equal vertex 1, so only the type test tells them apart
+    strategy = Strategy(Player.P0, choices)
+    message = f"choice {entry} names a vertex that is not an int"
+    with pytest.raises(StrategyError) as caught:
+        strategy.validate(BRANCHING)
+    assert str(caught.value) == message
+    assert type(caught.value.vertex) is type(vertex) and caught.value.vertex == vertex
+    with pytest.raises(StrategyError, match=r"^choice \("):
+        verify_strategy(BRANCHING, Player.P0, strategy, [0])
+    solution = Solution(frozenset({0, 2}), frozenset({1}), strategy, Strategy(Player.P1, {}))
+    assert check_solution(BRANCHING, solution) == Diagnostic(f"sigma on w0: {message}")
+
+
 def test_check_solution_reports_a_gap_before_an_unknown_vertex():
     game = chain_game()
     no_moves = Strategy(Player.P0, {}), Strategy(Player.P1, {})
