@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .game import GameError, ParityGame, Solution, StrategyError
 from .generate import gen_random
@@ -47,16 +47,15 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_PROFILE_BUDGET
     try:
-        budget = int(raw)
+        return int(raw)
     except ValueError:
         _usage_error(f"{BUDGET_VAR} must be an integer, got {raw!r}")
-    return budget
 
 
-def _load_game(path: str) -> ParityGame:
+def _load(path: str, parse: Callable[[str], object] = parse_game):
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_game(handle.read())
+            return parse(handle.read())
     except OSError as exc:
         _usage_error(str(exc))
     except (ParseError, UnicodeDecodeError) as exc:
@@ -76,7 +75,7 @@ _SOLVERS = {
 
 
 def _cmd_solve(args) -> int:
-    game = _load_game(args.file)
+    game = _load(args.file)
     try:
         solution = _SOLVERS[args.algo](game)
     except BudgetExceededError as exc:
@@ -86,14 +85,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    game = _load_game(args.file)
-    try:
-        with open(args.solution, encoding="utf-8") as handle:
-            solution = parse_solution(handle.read(), game)
-    except OSError as exc:
-        _usage_error(str(exc))
-    except (ParseError, UnicodeDecodeError) as exc:
-        _usage_error(f"{args.solution}: {exc}")
+    game = _load(args.file)
+    solution = _load(args.solution, lambda text: parse_solution(text, game))
     diagnostic = check_solution(game, solution)
     if diagnostic is None:
         print("certified")
@@ -149,7 +142,7 @@ def _minimize(game: ParityGame, algos: list[str]) -> ParityGame:
 
 
 def _cmd_compare(args) -> int:
-    game = _load_game(args.file)
+    game = _load(args.file)
     algos = ["short", "constructive"]
     if profile_count(game) <= _budget():
         algos.append("oracle")
@@ -174,7 +167,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    game = _load_game(args.file)
+    game = _load(args.file)
     op = args.op
     try:
         if op.startswith("split:"):

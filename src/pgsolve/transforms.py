@@ -224,12 +224,14 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
     Keeps both strategies certified when the input regions were; on
     return no undecided vertex can move into its owner's region and
     every undecided vertex keeps an undecided successor.  ``partial``
-    is left as it was; a region vertex the game lacks, or one that is
-    not an exact int, raises GameError.
+    is left as it was.  A region vertex the game lacks or that is not
+    an exact int raises GameError; a malformed strategy, StrategyError.
     """
     members = partial.w0 | partial.w1
     if _not_ints(members) or not members <= set(game.vertices):
         raise GameError("regions mention vertices the game does not have")
+    partial.sigma.validate(game)
+    partial.tau.validate(game)
     state = _Closure(game)
     state.add(Player.P0, partial.w0, partial.sigma.choices)
     state.add(Player.P1, partial.w1, partial.tau.choices)

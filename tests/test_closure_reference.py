@@ -3,8 +3,10 @@
 ``sweep_closure`` is the original implementation: rescan every
 undecided vertex in index order, pass after pass.  The worklist must
 give the same regions and the same strategy entries on any arena and
-any disjoint partial solution, certified or not, because the solvers'
-strategies, and so their output bytes, depend on the exact choices.
+any disjoint partial solution, certified or not, whose strategies are
+well formed (``closure`` rejects an entry that is not an edge of a
+vertex its player owns), because the solvers' strategies, and so their
+output bytes, depend on the exact choices.
 The closure state ``solve_short`` keeps for a whole call is checked
 the same way after every core it is given.
 """
@@ -97,7 +99,7 @@ def assert_state_matches_sweep(game, cores):
 
 
 def random_partial(game: ParityGame, rng: random.Random) -> PartialSolution:
-    """Disjoint regions of random density, strategy entries anywhere."""
+    """Disjoint regions of random density, owners' strategy entries anywhere."""
     density = rng.random()
     w0, w1 = set(), set()
     choices = ({}, {})
@@ -105,7 +107,7 @@ def random_partial(game: ParityGame, rng: random.Random) -> PartialSolution:
         if rng.random() < density:
             (w0 if rng.random() < 0.5 else w1).add(v)
         if rng.random() < 0.3:
-            choices[rng.randrange(2)][v] = rng.choice(game.successors[v])
+            choices[game.owners[v]][v] = rng.choice(game.successors[v])
     return PartialSolution(
         frozenset(w0),
         frozenset(w1),
@@ -137,7 +139,7 @@ def games_and_partials(draw):
     side = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n, max_size=n))
     choices = ({}, {})
     for v in draw(st.lists(vertex, max_size=n)):
-        choices[draw(st.integers(0, 1))][v] = draw(st.sampled_from(game.successors[v]))
+        choices[game.owners[v]][v] = draw(st.sampled_from(game.successors[v]))
     partial = PartialSolution(
         frozenset(v for v, s in enumerate(side) if s == 0),
         frozenset(v for v, s in enumerate(side) if s == 1),

@@ -10,12 +10,16 @@ the constructor makes: Player owners, int priorities, tuple
 successors.  And the constructor's validation must not run inside a
 default-mode solve or a parse.
 
-The fixpoint round checks stay: a round that changes the strategy on
-the previous region, or loses part of it, raises CertificationError
-with the message that names the round and the vertex.
+The fixpoint round checks stay, at every depth: a round that changes
+the strategy on the previous region, or loses part of it, raises
+CertificationError with the message that names the round and the
+vertex.
 """
 
 from __future__ import annotations
+
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +52,7 @@ DUPLICATES = ParityGame.from_vertices(
     [(0, 1, (1, 1, 0)), (1, 2, (2, 0, 2)), (0, 3, (3, 2, 2)), (1, 0, (3,))]
 )
 COMPOSE_TAU = solver_constructive.compose_tau
+COMPOSED = solver_constructive._composed
 NAMES = ("", "a b", "\t", "é~", None, "x;y", "0 1 2")
 
 
@@ -214,6 +219,44 @@ def test_a_drifted_choice_fails_its_round(monkeypatch, edit):
     fired = 0
     for game in [*random_corpus(80, 12), ladder_game(4)]:
         expected = edit_previous_choice(monkeypatch, edit)
+        try:
+            solve_constructive(game)
+        except CertificationError as exc:
+            assert expected and first_line(exc) == expected[0]
+            fired += 1
+        else:
+            assert not expected
+    assert fired > 5
+
+
+def edit_inner_choice(monkeypatch, edit) -> list[str]:
+    """Patch ``_composed`` so the first inner-depth round that ``edit``
+    accepts changes the previous round's strategy; return the expected
+    reasons.  Only inner rounds call ``_composed`` from ``_fixpoint``
+    itself (the top depth's go through ``compose_tau``), so the caller's
+    frame names the round."""
+    expected: list[str] = []
+
+    def editing(tau, settled, w1, fresh):
+        choices = COMPOSED(tau, settled, w1, fresh)
+        caller = sys._getframe(1)
+        if settled and not expected and caller.f_code.co_name == "_fixpoint":
+            alpha = caller.f_locals["alpha"]
+            previous = SimpleNamespace(alpha=alpha - 1, w1=settled, tau=Strategy(0, tau))
+            v = edit(previous, choices)
+            if v is not None:
+                expected.append(f"round {alpha}: choice at {v} drifted from round {alpha - 1}")
+        return choices
+
+    monkeypatch.setattr(solver_constructive, "_composed", editing)
+    return expected
+
+
+@pytest.mark.parametrize("edit", [drop, change, add])
+def test_a_drifted_inner_choice_fails_its_round(monkeypatch, edit):
+    fired = 0
+    for game in [*random_corpus(80, 12), ladder_game(4)]:
+        expected = edit_inner_choice(monkeypatch, edit)
         try:
             solve_constructive(game)
         except CertificationError as exc:

@@ -249,3 +249,23 @@ def test_default_mode_builds_one_arena_per_fixpoint_depth(monkeypatch):
             depths, tower = depths + 1, tower[1]
         assert len(built) <= depths + 2
         assert bound is None or len(built) <= bound
+
+
+def test_default_mode_builds_no_strategy_per_inner_round(monkeypatch):
+    # Inner rounds compose plain choice dicts; only the top depth, whose
+    # rounds leave through history_out, wraps its fresh choices and its
+    # composed tau in a Strategy, and the boundary lifts two more.
+    built = []
+    post_init = Strategy.__post_init__
+
+    def counting(self):
+        built.append(self.player)
+        post_init(self)
+
+    monkeypatch.setattr(Strategy, "__post_init__", counting)
+    # cycle(11) runs 601 rounds over all its depths, one of them on top
+    for game in (cycle(11), ladder_game(14)):
+        built.clear()
+        history = []
+        solve_constructive(game, history_out=history)
+        assert len(built) <= 2 * len(history) + 4

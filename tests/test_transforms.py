@@ -259,6 +259,26 @@ def test_closure_rejects_region_vertices_the_game_lacks():
             closure(game, partial)
 
 
+@pytest.mark.parametrize(
+    "sigma, tau, message, vertex",
+    [
+        ({}, {7: 1}, r"^choice at unknown vertex 7$", 7),
+        ({}, {0.0: 2}, r"^choice \(0\.0, 2\) names a vertex that is not an int$", 0.0),
+        ({}, {0: 1}, r"^vertex 0 is not owned by P1$", 0),
+        ({0: 2}, {}, r"^\(0, 2\) is not an edge$", 0),
+    ],
+    ids=["unknown_vertex", "not_an_int", "not_owned", "not_an_edge"],
+)
+def test_closure_rejects_a_malformed_strategy(sigma, tau, message, vertex):
+    # w1 = {w} would pull u and v in by rule (b): the check comes first
+    partial = PartialSolution(
+        frozenset(), frozenset({2}), Strategy(Player.P0, sigma), Strategy(Player.P1, tau)
+    )
+    with pytest.raises(StrategyError, match=message) as caught:
+        closure(chain_game(), partial)
+    assert caught.value.vertex == vertex
+
+
 def test_closure_leaves_its_input_alone():
     game = ParityGame.from_vertices(
         [
