@@ -218,10 +218,6 @@ class ParityGame:
     _predecessors = _shared("predecessors")
     _mixed_loops = _shared("mixed_loops")
 
-    @cached_property
-    def _relevant(self) -> frozenset[int]:
-        return frozenset(map(self.priorities.__getitem__, _relevant_vertices(self)))
-
     def _relabelled(
         self,
         owners: Sequence | None = None,
@@ -285,11 +281,8 @@ def _relevant_vertices(
 
 
 def relevant_priorities(game: ParityGame) -> frozenset[int]:
-    """Priorities carried by at least one relevant vertex.
-
-    Computed once per arena from its relevant vertices and cached.
-    """
-    return game._relevant
+    """Priorities carried by at least one relevant vertex."""
+    return frozenset(map(game.priorities.__getitem__, _relevant_vertices(game)))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ is losing, so merging the final strategies back yields both regions of
 the original game.  The opponent's strategy on earlier rounds' regions
 is frozen the moment a vertex first enters, which is what makes it a
 single memoryless witness.  A bump changes only the priorities of
-absorbing copies, so each recursion depth is split once per call, on
-its first arena, and a later visit is handed a priority tuple alone.
-Answers inside the recursion are pairs of regions and choice maps.  A
-depth with nothing to split decides on a stack of its first arena and,
-at each later visit, re-decides only the vertices a bump can move: the
-predecessors of the copies whose priority changed.
+absorbing copies, so each recursion depth splits once per call, in
+place on the call's one stack of its game's tables, and a later visit
+is handed a priority tuple alone.  Answers inside the recursion are
+pairs of regions and choice maps.  A depth with nothing to split
+decides on that stack and, at each later visit, re-decides only the
+vertices a bump can move: the predecessors of the copies whose
+priority changed.
 
 Rounds are plain tuples with choice dicts, and only the top depth's are
 also recorded as FixpointState.  At every depth, monotone growth,
@@ -26,7 +27,7 @@ equivalence between bumped copies and losing originals are asserted in
 every run.  ``solve_constructive`` certifies its solution with one
 ``check_solution``; the per-round verifier checks, the checks of every
 nested solution and a from-scratch base case beside every incremental
-one run only with ``debug=True``, on arenas built for those checks alone.
+one run only with ``debug=True``, on stack snapshots taken for them alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .game import (
     Solution,
     Strategy,
     _PLAYERS,
-    relevant_priorities,
+    _relevant_vertices,
 )
 from .solver_short import (
     CertificationError,
@@ -54,7 +55,7 @@ from .solver_short import (
     _unsplit as _merged,  # a split answer's choices, copies dropped, moves mapped back
     base_case_solve,
 )
-from .transforms import SplitGame, _Stack, _normalized, split_top
+from .transforms import _Stack, _normalized
 from .verification import verify_strategy
 
 
@@ -86,12 +87,12 @@ _Answer = tuple[tuple[frozenset[int], frozenset[int]], tuple[dict[int, int], dic
 class _Depth(NamedTuple):
     """What every visit of one split depth shares, for one public call."""
 
-    split: SplitGame  # of the depth's first arena
     k: int
     order: tuple[int, ...]  # the split set ascending: copy n + i is order[i]'s
     loser: Player  # the player k disfavours
     n: int
     vertices: frozenset[int]  # range(n)
+    arenas: tuple[ParityGame, ParityGame] | None  # debug: the stack before and after the split
 
 
 def preprocess(game: ParityGame) -> TransformRecord:
@@ -204,7 +205,7 @@ def _check_round(
     if witness is not None:
         fail(f"round {alpha}: tau loses in the bumped game: {witness}")
     merged = Strategy(player, _merged(tau, depth.n, depth.order))
-    base = depth.split.base._relabelled(priorities=pi[: depth.n])
+    base = depth.arenas[0]._relabelled(priorities=pi[: depth.n])
     try:
         witness = verify_strategy(base, player, merged, w1 & depth.vertices)
     except Exception as exc:  # noqa: BLE001
@@ -216,20 +217,20 @@ def _check_round(
 class _Bottom:
     """The last answer of a split-free depth, for one public call.
 
-    Every visit of the depth has the edges and owners of its first
-    arena, copied once into a stack, and only the priorities of
-    absorbing copies differ.  A vertex's answer reads only its owner
+    It decides on the call's stack, every depth above split in place:
+    every visit has the same edges and owners, and only the priorities
+    of absorbing copies differ.  A vertex's answer reads only its owner
     and its targets' priorities, so a visit swaps the stack's priorities
     and re-decides the predecessors of the vertices whose priority
     changed (an absorbing vertex is its own predecessor); every other
     vertex keeps its region and choice.
     """
 
-    def __init__(self, game: ParityGame) -> None:
-        self.stack = _Stack(game)
+    def __init__(self, stack: _Stack) -> None:
+        self.stack = stack
         self.regions: tuple[set[int], set[int]] = (set(), set())
         self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        _decide(self.stack, game.vertices, self.regions, self.chosen)
+        _decide(stack, stack.vertices, self.regions, self.chosen)
         self.settle()
 
     def solve(self, priorities: tuple[int, ...], debug: bool) -> _Answer:
@@ -279,49 +280,46 @@ def _solution(answer: _Answer) -> Solution:
 
 
 def _fixpoint(
-    first: ParityGame,
+    stack: _Stack,
     priorities: tuple[int, ...],
     debug: bool,
     tower: list,
     history_out: list[FixpointState] | None,
 ) -> _Answer:
-    # ``tower`` is [this depth's _Depth or _Bottom, the tower below], one
-    # per public call, built from ``first``, the arena of the first visit.
-    # Bumps change only the priorities of absorbing copies, so edges,
-    # owners, relevance, k and the split set are the same at every
-    # visit: a visit is ``priorities`` read against the first split.
+    # ``stack`` and ``tower``, [this depth's _Depth or _Bottom, the tower
+    # below], are one per public call.  Built in one descent, a depth's
+    # first visit finds the stack as the depth above split it and splits
+    # it in place for the rest of the call.  Bumps change only priorities
+    # of absorbing copies, so edges, owners, relevance, k and the split
+    # set are the same at every visit: ``priorities`` read on that split.
     if not tower:
-        if first._mixed_loops:
-            v = first._mixed_loops[0]
-            raise GameError(
-                f"vertex {v} has a self-loop next to proper edges; normalize loops first"
-            )
-        relevant = relevant_priorities(first)
+        relevant = _relevant_vertices(stack)
         if not relevant:
-            tower += _Bottom(first), []
+            tower += _Bottom(stack), []
         else:
-            k, n = max(relevant), first.n
-            split = split_top(first, k)
-            order = tuple(sorted(split.split_set))
-            tower += _Depth(split, k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n))), []
+            k, n = max(map(priorities.__getitem__, relevant)), stack.n
+            order = tuple(v for v in relevant if priorities[v] == k)
+            base = stack.snapshot() if debug else None
+            stack.split(order, k)
+            arenas = (base, stack.snapshot()) if debug else None
+            tower += _Depth(k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n)), arenas), []
     entry, below = tower
     if entry.__class__ is _Bottom:
         return entry.solve(priorities, debug)
-    split, k, order, loser, n, vertices = entry
-    plus = split.plus
+    k, order, loser, n, vertices, arenas = entry
     history: list[tuple] = []  # the _Round fields of each round
     states: list[FixpointState] = []  # the top depth's rounds, for history_out
     solved: dict[tuple[int, ...], _Answer] = {}
     x, tau = frozenset(), {}
     while True:
         alpha = len(history)
-        if alpha > plus.n + 1:
+        if alpha > n + len(order) + 1:
             raise CertificationError("fixpoint failed to converge in |V+|+1 rounds")
         pi = (*priorities, *[k + 1 if v in x else k for v in order])
         inner = solved.get(pi)
-        arena = plus._relabelled(priorities=pi) if debug else None
+        arena = arenas[1]._relabelled(priorities=pi) if debug else None
         if inner is None:
-            inner = solved[pi] = _fixpoint(plus, pi, debug, below, None)
+            inner = solved[pi] = _fixpoint(stack, pi, debug, below, None)
             if debug:
                 _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
         regions, choices = inner
@@ -374,13 +372,15 @@ def fixpoint_solve(
     player it disfavours.  The solution is certified before it is
     returned.
     """
+    if game._mixed_loops:
+        v = game._mixed_loops[0]
+        raise GameError(f"vertex {v} has a self-loop next to proper edges; normalize loops first")
     history: list[FixpointState] = []
-    solution = _certified(
-        game,
-        lambda g, d: _solution(_fixpoint(g, g.priorities, d, [], history)),
-        debug,
-        "fixpoint solution",
-    )
+
+    def solve(game: ParityGame, debug: bool) -> Solution:
+        return _solution(_fixpoint(_Stack(game), game.priorities, debug, [], history))
+
+    solution = _certified(game, solve, debug, "fixpoint solution")
     if history_out is not None:
         history_out.extend(history)
     return solution
@@ -403,7 +403,7 @@ def solve_constructive(
     def solve(game: ParityGame, debug: bool) -> Solution:
         record = preprocess(game)
         reduced = record.reduced
-        answer = _fixpoint(reduced, reduced.priorities, debug, [], history)
+        answer = _fixpoint(_Stack(reduced), reduced.priorities, debug, [], history)
         if debug:
             _require_solution(reduced, _solution(answer), "fixpoint solution")
         return _lift(record, answer)

@@ -239,9 +239,10 @@ def _core(
     k = max(map(priorities.__getitem__, relevant))
     split = [v for v in relevant if priorities[v] == k]
     n, added = stack.n, len(split)
-    with stack.split(split, k):
-        inner = _Closure(stack, state.undecided + [True] * added, state.outside + [1] * added)
-        _solve_short(stack, inner, [v for v in relevant if priorities[v] != k], debug)
+    log = stack.split(split, k)  # no unsplit on an exception: it ends the call, stack and all
+    inner = _Closure(stack, state.undecided + [True] * added, state.outside + [1] * added)
+    _solve_short(stack, inner, [v for v in relevant if priorities[v] != k], debug)
+    stack.unsplit(n, log)
     favoured = _PLAYERS[k % 2]
     player = favoured.opponent
     region = inner.regions[player]

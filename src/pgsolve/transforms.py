@@ -9,10 +9,9 @@ copies back is what both solvers are built on.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .game import (
     GameError,
@@ -335,8 +334,8 @@ class _Stack:
     ``split`` appends the absorbing copies of a split set in ascending
     order of their originals and moves the set's in-edges onto them, so
     vertices keep their indices and their order, and a vertex branches
-    exactly where it branches in the game.  Its block ends with every
-    table as it was.
+    exactly where it branches in the game; ``unsplit`` takes the last
+    split off.  Both solvers split on one stack per call.
     """
 
     def __init__(self, game: ParityGame):
@@ -353,9 +352,8 @@ class _Stack:
     def vertices(self) -> range:
         return range(len(self.owners))
 
-    @contextmanager
-    def split(self, split: Sequence[int], k: int) -> Iterator[None]:
-        """Within the block, each vertex of ``split`` (ascending) has its copy."""
+    def split(self, split: Sequence[int], k: int) -> list:
+        """Give each vertex of ``split`` (ascending) a copy of priority k."""
         owners, choices, predecessors = self.owners, self._choices, self._predecessors
         n = len(owners)
         copy_for = dict(zip(split, range(n, n + len(split))))
@@ -370,8 +368,11 @@ class _Stack:
         predecessors.extend(predecessors[v] + (c,) for v, c in copy_for.items())
         for v in split:
             predecessors[v] = ()
-        yield  # no undo on an exception: it ends the call, stack and all
-        for table in (owners, self.priorities, choices, predecessors):
+        return log
+
+    def unsplit(self, n: int, log: list) -> None:
+        """Take off the split that found ``n`` vertices and returned ``log``."""
+        for table in (self.owners, self.priorities, self._choices, self._predecessors):
             del table[n:]
         for table, i, before in log:
             table[i] = before

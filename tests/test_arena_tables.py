@@ -6,6 +6,7 @@ from-scratch computation, on generated arenas and on the arenas the
 transforms derive from them.
 """
 
+import operator
 from dataclasses import replace
 
 import pytest
@@ -165,31 +166,28 @@ def test_bumped_split_games_share_the_split_games_tables():
 
 
 def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
-    # a round hands the depth below its bumped priorities and the split
-    # arena itself, whose tables every visit of that depth reads
-    splits: list = []
+    # a round hands the depth below its bumped priorities and the call's
+    # one stack, whose tables every visit of every depth reads in place
     visits: list = []
-    real_split, real_fixpoint = split_top, solver_constructive._fixpoint
+    real_fixpoint = solver_constructive._fixpoint
 
-    def recording_split(game, k):
-        splits.append(real_split(game, k))
-        return splits[-1]
+    def recording_fixpoint(stack, priorities, *args):
+        tables = (stack.owners, stack._choices, stack._predecessors)
+        visits.append((stack, priorities, tables))
+        return real_fixpoint(stack, priorities, *args)
 
-    def recording_fixpoint(game, priorities, *args):
-        visits.append((game, priorities))
-        return real_fixpoint(game, priorities, *args)
-
-    monkeypatch.setattr(solver_constructive, "split_top", recording_split)
     monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
-    for game in (cycle(7), ladder_game(3)):
-        solve_constructive(game)
     bumped = 0
-    for arena, priorities in visits:
-        for split in splits:
-            if arena.successors is split.plus.successors:
-                assert arena is split.plus
-                assert_shares_edges(arena, split.plus)
-                bumped += priorities != split.plus.priorities
+    for game in (cycle(7), ladder_game(3)):
+        visits.clear()
+        solve_constructive(game)
+        first = visits[0][0]
+        tables = (first.owners, first._choices, first._predecessors)
+        seen: dict = {}  # the first priorities handed to each depth, by length
+        for stack, priorities, held in visits:
+            assert stack is first
+            assert all(map(operator.is_, held, tables))
+            bumped += priorities != seen.setdefault(len(priorities), priorities)
     assert bumped > 0
 
 

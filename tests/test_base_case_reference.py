@@ -19,6 +19,7 @@ from pgsolve import solver_short
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import _Bottom, _solution
 from pgsolve.solver_short import base_case_solve
+from pgsolve.transforms import _Stack
 from games import cycle, ladder_game, random_corpus
 
 
@@ -150,7 +151,7 @@ def test_incremental_bottom_matches_a_fresh_base_case(game, data):
     # visit of a depth hands it the priorities of a relabelling of the
     # one before.
     absorbing = [v for v in game.vertices if game._choices[v] == (v,)]
-    bottom, arena = _Bottom(game), game
+    bottom, arena = _Bottom(_Stack(game)), game
     stack = bottom.stack
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
         answer = _solution(bottom.solve(arena.priorities, False))

@@ -2,7 +2,7 @@
 
 ``ParityGame(...)`` validates outside input.  Splits, restrictions,
 relabellings, loop normalizations, the debug snapshots of a
-``solve_short`` stack and parsed text are built by
+solver's stack and parsed text are built by
 ``game._arena`` without that check, each from tables its own code has
 already checked or taken from a valid arena.  Every such arena must
 equal the validated rebuild of its own tables, with the exact types
@@ -82,8 +82,9 @@ def assert_valid(arena: ParityGame) -> None:
     assert {*map(type, arena.successors)} <= {tuple}
     assert {type(u) for succ in arena.successors for u in succ} <= {int}
     assert type(arena.names) is tuple
-    for table in ("_choices", "_predecessors", "_mixed_loops", "_relevant"):
+    for table in ("_choices", "_predecessors", "_mixed_loops"):
         assert getattr(arena, table) == getattr(rebuilt, table), table
+    assert relevant_priorities(arena) == relevant_priorities(rebuilt)
 
 
 def same_split_priorities(game: ParityGame, k: int, split_set) -> tuple[int, ...]:
@@ -115,8 +116,9 @@ def derived(game: ParityGame):
     if relevant:
         stack = _Stack(game)
         top = max(game.priorities[v] for v in relevant)
-        with stack.split([v for v in relevant if game.priorities[v] == top], top):
-            arena = stack.snapshot()
+        log = stack.split([v for v in relevant if game.priorities[v] == top], top)
+        arena = stack.snapshot()
+        stack.unsplit(game.n, log)
         yield arena
     for k in sorted(relevant_priorities(game)):
         split = split_top(game, k)

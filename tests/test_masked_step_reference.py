@@ -235,9 +235,10 @@ def split_on_stack(game: ParityGame, inside, k: int):
     game's again after the split."""
     split = [v for v in _relevant_vertices(game, inside) if game.priorities[v] == k]
     stack = _Stack(game)
-    with stack.split(split, k):
-        keep = [*compress(game.vertices, inside), *range(game.n, stack.n)]
-        sub = restrict(stack.snapshot(), keep)
+    log = stack.split(split, k)
+    keep = [*compress(game.vertices, inside), *range(game.n, stack.n)]
+    sub = restrict(stack.snapshot(), keep)
+    stack.unsplit(game.n, log)
     assert (stack.owners, stack.priorities) == (list(game.owners), list(game.priorities))
     assert (stack._choices, stack._predecessors) == (list(game._choices), list(game._predecessors))
     return split, sub.game

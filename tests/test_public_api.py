@@ -1,6 +1,7 @@
 """The package namespace is what README.md documents, every function
-the benchmark's tracer wraps still exists in its module, and a module
-defines no other public name beyond a short allowlist."""
+the benchmark's tracer wraps still exists in its module, a module
+defines no other public name beyond a short allowlist, and the source
+does not grow past its line budget."""
 
 import ast
 import importlib.util
@@ -123,3 +124,15 @@ def test_every_public_name_is_exported_traced_or_allowed():
         and name not in UNDOCUMENTED
     ]
     assert not stray, f"public but neither exported, traced nor allowed: {stray}"
+
+
+# The lines of src/pgsolve/*.py, as ``wc -l`` counts them, may not pass
+# this ceiling: a change that adds lines pays for them by removing others,
+# or lowers the ceiling when it removes more than it adds.
+SOURCE_LINES = 2570
+
+
+def test_source_does_not_grow():
+    sources = sorted((ROOT / "src" / "pgsolve").glob("*.py"))
+    lines = sum(path.read_text().count("\n") for path in sources)
+    assert lines <= SOURCE_LINES, f"src/pgsolve has {lines} lines, over {SOURCE_LINES}"

@@ -219,36 +219,30 @@ def test_constructive_matches_short_on_larger_games():
         assert check_solution(game, solved) is None
 
 
-def test_default_mode_builds_one_arena_per_fixpoint_depth(monkeypatch):
-    # A round hands the depth below its priority tuple, not an arena:
-    # only loop normalization (at most two arenas) and the one split of
-    # each depth build arenas, and a split-free depth decides on a stack.
-    built, towers = [], []
-    arena, fixpoint = game_module._arena, solver_constructive._fixpoint
+def test_default_mode_builds_one_arena_per_call(monkeypatch):
+    # A round hands the depth below its priority tuple and every depth
+    # splits in place on the call's one stack, where the split-free depth
+    # decides too: only loop normalization builds an arena.
+    built, induced = [], []
+    arena, real_induced = game_module._arena, transforms._induced
 
     def counting(*args):
         built.append(args)
         return arena(*args)
 
-    def top_tower(*args):
-        if args[-1] is not None:  # the top-level call records its rounds
-            towers.append(args[-2])
-        return fixpoint(*args)
+    def inducing(*args):
+        induced.append(args)
+        return real_induced(*args)
 
     for module in (game_module, transforms, pgfile):
         monkeypatch.setattr(module, "_arena", counting)
-    monkeypatch.setattr(solver_constructive, "_fixpoint", top_tower)
+    monkeypatch.setattr(transforms, "_induced", inducing)
     # cycle(11) has 12 depths: one arena per round would be 607 arenas
-    games = [(cycle(11), 25), (ladder_game(14), 25), *((g, None) for g in random_corpus(100, 10))]
-    for game, bound in games:
+    for game in [cycle(11), ladder_game(14), *random_corpus(100, 10)]:
         built.clear()
-        towers.clear()
         solve_constructive(game)
-        depths, tower = 0, towers[0]
-        while tower:
-            depths, tower = depths + 1, tower[1]
-        assert len(built) <= depths + 2
-        assert bound is None or len(built) <= bound
+        assert len(built) <= 1
+    assert induced == []
 
 
 def test_default_mode_builds_no_strategy_per_inner_round(monkeypatch):

@@ -1,13 +1,14 @@
-"""The fixpoint splits each recursion depth once per call.
+"""The fixpoint splits each recursion depth once per call, in place.
 
 Within one ``solve_constructive`` call every visit of a given recursion
 depth of ``_fixpoint`` has the same edges and split set: a bump changes
-only the priorities of absorbing copies.  So ``_fixpoint`` builds the
-split of a depth once, with ``split_top`` at the top relevant priority
-of the depth's first arena, and hands each later visit only its
-priority tuple.  Read with those priorities, the depth's split must
-equal, field by field, the one ``split_top`` builds from scratch on a
-fresh arena of the same content; and no split outlives the call on the
+only the priorities of absorbing copies.  So ``_fixpoint`` splits a
+depth once, on the call's one stack, at the top relevant priority of
+the depth's first visit, leaves the split there, and hands each later
+visit only its priority tuple.  The stack after that split must equal,
+field by field, the split ``split_top`` builds from scratch on a fresh
+copy of the depth's first arena, and every visit's priorities must
+split that arena the same way; and no split outlives the call on the
 caller's game.
 """
 
@@ -15,6 +16,7 @@ from pgsolve import ParityGame, Player, gen_random, solve_constructive, solve_sh
 from pgsolve import solver_constructive, transforms
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_constructive import _Depth
+from pgsolve.transforms import _Stack
 from games import cycle, ladder_game, random_corpus
 
 EDGE_TABLES = {"successors", "choices", "predecessors", "mixed_loops"}
@@ -40,49 +42,68 @@ def assert_same_split(split, game: ParityGame, k: int):
     assert split.plus.names == expected.plus.names
 
 
-def assert_same_visit(arena: ParityGame, priorities, depth) -> None:
-    """The split ``depth`` holds, read with ``priorities``, is the fresh
-    split of the arena those priorities relabel."""
-    split = depth.split
-    assert arena is split.base  # every visit is handed the first arena
-    game = arena._relabelled(priorities=priorities)
+def assert_same_in_place_split(record) -> None:
+    """The stack after a depth's split is the fresh split of the stack
+    before it, read with the priorities of the depth's first visit."""
+    priorities, before, split, k, after = record
+    assert before.priorities == priorities  # the descent left the stack on this visit
+    expected = fresh_split(before, None)
+    assert expected.k == k
+    assert split == tuple(sorted(expected.split_set))
+    assert after.n == expected.plus.n == before.n + len(split)
+    assert after.owners == expected.plus.owners
+    assert after.priorities == expected.plus.priorities
+    assert after.successors == expected.plus._choices
+    assert after._predecessors == expected.plus._predecessors
+    assert dict(zip(range(before.n, after.n), split)) == expected.copy_of
+
+
+def assert_same_visit(priorities, depth, record) -> None:
+    """The depth's first arena, relabelled with a later visit's
+    ``priorities``, splits as the first visit did."""
+    _, before, split, k, after = record
+    game = before._relabelled(priorities=priorities)
     expected = fresh_split(game, None)
-    k = depth.k
-    assert split.k == expected.k == k
-    assert split.split_set == expected.split_set
-    assert depth.order == tuple(sorted(expected.split_set))
+    assert depth.k == expected.k == k
+    assert depth.order == split == tuple(sorted(expected.split_set))
     assert depth.loser is Player(1 - k % 2)
     assert depth.n == game.n and depth.vertices == frozenset(game.vertices)
-    assert split.copy_of == expected.copy_of
-    assert split.copy_for == expected.copy_for
-    assert split.plus.successors == expected.plus.successors
-    assert split.plus.owners == expected.plus.owners
+    assert after.successors == expected.plus._choices
+    assert after.owners == expected.plus.owners
     assert (*priorities, *[k] * len(depth.order)) == expected.plus.priorities
-    assert split.plus.names == expected.plus.names
 
 
 def fixpoint_visits(games, monkeypatch):
-    """Every (arena, priorities, depth) of a visit ``_fixpoint`` makes to
-    a depth with a split, and every split ``split_top`` built for it."""
-    visits, built = [], []
-    real_fixpoint = solver_constructive._fixpoint
+    """Every (stack, priorities, depth, split) of a visit ``_fixpoint``
+    makes to a depth with a split, and every in-place split of a stack:
+    the priorities of the visit that made it, the stack as an arena
+    before and after, the split set and k."""
+    visits, splits, entered = [], [], []
+    owned = {}  # id of a depth -> its split
+    real_fixpoint, real_split = solver_constructive._fixpoint, _Stack.split
 
-    def building(game, k):
-        built.append(split_top(game, k))
-        return built[-1]
+    def splitting(stack, split, k):
+        before = stack.snapshot()
+        log = real_split(stack, split, k)
+        splits.append((entered[-1], before, tuple(split), k, stack.snapshot()))
+        return log
 
-    def visiting(arena, priorities, debug, tower, history_out):
-        answer = real_fixpoint(arena, priorities, debug, tower, history_out)
+    def visiting(stack, priorities, debug, tower, history_out):
+        entered.append(priorities)
+        first, made = not tower, len(splits)
+        answer = real_fixpoint(stack, priorities, debug, tower, history_out)
         if tower[0].__class__ is _Depth:
-            visits.append((arena, priorities, tower[0]))
+            if first:
+                owned[id(tower[0])] = splits[made]
+            visits.append((stack, priorities, tower[0], owned[id(tower[0])]))
         return answer
 
-    monkeypatch.setattr(solver_constructive, "split_top", building)
+    monkeypatch.setattr(_Stack, "split", splitting)
     monkeypatch.setattr(solver_constructive, "_fixpoint", visiting)
     for game in games:
         solve_constructive(game)
     monkeypatch.undo()
-    return visits, built
+    return visits, splits
 
 
 def test_cached_splits_match_fresh_splits(monkeypatch):
@@ -91,11 +112,13 @@ def test_cached_splits_match_fresh_splits(monkeypatch):
         *(cycle(n) for n in range(2, 13)),
         *(ladder_game(m) for m in range(2, 11)),
     ]
-    visits, built = fixpoint_visits(games, monkeypatch)
-    for arena, priorities, depth in visits:
-        assert_same_visit(arena, priorities, depth)
-    assert {id(depth.split) for _, _, depth in visits} == set(map(id, built))
-    assert len(built) < len(visits) // 2  # most visits reused their depth's split
+    visits, splits = fixpoint_visits(games, monkeypatch)
+    for record in splits:
+        assert_same_in_place_split(record)
+    for _, priorities, depth, record in visits:
+        assert_same_visit(priorities, depth, record)
+    assert {id(record) for *_, record in visits} == set(map(id, splits))
+    assert len(splits) < len(visits) // 2  # most visits reused their depth's split
 
 
 def test_same_top_priority_on_other_vertices_is_a_new_split():
@@ -110,7 +133,7 @@ def test_same_top_priority_on_other_vertices_is_a_new_split():
     assert_same_split(second, starts, 4)
 
 
-def test_one_split_arena_per_edge_table_and_split_set(monkeypatch):
+def test_one_in_place_split_per_depth_per_call(monkeypatch):
     for game in (cycle(10), ladder_game(14)):
         built = []
         real_induced = transforms._induced
@@ -120,15 +143,15 @@ def test_one_split_arena_per_edge_table_and_split_set(monkeypatch):
             return built[-1]
 
         monkeypatch.setattr(transforms, "_induced", counting)
-        visits, _ = fixpoint_visits([game], monkeypatch)
-        first: dict = {}  # (edge tables, split vertices) -> first split arena
-        for arena, _, depth in visits:
-            key = (arena._edges, depth.order)
-            if key in first:
-                assert depth.split.plus._edges is first[key]._edges
-            else:
-                first[key] = depth.split.plus
-        assert len(built) == len(first) < len(visits)
+        visits, splits = fixpoint_visits([game], monkeypatch)
+        depths = {id(depth) for _, _, depth, _ in visits}
+        assert len(splits) == len(depths) < len(visits)
+        assert len({id(stack) for stack, *_ in visits}) == 1  # one stack per call
+        # no split is taken off: each finds the stack as the last one left it
+        for (_, _, _, _, after), (_, before, _, _, _) in zip(splits, splits[1:]):
+            assert before == after
+        assert len({(before.successors, split) for _, before, split, _, _ in splits}) == len(splits)
+        assert built == []
 
 
 def test_no_split_outlives_a_call():
