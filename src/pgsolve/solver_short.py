@@ -127,23 +127,25 @@ def _decide(
     regions: tuple[set[int], set[int]],
     chosen: tuple[dict[int, int], dict[int, int]],
     inside: Sequence[bool] | None = None,
+    moves: Sequence[int] | None = None,
 ) -> None:
     """Decide each vertex of ``keep`` into ``regions`` and ``chosen``.
 
     The base-case rule on the subarena ``inside`` marks (None marks
     every vertex), with a choice wherever the vertex branches in
-    ``game``.  A vertex with one move inside the subarena (every
-    absorbing vertex in it) goes to the player its target's priority
-    favours.  Any other vertex goes to its owner, moving to the least
-    target whose priority favours the owner, when there is one, and
-    else to the opponent.  A vertex's answer reads only its owner and
-    its targets' priorities.
+    ``game``.  ``moves`` (a closed ``_Closure``'s ``outside``) counts
+    moves inside the subarena, so only a vertex with some move out of
+    it has its targets filtered; with a mask alone, every vertex does.
+    A vertex with one move inside the subarena (every absorbing vertex
+    in it) goes to the player its target's priority favours.  Any other
+    vertex goes to its owner, moving to the least target whose priority
+    favours the owner, when there is one, and else to the opponent.  A
+    vertex's answer reads only its owner and its targets' priorities.
     """
     owners, priorities, choices = game.owners, game.priorities, game._choices
-    marked = None if inside is None else inside.__getitem__
     for v in keep:
         targets = choices[v]
-        if marked is not None and not all(map(marked, targets)):
+        if inside is not None and (moves is None or moves[v] != len(targets)):
             targets = [u for u in targets if inside[u]]
         if len(targets) == 1:
             u = targets[0]
@@ -298,7 +300,7 @@ def _solve_short(stack: _Stack, state: _Closure, relevant: list[int], debug: boo
         else:
             keep = [*compress(stack.vertices, undecided)]
             regions, chosen = (set(), set()), ({}, {})
-            _decide(stack, keep, regions, chosen, undecided)
+            _decide(stack, keep, regions, chosen, undecided, state.outside)
             cores = [(p, regions[p], chosen[p]) for p in _PLAYERS]
             for player, region, choices in cores if debug else ():
                 _require_winning(

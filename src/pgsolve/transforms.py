@@ -242,11 +242,11 @@ def closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
 class _Closure:
     """Both players' regions and choices, as one ``solve_short`` level grows them.
 
-    Between closes no undecided vertex moves into its owner's region and
-    each has a move ``outside`` the opponent's, so a close starts from the
-    predecessors of the vertices added since, which ``add`` has already
-    placed: each vertex joins once, each edge counts down once.  ``game``
-    is a ParityGame or a _Stack; lists given start from a close.
+    After a close no undecided vertex moves into its owner's region and
+    ``outside`` counts each one's moves to undecided vertices; the next
+    starts from the predecessors of the vertices added since, which ``add``
+    has placed: each vertex joins once, each edge counts down once.
+    ``game`` is a ParityGame or a _Stack; lists given start from a close.
     """
 
     def __init__(self, game, undecided: list | None = None, outside: list | None = None):
@@ -267,65 +267,62 @@ class _Closure:
         self.added.append((player, region))
 
     def close(self) -> None:
-        """Apply both rules until neither does."""
+        """Apply both rules until neither does, in ascending passes.
+
+        A pass runs rule (a) while a vertex waits for it, else rule (b).
+        As in a sweep, a vertex a join makes eligible for the running rule
+        joins the pass if above the joining vertex, and else waits.
+        """
         game, regions, chosen, added = self.game, self.regions, self.chosen, self.added
         owners, choices, predecessors = game.owners, game._choices, game._predecessors
         undecided, queued, outside = self.undecided, self.queued, self.outside
-        pending_a, pending_b = [], []  # rule (a) and rule (b) vertices for the next pass
-
-        def join(v, player, a_heap, b_heap):
-            # As in an ascending sweep, a vertex made eligible by v joins the
-            # running pass (its heap) when above v, and else waits for the next.
-            regions[player].add(v)
-            undecided[v] = False
-            for w in predecessors[v]:
-                if not undecided[w]:
-                    continue
-                if owners[w] == player:
-                    if not queued[w]:
-                        queued[w] = True
-                        if a_heap is not None and w > v:
-                            heappush(a_heap, w)
-                        else:
-                            pending_a.append(w)
-                else:
-                    outside[w] -= 1
-                    if not outside[w]:
-                        if b_heap is not None and w > v:
-                            heappush(b_heap, w)
-                        else:
-                            pending_b.append(w)
-
-        for player, region in added:  # join's walk with no pass running: add placed them
+        pending: list[list[int]] = [[], []]  # waiting for rule (a), rule (b)
+        for player, region in added:  # decided by add: nothing joins, no pass runs
             for v in region:
                 for w in predecessors[v]:
                     if undecided[w]:
                         if owners[w] == player:
                             if not queued[w]:
                                 queued[w] = True
-                                pending_a.append(w)
+                                pending[0].append(w)
                         else:
                             outside[w] -= 1
                             if not outside[w]:
-                                pending_b.append(w)
+                                pending[1].append(w)
         added.clear()
-        while pending_a or pending_b:
-            while pending_a:
-                heap = pending_a
-                pending_a = []
-                heapify(heap)
-                while heap:
-                    v = heappop(heap)
-                    owner = owners[v]
-                    own = regions[owner]
-                    chosen[owner][v] = min(u for u in choices[v] if u in own)
-                    join(v, owner, heap, None)
-            heap = pending_b
-            pending_b = []
+        while pending[0] or pending[1]:
+            rule = 0 if pending[0] else 1
+            heap, pending[rule] = pending[rule], []
             heapify(heap)
             while heap:
                 v = heappop(heap)
-                join(v, 1 - owners[v], None, heap)
+                player = owners[v] ^ rule
+                if not rule:
+                    targets = choices[v]
+                    if len(targets) == 1:
+                        chosen[player][v] = targets[0]
+                    else:
+                        own = regions[player]
+                        chosen[player][v] = min(u for u in targets if u in own)
+                regions[player].add(v)
+                undecided[v] = False
+                for w in predecessors[v]:
+                    if not undecided[w]:
+                        continue
+                    if owners[w] == player:
+                        if queued[w]:
+                            continue
+                        queued[w] = True
+                        eligible = 0
+                    else:
+                        outside[w] -= 1
+                        if outside[w]:
+                            continue
+                        eligible = 1
+                    if eligible == rule and w > v:
+                        heappush(heap, w)
+                    else:
+                        pending[eligible].append(w)
 
 
 class _Stack:

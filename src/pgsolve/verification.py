@@ -62,14 +62,14 @@ def _reachable(
 
     The adjacency is indexed by vertex.  A reached vertex of the player
     keeps only the chosen edge, an adversary vertex keeps every edge;
-    an unreached entry is the vertex's full choice tuple and is never
+    an unreached entry is the vertex's successor tuple and is never
     read.  The walk is FIFO from the ascending region and raises
     StrategyError at the first reached branching player vertex with no
-    choice.  The strategy is validated, so a choice at a forced vertex
-    is its one successor.
+    choice; successors that repeat one target are forced.  The strategy
+    is validated, so a choice at a forced vertex is its one successor.
     """
     owners, moves = game.owners, strategy.choices
-    edges = list(game._choices)
+    edges = list(game.successors)
     seen = bytearray(game.n)
     for v in region:
         seen[v] = 1
@@ -77,10 +77,9 @@ def _reachable(
     for v in queue:
         out = edges[v]
         if owners[v] is player and len(out) > 1:
-            move = moves.get(v)
-            if move is None:
+            if v not in moves and len(set(out)) > 1:
                 raise StrategyError(f"strategy has no choice at reachable vertex {v}", v)
-            out = edges[v] = (move,)
+            out = edges[v] = (moves.get(v, out[0]),)
         for u in out:
             if not seen[u]:
                 seen[u] = 1

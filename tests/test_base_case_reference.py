@@ -90,8 +90,8 @@ def reached_base_cases(monkeypatch):
     reached = []
     decide = solver_short._decide
 
-    def recording(stack, keep, regions, chosen, inside):
-        decide(stack, keep, regions, chosen, inside)
+    def recording(stack, keep, regions, chosen, inside, moves):
+        decide(stack, keep, regions, chosen, inside, moves)
         answer = Solution(*regions, Strategy(Player.P0, chosen[0]), Strategy(Player.P1, chosen[1]))
         reached.append((stack.snapshot(), keep, answer))
 

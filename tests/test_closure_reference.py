@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsolve import ParityGame, PartialSolution, Player, Strategy, closure, gen_random
+from pgsolve import transforms
 from pgsolve.transforms import _Closure
-from games import random_corpus
+from games import cycle, random_corpus
 
 
 def sweep_closure(game: ParityGame, partial: PartialSolution) -> PartialSolution:
@@ -246,3 +247,61 @@ def test_closure_matches_sweep_on_long_chains():
             closed = closure(game, partial)
             assert closed.w1 == frozenset(game.vertices)
             assert_same_closure(game, partial)
+
+
+def shuffled(game: ParityGame, rng: random.Random) -> ParityGame:
+    """The same game under a random permutation of vertex ids."""
+    perm = list(game.vertices)
+    rng.shuffle(perm)
+    rows = [None] * game.n
+    for v in game.vertices:
+        targets = tuple(map(perm.__getitem__, game.successors[v]))
+        rows[perm[v]] = (game.owners[v], game.priorities[v], targets)
+    return ParityGame.from_vertices(rows)
+
+
+def test_closure_matches_sweep_when_the_rules_alternate(monkeypatch):
+    # The pattern of solve_short on cycles: owners alternate along a chain
+    # into a region, so every join makes the next vertex eligible for the
+    # other rule, and every pass holds one vertex, rule (a) and rule (b)
+    # in turn, whichever way the chain points.  Id-shuffled cycles mix
+    # that with next vertices above and below the joining one.
+    sizes = []
+
+    def recording(heap):
+        sizes.append(len(heap))
+        heapify(heap)
+
+    heapify = transforms.heapify
+    monkeypatch.setattr(transforms, "heapify", recording)
+    n = 30
+    for first in (0, 1):
+        up = ParityGame.from_vertices(
+            [((v + first) % 2, 2, (v + 1,) if v + 1 < n else (v,)) for v in range(n)]
+        )
+        down = ParityGame.from_vertices(
+            [((v + first) % 2, 2, (v - 1,) if v else (v,)) for v in range(n)]
+        )
+        for game, end in ((up, n - 1), (down, 0)):
+            for player in (0, 1):
+                regions = [frozenset(), frozenset()]
+                regions[player] = frozenset({end})
+                partial = PartialSolution(
+                    *regions, Strategy(Player.P0, {}), Strategy(Player.P1, {})
+                )
+                sizes.clear()
+                closed = closure(game, partial)
+                assert sizes == [1] * (n - 1)
+                assert (closed.w0, closed.w1)[player] == frozenset(game.vertices)
+                assert_same_closure(game, partial)
+    rng = random.Random(5)
+    for size in (2, 3, 9, 16, 41):
+        game = shuffled(cycle(size), rng)
+        for v in game.vertices:
+            regions = [frozenset(), frozenset()]
+            regions[rng.randrange(2)] = frozenset({v})
+            assert_same_closure(
+                game, PartialSolution(*regions, Strategy(Player.P0, {}), Strategy(Player.P1, {}))
+            )
+        for _ in range(5):
+            assert_same_closure(game, random_partial(game, rng))

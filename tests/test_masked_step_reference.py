@@ -149,8 +149,8 @@ def reached_steps(games, monkeypatch):
         cores.append((game, rest, answer))
         return answer
 
-    def deciding(stack, keep, regions, chosen, inside):
-        decide(stack, keep, regions, chosen, inside)
+    def deciding(stack, keep, regions, chosen, inside, moves):
+        decide(stack, keep, regions, chosen, inside, moves)
         bases.append((stack.snapshot(), keep, (regions, chosen)))
 
     monkeypatch.setattr(solver_short, "_core", stepping)

@@ -16,7 +16,7 @@ from pgsolve import (
 from pgsolve import game as game_module, solver_short, transforms
 from pgsolve.game import relevant_priorities
 from pgsolve.solver_short import base_case_solve, combine_strategies, nonempty_step
-from games import chain_game, cycle, random_corpus, two_cycle_game
+from games import chain_game, cycle, ladder_game, random_corpus, two_cycle_game
 
 
 def test_base_case_absorbing_split_by_parity():
@@ -241,10 +241,11 @@ def test_default_mode_builds_no_arena_and_calls_no_restrict(monkeypatch):
 
 def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
     # Every level hands its closure state's undecided list itself to the
-    # relevance filter and the base case: no step copies the mask, and
-    # every level reads the one stack of its call.  Only the whole game's
-    # first scan goes unmasked.
-    states, masks = [], []
+    # relevance filter and the base case, and its move counts to the base
+    # case: no step copies the mask or the counts, and every level reads
+    # the one stack of its call.  Only the whole game's first scan goes
+    # unmasked.
+    states, masks, counts = [], [], []
     closure, relevant, decide = (
         solver_short._Closure,
         solver_short._relevant_vertices,
@@ -260,9 +261,10 @@ def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
             masks.append((game, inside))
         return relevant(game, inside, among)
 
-    def deciding(game, keep, regions, chosen, inside=None):
+    def deciding(game, keep, regions, chosen, inside=None, moves=None):
         masks.append((game, inside))
-        return decide(game, keep, regions, chosen, inside)
+        counts.append((inside, moves))
+        return decide(game, keep, regions, chosen, inside, moves)
 
     monkeypatch.setattr(solver_short, "_Closure", tracked)
     monkeypatch.setattr(solver_short, "_relevant_vertices", scanning)
@@ -273,7 +275,29 @@ def test_every_step_reads_the_closures_own_undecided_mask(monkeypatch):
     assert len(masks) > 200
     for game, mask in masks:
         assert any(mask is state.undecided and game is state.game for state in states)
+    assert counts
+    for mask, moves in counts:
+        assert any(mask is state.undecided and moves is state.outside for state in states)
     assert len({id(state.game) for state in states}) == 62
+
+
+def test_base_cases_get_each_undecided_vertexs_moves_inside_the_subarena(monkeypatch):
+    # _decide filters a vertex's targets only where the closure's count
+    # differs from its number of choices, so at every base case the count
+    # must be exact: a close keeps it for the vertices it leaves undecided,
+    # copies start at 1 and a split only redirects moves onto copies.
+    decide, seen = solver_short._decide, []
+
+    def checking(stack, keep, regions, chosen, inside, moves):
+        for v in keep:
+            assert moves[v] == sum(inside[u] for u in stack._choices[v])
+        seen.append(len(keep))
+        return decide(stack, keep, regions, chosen, inside, moves)
+
+    monkeypatch.setattr(solver_short, "_decide", checking)
+    for game in [*random_corpus(300, 8), cycle(12), ladder_game(6)]:
+        solve_short(game)
+    assert len(seen) > 300 and sum(seen) > 1000
 
 
 def test_debug_mode_names_a_vertex_the_relevance_filter_dropped(monkeypatch):

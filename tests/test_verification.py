@@ -18,6 +18,7 @@ from pgsolve import (
     solve_short,
     verify_strategy,
 )
+from pgsolve.pgfile import emit_game, emit_solution, parse_game, parse_solution
 from games import chain_game, cycle, two_cycle_game, union_claim
 
 
@@ -292,3 +293,23 @@ def test_no_vertex_enters_more_passes_than_its_scc_has_priorities(monkeypatch):
             priorities = {arena.priorities[v] for v in component}
             assert max(entered[v] for v in component) <= len(priorities)
         assert set(entered) == reached
+
+
+def test_check_solution_walks_the_parsed_successors_and_builds_no_choice_table():
+    # A vertex whose successors repeat one target is forced and needs no
+    # choice; one with two targets does.  The verifier reads the successor
+    # tuples as parsed, so a check builds no de-duplicated edge tables.
+    claim = Solution(
+        frozenset({0, 1, 2}), frozenset(), Strategy(Player.P0, {}), Strategy(Player.P1, {})
+    )
+    forced = parse_game("parity 2;\n0 2 0 1,1;\n1 2 0 2;\n2 2 0 2;\n")
+    assert check_solution(forced, claim) is None
+    branching = parse_game("parity 2;\n0 2 0 1,2;\n1 2 0 2;\n2 2 0 2;\n")
+    assert str(check_solution(branching, claim)) == (
+        "sigma on w0: strategy has no choice at reachable vertex 0"
+    )
+    arena, solution = union_claim(20, 3)
+    parsed = parse_game(emit_game(arena))
+    assert check_solution(parsed, parse_solution(emit_solution(arena, solution), parsed)) is None
+    for game in (forced, branching, parsed):
+        assert "_edges" not in vars(game)
