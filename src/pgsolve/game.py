@@ -87,49 +87,6 @@ class StrategyError(ValueError):
         self.vertex = vertex
 
 
-class _EdgeTables:
-    """Per-vertex tables that depend on the edges alone.
-
-    Computed lazily, once per edge table: arenas that differ from their
-    parent only in owners or priorities share the parent's instance
-    (see ``ParityGame._relabelled``).  No solve keeps its state here.
-    """
-
-    def __init__(self, successors: tuple[tuple[int, ...], ...]):
-        self.successors = successors
-
-    @cached_property
-    def choices(self) -> tuple[tuple[int, ...], ...]:
-        """Successors without repeats; a list without any is its own entry."""
-        return tuple(
-            succ if len(succ) < 2 or len(set(succ)) == len(succ) else tuple(dict.fromkeys(succ))
-            for succ in self.successors
-        )
-
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct predecessors of every vertex, in ascending order."""
-        preds: list[list[int]] = [[] for _ in self.successors]
-        for v, options in enumerate(self.choices):
-            for u in options:
-                preds[u].append(v)
-        return tuple(map(tuple, preds))
-
-    @cached_property
-    def mixed_loops(self) -> tuple[int, ...]:
-        """Vertices with a self-loop next to proper edges, ascending."""
-        return tuple(
-            v
-            for v, options in enumerate(self.choices)
-            if v in options and len(options) > 1
-        )
-
-
-def _shared(name: str) -> cached_property:
-    """A ParityGame attribute read once from its shared edge tables."""
-    return cached_property(lambda self: getattr(self._edges, name))
-
-
 @dataclass(frozen=True)
 class ParityGame:
     """Immutable arena over vertices 0..n-1.
@@ -211,12 +168,28 @@ class ParityGame:
         return range(self.n)
 
     @cached_property
-    def _edges(self) -> _EdgeTables:
-        return _EdgeTables(self.successors)
+    def _choices(self) -> tuple[tuple[int, ...], ...]:
+        """Successors without repeats; a list without any is its own entry."""
+        return tuple(
+            succ if len(succ) < 2 or len(set(succ)) == len(succ) else tuple(dict.fromkeys(succ))
+            for succ in self.successors
+        )
 
-    _choices = _shared("choices")
-    _predecessors = _shared("predecessors")
-    _mixed_loops = _shared("mixed_loops")
+    @cached_property
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct predecessors of every vertex, in ascending order."""
+        preds: list[list[int]] = [[] for _ in self.successors]
+        for v, options in enumerate(self._choices):
+            for u in options:
+                preds[u].append(v)
+        return tuple(map(tuple, preds))
+
+    @cached_property
+    def _mixed_loops(self) -> tuple[int, ...]:
+        """Vertices with a self-loop next to proper edges, ascending."""
+        return tuple(
+            v for v, options in enumerate(self._choices) if v in options and len(options) > 1
+        )
 
     def _relabelled(
         self,
@@ -225,35 +198,26 @@ class ParityGame:
     ) -> "ParityGame":
         """This arena with new owners and/or priorities, same edges.
 
-        The result keeps ``successors`` and ``names`` and shares the
-        edge tables (``_choices``, ``_predecessors``, ``_mixed_loops``)
-        with this arena, so none of them is computed twice.  Unchecked:
-        callers pass valid labels, tuples of Player owners or
-        nonnegative int priorities, one per vertex.
+        Keeps ``successors`` and ``names``; its edge tables are its own.
+        Unchecked: callers pass valid labels, one per vertex.
         """
-        return _arena(
-            self.owners if owners is None else owners,
-            self.priorities if priorities is None else priorities,
-            self.successors,
-            self.names,
-            self._edges,
-        )
+        owners = self.owners if owners is None else owners
+        priorities = self.priorities if priorities is None else priorities
+        return _arena(owners, priorities, self.successors, self.names)
 
     def choices_at(self, v: int) -> tuple[int, ...]:
         """Distinct successors of v in first-occurrence order."""
         return self._choices[v]
 
 
-def _arena(owners, priorities, successors, names, edges=None) -> ParityGame:
+def _arena(owners, priorities, successors, names) -> ParityGame:
     """An arena over tables known valid, for derived arenas and parsed text.
 
     Unchecked: the tables must be what ``ParityGame`` would make of them.
-    ``edges`` shares a parent's edge tables when the successors are its.
+    Like any arena, it computes its edge tables lazily, at most once.
     """
     arena = object.__new__(ParityGame)
     vars(arena).update(owners=owners, priorities=priorities, successors=successors, names=names)
-    if edges is not None:
-        vars(arena)["_edges"] = edges
     return arena
 
 

@@ -357,6 +357,26 @@ def _fixpoint(
     return (lost, won), (disfavoured, favoured)
 
 
+def _constructive(
+    game: ParityGame, debug: bool, history_out: list[FixpointState] | None, what: str
+) -> Solution:
+    # Both public solvers; on a loop-normalized game preprocess and _lift change nothing.
+    history: list[FixpointState] = []
+
+    def solve(game: ParityGame, debug: bool) -> Solution:
+        record = preprocess(game)
+        reduced = record.reduced
+        answer = _fixpoint(_Stack(reduced), reduced.priorities, debug, [], history)
+        if debug:
+            _require_solution(reduced, _solution(answer), "fixpoint solution")
+        return _lift(record, answer)
+
+    solution = _certified(game, solve, debug, what)
+    if history_out is not None:
+        history_out.extend(history)
+    return solution
+
+
 def fixpoint_solve(
     game: ParityGame,
     *,
@@ -375,15 +395,7 @@ def fixpoint_solve(
     if game._mixed_loops:
         v = game._mixed_loops[0]
         raise GameError(f"vertex {v} has a self-loop next to proper edges; normalize loops first")
-    history: list[FixpointState] = []
-
-    def solve(game: ParityGame, debug: bool) -> Solution:
-        return _solution(_fixpoint(_Stack(game), game.priorities, debug, [], history))
-
-    solution = _certified(game, solve, debug, "fixpoint solution")
-    if history_out is not None:
-        history_out.extend(history)
-    return solution
+    return _constructive(game, debug, history_out, "fixpoint solution")
 
 
 def solve_constructive(
@@ -398,17 +410,4 @@ def solve_constructive(
     ``debug=True`` also runs every per-round check and certifies every
     nested solution.  Raises CertificationError when a check fails.
     """
-    history: list[FixpointState] = []
-
-    def solve(game: ParityGame, debug: bool) -> Solution:
-        record = preprocess(game)
-        reduced = record.reduced
-        answer = _fixpoint(_Stack(reduced), reduced.priorities, debug, [], history)
-        if debug:
-            _require_solution(reduced, _solution(answer), "fixpoint solution")
-        return _lift(record, answer)
-
-    solution = _certified(game, solve, debug, "lifted solution")
-    if history_out is not None:
-        history_out.extend(history)
-    return solution
+    return _constructive(game, debug, history_out, "lifted solution")

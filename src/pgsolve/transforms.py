@@ -145,10 +145,9 @@ def shift_and_swap(game: ParityGame) -> ParityGame:
     """Add one to every priority and hand every vertex to the other player.
 
     Self-inverse on winners: the regions swap and strategies carry over
-    unchanged.  The edges do not change, so the result shares
-    ``successors``, ``names`` and the edge tables (choices, predecessors,
-    mixed self-loops) with ``game``.  Shifted priorities of a valid game
-    stay nonnegative, so nothing is checked.
+    unchanged.  The result keeps the ``successors`` and ``names`` of
+    ``game`` and computes its own edge tables, only when one is read.
+    Shifted priorities of a valid game stay nonnegative: nothing is checked.
     """
     return game._relabelled(
         owners=tuple(o.opponent for o in game.owners),

@@ -47,18 +47,19 @@ class Bottom:
     """The last answer of a split-free depth, re-decided where a bump moved."""
 
     def __init__(self) -> None:
-        self.edges = self.owners = self.priorities = self.solution = None
+        self.successors = self.owners = self.priorities = self.solution = None
 
     def solve(self, game: ParityGame) -> Solution:
-        if game._edges is not self.edges or game.owners is not self.owners:
-            self.edges, self.owners = game._edges, game.owners
+        if game.successors is not self.successors or game.owners is not self.owners:
+            self.successors, self.owners = game.successors, game.owners
+            self.predecessors = game._predecessors
             self.regions: tuple[set[int], set[int]] = (set(), set())
             self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
             _decide(game, game.vertices, self.regions, self.chosen)
             self.settle(game)
         elif game.priorities is not self.priorities:
             changed = compress(game.vertices, map(ne, self.priorities, game.priorities))
-            redo = {w for v in changed for w in self.edges.predecessors[v]}
+            redo = {w for v in changed for w in self.predecessors[v]}
             if redo:
                 for region in self.regions:
                     region.difference_update(redo)

@@ -112,8 +112,9 @@ def test_strategy_and_partial_coerce_players():
         partial.strategy(2)
 
 
-# Tables that depend on the edges alone; arenas that only relabel owners
-# or priorities share them with their parent.
+# Tables that depend on the edges alone.  Every arena computes its own,
+# lazily, at most once; arenas that only relabel owners or priorities
+# keep their parent's successors and names.
 EDGE_TABLES = ("_choices", "_predecessors", "_mixed_loops")
 
 
@@ -129,29 +130,49 @@ def assert_edge_tables(game: ParityGame):
     )
 
 
-def assert_shares_edges(derived: ParityGame, parent: ParityGame):
+def assert_keeps_edges(derived: ParityGame, parent: ParityGame):
     assert derived.successors is parent.successors
     assert derived.names is parent.names
     for table in EDGE_TABLES:
-        assert getattr(derived, table) is getattr(parent, table), table
+        assert getattr(derived, table) == getattr(parent, table), table
     assert_edge_tables(derived)
 
 
 def test_shift_and_swap_shares_the_edge_tables():
     for game in [DUPLICATES, *random_corpus(120, 10)]:
-        assert_shares_edges(shift_and_swap(game), game)
+        assert_keeps_edges(shift_and_swap(game), game)
 
 
 def test_sharing_does_not_depend_on_which_arena_asks_first():
+    # shift_and_swap computes no table, on its argument or its result
     for game in random_corpus(40, 10):
         fresh = ParityGame(game.owners, game.priorities, game.successors)
         shifted = shift_and_swap(fresh)
-        assert "_choices" not in vars(fresh)
         twice = shift_and_swap(shifted)
+        for arena in (fresh, shifted, twice):
+            assert not set(EDGE_TABLES) & set(vars(arena))
         assert twice.owners == fresh.owners
-        for table in EDGE_TABLES:
-            assert getattr(twice, table) is getattr(fresh, table)
-        assert_shares_edges(shifted, fresh)
+        assert_keeps_edges(twice, fresh)
+        assert_keeps_edges(shifted, fresh)
+
+
+def test_debug_relabelled_arenas_compute_no_edge_table(monkeypatch):
+    # Debug mode relabels the stack's arenas for its per-round checks; no
+    # such arena reads its edge tables, so none is worth sharing with a
+    # parent.  Should a later check read them, sharing may pay again.
+    built: list[ParityGame] = []
+    real_relabelled = ParityGame._relabelled
+
+    def recording(self, *args, **kwargs):
+        built.append(real_relabelled(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ParityGame, "_relabelled", recording)
+    for game in (*random_corpus(30, 8), cycle(10), ladder_game(6)):
+        solve_constructive(game, debug=True)
+    assert built
+    for arena in built:
+        assert not {"_choices", "_predecessors"} & set(vars(arena))
 
 
 def test_bumped_split_games_share_the_split_games_tables():
@@ -162,7 +183,7 @@ def test_bumped_split_games_share_the_split_games_tables():
         split = split_top(game, max(relevant))
         bumped_plus = split.plus._relabelled(priorities=bumped(split, split.split_set))
         assert bumped_plus == replace(split.plus, priorities=bumped(split, split.split_set))
-        assert_shares_edges(bumped_plus, split.plus)
+        assert_keeps_edges(bumped_plus, split.plus)
 
 
 def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
@@ -211,7 +232,7 @@ def test_relabel_shares_the_edges_and_equals_its_rebuild():
     game = DUPLICATES
     owners = (Player.P1, Player.P1, Player.P0, Player.P0)
     relabelled = game._relabelled(owners=owners, priorities=(5, 6, 7, 8))
-    assert_shares_edges(relabelled, game)
+    assert_keeps_edges(relabelled, game)
     assert relabelled == ParityGame(owners, (5, 6, 7, 8), game.successors, game.names)
 
 

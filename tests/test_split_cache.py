@@ -19,7 +19,11 @@ from pgsolve.solver_constructive import _Depth
 from pgsolve.transforms import _Stack
 from games import cycle, ladder_game, random_corpus
 
-EDGE_TABLES = {"successors", "choices", "predecessors", "mixed_loops"}
+# An arena's fields and the edge tables it may compute; no solve stores
+# anything else on its caller's game.
+ARENA_ATTRIBUTES = {
+    "owners", "priorities", "successors", "names", "_choices", "_predecessors", "_mixed_loops"
+}
 
 
 def fresh_split(game: ParityGame, k: int | None):
@@ -125,10 +129,9 @@ def test_same_top_priority_on_other_vertices_is_a_new_split():
     game = cycle(6)
     ends = game._relabelled(priorities=(0, 1, 2, 3, 4, 4))
     starts = game._relabelled(priorities=(4, 1, 2, 3, 4, 0))
-    assert ends._edges is starts._edges
+    assert ends.successors is starts.successors
     first, second = split_top(ends, 4), split_top(starts, 4)
     assert first.split_set == {4, 5} and second.split_set == {0, 4}
-    assert second.plus._edges is not first.plus._edges
     assert_same_split(first, ends, 4)
     assert_same_split(second, starts, 4)
 
@@ -161,4 +164,4 @@ def test_no_split_outlives_a_call():
     solve_constructive(constructive)
     split_top(split, 4)
     for game in (short, constructive, split):
-        assert set(vars(game._edges)) <= EDGE_TABLES
+        assert set(vars(game)) <= ARENA_ATTRIBUTES

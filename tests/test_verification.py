@@ -312,4 +312,4 @@ def test_check_solution_walks_the_parsed_successors_and_builds_no_choice_table()
     parsed = parse_game(emit_game(arena))
     assert check_solution(parsed, parse_solution(emit_solution(arena, solution), parsed)) is None
     for game in (forced, branching, parsed):
-        assert "_edges" not in vars(game)
+        assert not {"_choices", "_predecessors"} & set(vars(game))
