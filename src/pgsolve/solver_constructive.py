@@ -13,16 +13,16 @@ the original game.  The opponent's strategy on earlier rounds' regions
 is frozen the moment a vertex first enters, which is what makes it a
 single memoryless witness.  A bump changes only the priorities of
 absorbing copies, so each recursion depth splits once per call, in
-place on the call's one stack of its game's tables, and a later visit
-is handed a priority tuple alone.  Answers inside the recursion are
-pairs of regions and choice maps.  A depth with nothing to split
-decides on that stack and, at each later visit, re-decides only the
-vertices a bump can move: the predecessors of the copies whose
-priority changed.
+place on the call's one stack of its game's tables, and a round writes
+its bumps into its own copies' slots of the stack's priorities, logging
+each slot it changes.  Answers inside the recursion are pairs of
+regions and choice maps.  A depth with nothing to split decides on that
+stack and, at each later visit, re-decides only the vertices a bump can
+move: the predecessors of the logged slots.
 
-Rounds are plain tuples with choice dicts, and only the top depth's are
-also recorded as FixpointState.  At every depth, monotone growth,
-strategy stability, the round bound and, at the fixpoint, the
+Rounds are plain tuples with choice dicts; only the top depth's are
+also FixpointStates, with priority tuples.  At every depth, monotone
+growth, strategy stability, the round bound and, at the fixpoint, the
 equivalence between bumped copies and losing originals are asserted in
 every run.  ``solve_constructive`` certifies its solution with one
 ``check_solution``; the per-round verifier checks, the checks of every
@@ -34,9 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
-from typing import NamedTuple, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 from .game import (
     GameError,
@@ -81,7 +79,7 @@ class FixpointState:
 
 
 # An answer inside the recursion: (w0, w1), then (sigma's, tau's) choices.
-_Answer = tuple[tuple[frozenset[int], frozenset[int]], tuple[dict[int, int], dict[int, int]]]
+_Answer = tuple[tuple[AbstractSet[int], AbstractSet[int]], tuple[dict[int, int], dict[int, int]]]
 
 
 class _Depth(NamedTuple):
@@ -160,11 +158,12 @@ def compose_tau(
 
 
 # A round as ``_check_round`` reads it; ``_fixpoint`` keeps plain tuples.
-_Round = namedtuple("_Round", "alpha x pi tau w1")
+_Round = namedtuple("_Round", "alpha x tau w1")
 
 
 def _check_round(
     depth: _Depth,
+    head: tuple[int, ...],
     arena: ParityGame | None,
     history: Sequence[tuple],
     state: _Round,
@@ -177,22 +176,24 @@ def _check_round(
     round and the vertex.  The region grows monotonically and the
     strategy never changes on the previous round's region, ``state.x``;
     each round is compared with the previous one only, and by
-    transitivity the chain covers every earlier round.  When
-    ``thorough`` (debug mode): the round strategy wins its whole region
-    in ``arena``, the bumped game, for its player, and merged back it
-    wins the region's originals in the visit's base game, the depth's
-    first one relabelled with the first n of ``pi``.
+    transitivity the chain covers every earlier round.  A round's
+    priorities are ``head``, the visit's first n, then its copies',
+    bumped where in its ``x``.  When ``thorough`` (debug mode): the
+    round strategy wins its whole region in ``arena``, the bumped game,
+    for its player, and merged back it wins the region's originals in
+    the visit's base game, the depth's first one relabelled with ``head``.
     """
-    player, (alpha, x, pi, tau, w1) = depth.loser, state
+    player, (alpha, x, tau, w1), k = depth.loser, state, depth.k
 
     def fail(reason: str) -> None:
-        rounds = (FixpointState(*r[:3], Strategy(player, r[3]), r[4]) for r in (*history, state))
+        rounds = (FixpointState(a, r, (*head, *[k + (v in r) for v in depth.order]),
+                                Strategy(player, t), w) for a, r, t, w in (*history, state))
         raise CertificationError(f"{reason}\nfixpoint history:\n" + "\n".join(map(repr, rounds)))
 
     if not x <= w1:
         fail(f"round {alpha}: region dropped vertices {sorted(x - w1)}")
     if history:
-        previous_alpha, _, _, before, region = history[-1]
+        previous_alpha, _, before, region = history[-1]
         for v in region:
             if tau.get(v) != before.get(v):
                 fail(f"round {alpha}: choice at {v} drifted from round {previous_alpha}")
@@ -205,7 +206,7 @@ def _check_round(
     if witness is not None:
         fail(f"round {alpha}: tau loses in the bumped game: {witness}")
     merged = Strategy(player, _merged(tau, depth.n, depth.order))
-    base = depth.arenas[0]._relabelled(priorities=pi[: depth.n])
+    base = depth.arenas[0]._relabelled(priorities=head)
     try:
         witness = verify_strategy(base, player, merged, w1 & depth.vertices)
     except Exception as exc:  # noqa: BLE001
@@ -220,10 +221,10 @@ class _Bottom:
     It decides on the call's stack, every depth above split in place:
     every visit has the same edges and owners, and only the priorities
     of absorbing copies differ.  A vertex's answer reads only its owner
-    and its targets' priorities, so a visit swaps the stack's priorities
-    and re-decides the predecessors of the vertices whose priority
-    changed (an absorbing vertex is its own predecessor); every other
-    vertex keeps its region and choice.
+    and its targets' priorities, so a visit re-decides the predecessors
+    of the slots logged in ``stack.bumped`` (an absorbing vertex is its
+    own predecessor) and clears the log; every other vertex keeps its
+    region and choice.  The answer is live: the next visit changes it.
     """
 
     def __init__(self, stack: _Stack) -> None:
@@ -231,22 +232,19 @@ class _Bottom:
         self.regions: tuple[set[int], set[int]] = (set(), set())
         self.chosen: tuple[dict[int, int], dict[int, int]] = ({}, {})
         _decide(stack, stack.vertices, self.regions, self.chosen)
-        self.settle()
+        self.answer = self.regions, self.chosen
 
-    def solve(self, priorities: tuple[int, ...], debug: bool) -> _Answer:
-        if priorities is not self.stack.priorities:
-            self.redecide(priorities)
+    def solve(self, debug: bool) -> _Answer:
+        if self.stack.bumped:
+            self.redecide()
         if debug:
             self.check()
         return self.answer
 
-    def redecide(self, priorities: tuple[int, ...]) -> None:
+    def redecide(self) -> None:
         stack = self.stack
-        changed = compress(stack.vertices, map(ne, stack.priorities, priorities))
-        redo = {w for v in changed for w in stack._predecessors[v]}
-        stack.priorities = priorities
-        if not redo:
-            return
+        redo = {w for v in stack.bumped for w in stack._predecessors[v]}
+        stack.bumped.clear()
         regions, chosen = self.regions, self.chosen
         for region in regions:
             region.difference_update(redo)
@@ -254,12 +252,6 @@ class _Bottom:
             chosen[0].pop(v, None)
             chosen[1].pop(v, None)
         _decide(stack, redo, regions, chosen)
-        self.settle()
-
-    def settle(self) -> None:
-        """Answer with copies: the ``solved`` memo keeps every answer."""
-        (w0, w1), (sigma, tau) = self.regions, self.chosen
-        self.answer = (frozenset(w0), frozenset(w1)), (dict(sigma), dict(tau))
 
     def check(self) -> None:
         """Compare with a certified base case decided from scratch."""
@@ -280,18 +272,18 @@ def _solution(answer: _Answer) -> Solution:
 
 
 def _fixpoint(
-    stack: _Stack,
-    priorities: tuple[int, ...],
-    debug: bool,
-    tower: list,
-    history_out: list[FixpointState] | None,
+    stack: _Stack, debug: bool, tower: list, history_out: list[FixpointState] | None
 ) -> _Answer:
     # ``stack`` and ``tower``, [this depth's _Depth or _Bottom, the tower
     # below], are one per public call.  Built in one descent, a depth's
     # first visit finds the stack as the depth above split it and splits
     # it in place for the rest of the call.  Bumps change only priorities
     # of absorbing copies, so edges, owners, relevance, k and the split
-    # set are the same at every visit: ``priorities`` read on that split.
+    # set are the same at every visit.  A round writes its bumps into
+    # the copy slots n.. of the stack's priorities and logs each slot it
+    # changes for the bottom.  x only grows, so a round's bumps equal an
+    # earlier round's only when they equal the previous one's.
+    priorities = stack.priorities
     if not tower:
         relevant = _relevant_vertices(stack)
         if not relevant:
@@ -305,25 +297,30 @@ def _fixpoint(
             tower += _Depth(k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n)), arenas), []
     entry, below = tower
     if entry.__class__ is _Bottom:
-        return entry.solve(priorities, debug)
+        return entry.solve(debug)
     k, order, loser, n, vertices, arenas = entry
+    end, bumped = n + len(order), stack.bumped
     history: list[tuple] = []  # the _Round fields of each round
     states: list[FixpointState] = []  # the top depth's rounds, for history_out
-    solved: dict[tuple[int, ...], _Answer] = {}
-    x, tau = frozenset(), {}
+    x, tau, last = frozenset(), {}, None
     while True:
         alpha = len(history)
-        if alpha > n + len(order) + 1:
+        if alpha > end + 1:
             raise CertificationError("fixpoint failed to converge in |V+|+1 rounds")
-        pi = (*priorities, *[k + 1 if v in x else k for v in order])
-        inner = solved.get(pi)
+        bumps = [k + (v in x) for v in order]
+        if bumps != last:  # else the previous round's inner answer stands
+            for i, p in enumerate(bumps, n):
+                if priorities[i] != p:
+                    priorities[i] = p
+                    bumped.append(i)
+            inner = _fixpoint(stack, debug, below, None)
+        pi = tuple(priorities[:end]) if debug or history_out is not None else None
         arena = arenas[1]._relabelled(priorities=pi) if debug else None
-        if inner is None:
-            inner = solved[pi] = _fixpoint(stack, pi, debug, below, None)
-            if debug:
-                _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
+        if debug and bumps != last:
+            _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
+        last = bumps
         regions, choices = inner
-        lost, before = regions[loser], tau
+        lost, before = frozenset(regions[loser]), tau
         # regions only grow (checked below): the last tau holds every earliest choice
         if history_out is None:
             tau = _composed(before, x, lost, choices[loser])
@@ -331,20 +328,20 @@ def _fixpoint(
             strategy = compose_tau(states[-1:], lost, Strategy(loser, choices[loser]))
             states.append(FixpointState(alpha, x, pi, strategy, lost))
             tau = strategy.choices
-        state = (alpha, x, pi, tau, lost)
+        state = (alpha, x, tau, lost)
         # growth, then stability on the previous region x (vacuous while x is empty)
         if debug or x and not (x <= lost and before.items() <= tau.items()
                                and tau.keys() & x == before.keys()):
-            _check_round(entry, arena, history, _Round(*state), thorough=debug)
+            _check_round(entry, tuple(priorities[:n]), arena, history, _Round(*state), debug)
         history.append(state)
         if lost == x:
             break
         x = lost
-    for v, p in zip(order, pi[n:]):
-        if (p == k + 1) != (v in lost):
+    for i, v in enumerate(order, n):
+        if (priorities[i] == k + 1) != (v in lost):
             raise CertificationError(
                 f"fixpoint equivalence broken at vertex {v}: "
-                f"bumped={p == k + 1}, losing={v in lost}"
+                f"bumped={priorities[i] == k + 1}, losing={v in lost}"
             )
     lost = lost & vertices
     won = vertices - lost
@@ -366,7 +363,9 @@ def _constructive(
     def solve(game: ParityGame, debug: bool) -> Solution:
         record = preprocess(game)
         reduced = record.reduced
-        answer = _fixpoint(_Stack(reduced), reduced.priorities, debug, [], history)
+        stack = _Stack(reduced)
+        stack.bumped = []  # the copy slots a round changed, until the bottom re-decides
+        answer = _fixpoint(stack, debug, [], history)
         if debug:
             _require_solution(reduced, _solution(answer), "fixpoint solution")
         return _lift(record, answer)

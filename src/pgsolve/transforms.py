@@ -331,7 +331,8 @@ class _Stack:
     order of their originals and moves the set's in-edges onto them, so
     vertices keep their indices and their order, and a vertex branches
     exactly where it branches in the game; ``unsplit`` takes the last
-    split off.  Both solvers split on one stack per call.
+    split off.  Both solvers split on one stack per call; the fixpoint
+    solver's also holds ``bumped``, the copy slots a round changed.
     """
 
     def __init__(self, game: ParityGame):

@@ -187,15 +187,15 @@ def test_bumped_split_games_share_the_split_games_tables():
 
 
 def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
-    # a round hands the depth below its bumped priorities and the call's
-    # one stack, whose tables every visit of every depth reads in place
+    # a round writes its bumps into the call's one stack, whose tables
+    # every visit of every depth reads in place
     visits: list = []
     real_fixpoint = solver_constructive._fixpoint
 
-    def recording_fixpoint(stack, priorities, *args):
+    def recording_fixpoint(stack, debug, tower, history_out):
         tables = (stack.owners, stack._choices, stack._predecessors)
-        visits.append((stack, priorities, tables))
-        return real_fixpoint(stack, priorities, *args)
+        visits.append((stack, tower, tuple(stack.priorities), tables))
+        return real_fixpoint(stack, debug, tower, history_out)
 
     monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
     bumped = 0
@@ -204,11 +204,13 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
         solve_constructive(game)
         first = visits[0][0]
         tables = (first.owners, first._choices, first._predecessors)
-        seen: dict = {}  # the first priorities handed to each depth, by length
-        for stack, priorities, held in visits:
+        # a depth's first visit finds the stack as long as the depth's game
+        seen: dict = {}  # the priorities each depth first read, by its tower
+        for stack, tower, priorities, held in visits:
             assert stack is first
             assert all(map(operator.is_, held, tables))
-            bumped += priorities != seen.setdefault(len(priorities), priorities)
+            start = seen.setdefault(id(tower), priorities)
+            bumped += priorities[: len(start)] != start
     assert bumped > 0
 
 

@@ -105,20 +105,20 @@ def reached_base_cases(monkeypatch):
 def reached_bottoms(monkeypatch):
     """Every (game, answer, re-decided) a split-free fixpoint depth
     returns, the game its stack as an arena, re-decided when the visit
-    went through ``redecide``."""
+    went through ``redecide``.  The answer is copied: the bottom's own
+    sets and dicts change at its next visit."""
     reached, redecided = [], []
     solve, redecide = _Bottom.solve, _Bottom.redecide
 
-    def redeciding(self, priorities):
-        redecided.append(priorities)
-        return redecide(self, priorities)
+    def redeciding(self):
+        redecided.append(list(self.stack.bumped))
+        return redecide(self)
 
-    def recording(self, priorities, debug):
+    def recording(self, debug):
         before = len(redecided)
-        answer = solve(self, priorities, debug)
-        game = self.stack.snapshot()
-        assert game.priorities == priorities
-        reached.append((game, _solution(answer), len(redecided) > before))
+        answer = solve(self, debug)
+        assert not self.stack.bumped  # every logged bump was read
+        reached.append((self.stack.snapshot(), _solution(answer), len(redecided) > before))
         return answer
 
     monkeypatch.setattr(_Bottom, "redecide", redeciding)
@@ -147,20 +147,23 @@ def test_every_bottom_answer_matches_reference(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(base_games(), st.data())
 def test_incremental_bottom_matches_a_fresh_base_case(game, data):
-    # Bumps move only the priorities of absorbing vertices, and every
-    # visit of a depth hands it the priorities of a relabelling of the
-    # one before.
+    # Bumps move only the priorities of absorbing vertices, written in
+    # place on the stack, each changed one logged in ``stack.bumped``.
     absorbing = [v for v in game.vertices if game._choices[v] == (v,)]
-    bottom, arena = _Bottom(_Stack(game)), game
-    stack = bottom.stack
+    stack, arena = _Stack(game), game
+    stack.bumped = []
+    bottom = _Bottom(stack)
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
-        answer = _solution(bottom.solve(arena.priorities, False))
+        answer = _solution(bottom.solve(False))
         fresh = base_case_solve(arena)
-        assert bottom.stack is stack and stack.priorities is arena.priorities
+        assert bottom.stack is stack and stack.bumped == []
         assert answer.w0 == fresh.w0 and answer.w1 == fresh.w1
         assert answer.sigma.choices == fresh.sigma.choices
         assert answer.tau.choices == fresh.tau.choices
-        priorities = list(arena.priorities)
+        priorities = stack.priorities
         for v in data.draw(st.lists(st.sampled_from(absorbing), max_size=3), label="moved"):
-            priorities[v] = data.draw(st.integers(0, 6), label="priority")
+            p = data.draw(st.integers(0, 6), label="priority")
+            if priorities[v] != p:
+                priorities[v] = p
+                stack.bumped.append(v)
         arena = arena._relabelled(priorities=tuple(priorities))

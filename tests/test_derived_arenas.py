@@ -18,6 +18,8 @@ vertex.
 
 from __future__ import annotations
 
+import ast
+import re
 import sys
 from types import SimpleNamespace
 
@@ -231,23 +233,29 @@ def test_a_drifted_choice_fails_its_round(monkeypatch, edit):
     assert fired > 5
 
 
-def edit_inner_choice(monkeypatch, edit) -> list[str]:
+def edit_inner_choice(monkeypatch, edit, rounds: list | None = None) -> list[str]:
     """Patch ``_composed`` so the first inner-depth round that ``edit``
     accepts changes the previous round's strategy; return the expected
     reasons.  Only inner rounds call ``_composed`` from ``_fixpoint``
     itself (the top depth's go through ``compose_tau``), so the caller's
-    frame names the round."""
+    frame names the round.  ``rounds``, when given, receives the edited
+    round's depth size n and its priorities as the call's stack holds
+    them: the first n, then the depth's copies."""
     expected: list[str] = []
 
     def editing(tau, settled, w1, fresh):
         choices = COMPOSED(tau, settled, w1, fresh)
         caller = sys._getframe(1)
         if settled and not expected and caller.f_code.co_name == "_fixpoint":
-            alpha = caller.f_locals["alpha"]
+            local = caller.f_locals
+            alpha = local["alpha"]
             previous = SimpleNamespace(alpha=alpha - 1, w1=settled, tau=Strategy(0, tau))
             v = edit(previous, choices)
             if v is not None:
                 expected.append(f"round {alpha}: choice at {v} drifted from round {alpha - 1}")
+                if rounds is not None:
+                    n = local["n"]
+                    rounds.append((n, tuple(local["stack"].priorities[: n + len(local["order"])])))
         return choices
 
     monkeypatch.setattr(solver_constructive, "_composed", editing)
@@ -269,6 +277,27 @@ def test_a_drifted_inner_choice_fails_its_round(monkeypatch, edit):
     assert fired > 5
 
 
+def test_an_inner_round_failure_dumps_each_rounds_full_priorities(monkeypatch):
+    # Inner depths keep no priority tuple per round: the dump rebuilds
+    # each round's from the visit's first n priorities and its region x.
+    fired = 0
+    for game in [*random_corpus(80, 12), ladder_game(4)]:
+        rounds: list = []
+        expected = edit_inner_choice(monkeypatch, change, rounds)
+        try:
+            solve_constructive(game)
+        except CertificationError as exc:
+            assert expected and first_line(exc) == expected[0]
+            (n, pi), dump = rounds[0], str(exc).split("\nfixpoint history:\n")[1].splitlines()
+            dumped = [ast.literal_eval(re.search(r"pi=(\(.*?\)), tau=", line)[1]) for line in dump]
+            assert dumped[-1] == pi  # the failing round's, as the stack held it
+            assert all(len(p) == len(pi) and p[:n] == pi[:n] for p in dumped)
+            fired += 1
+        else:
+            assert not expected
+    assert fired > 5
+
+
 def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
     real_fixpoint, real_check = solver_constructive._fixpoint, solver_constructive._check_round
     fired = 0
@@ -277,16 +306,16 @@ def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
         dropped: list[int] = []
         alphas: list[int] = []
 
-        def shrinking(arena, priorities, debug, tower, history_out):
+        def shrinking(stack, debug, tower, history_out):
             if history_out is not None:
                 top.append(tower)
-            answer = real_fixpoint(arena, priorities, debug, tower, history_out)
+            answer = real_fixpoint(stack, debug, tower, history_out)
             if dropped or tower is not top[0][1]:
                 return answer
             loser = Player(1 - top[0][0].k % 2)
             regions, choices = answer
-            earlier = set().union(*(inner[0][loser] for inner in top[1:]))
-            top.append(answer)
+            earlier = set().union(*(inner[loser] for inner in top[1:]))
+            top.append(tuple(map(frozenset, regions)))  # a bottom's answer is live
             common = sorted(earlier & regions[loser])
             if not common:
                 return answer
@@ -297,9 +326,9 @@ def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
             shrunk[1 - loser].add(v)
             return tuple(map(frozenset, shrunk)), choices
 
-        def checking(depth, arena, history, state, thorough):
+        def checking(depth, head, arena, history, state, thorough):
             alphas.append(state.alpha)
-            real_check(depth, arena, history, state, thorough)
+            real_check(depth, head, arena, history, state, thorough)
 
         monkeypatch.setattr(solver_constructive, "_fixpoint", shrinking)
         monkeypatch.setattr(solver_constructive, "_check_round", checking)

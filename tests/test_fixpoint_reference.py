@@ -1,7 +1,7 @@
-"""``solve_constructive`` on priority tuples against the arena-per-round solver.
+"""``solve_constructive`` on one stack against the arena-per-round solver.
 
-The solver hands each fixpoint depth a priority tuple and keeps one
-split per depth; the reference in ``reference_fixpoint`` built a
+The solver writes each round's bumps into one stack of priorities and
+keeps one split per depth; the reference in ``reference_fixpoint`` built a
 relabelled arena and a re-based split for every round.  Both must emit
 the same bytes and record the same top-level rounds: the same alpha,
 region in, bumped priorities, strategy and region out.

@@ -194,15 +194,14 @@ def test_debug_mode_names_a_wrongly_redecided_vertex(monkeypatch):
     # is named.
     redecide, flipped = _Bottom.redecide, []
 
-    def flipping(self, priorities):
-        redecide(self, priorities)
-        if not flipped:
+    def flipping(self):
+        redecide(self)
+        if not flipped:  # the answer is the bottom's own sets and dicts
             v = max(self.stack.vertices)
             winner = int(v in self.regions[1])
             self.regions[winner].discard(v)
             self.regions[1 - winner].add(v)
             self.chosen[winner].pop(v, None)
-            self.settle()
             flipped.append(v)
 
     monkeypatch.setattr(_Bottom, "redecide", flipping)
@@ -220,9 +219,9 @@ def test_constructive_matches_short_on_larger_games():
 
 
 def test_default_mode_builds_one_arena_per_call(monkeypatch):
-    # A round hands the depth below its priority tuple and every depth
-    # splits in place on the call's one stack, where the split-free depth
-    # decides too: only loop normalization builds an arena.
+    # A round writes its bumps into the call's one stack, where every
+    # depth splits in place and the split-free depth decides too: only
+    # loop normalization builds an arena.
     built, induced = [], []
     arena, real_induced = game_module._arena, transforms._induced
 

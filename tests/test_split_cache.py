@@ -4,12 +4,12 @@ Within one ``solve_constructive`` call every visit of a given recursion
 depth of ``_fixpoint`` has the same edges and split set: a bump changes
 only the priorities of absorbing copies.  So ``_fixpoint`` splits a
 depth once, on the call's one stack, at the top relevant priority of
-the depth's first visit, leaves the split there, and hands each later
-visit only its priority tuple.  The stack after that split must equal,
-field by field, the split ``split_top`` builds from scratch on a fresh
-copy of the depth's first arena, and every visit's priorities must
-split that arena the same way; and no split outlives the call on the
-caller's game.
+the depth's first visit, leaves the split there, and each later visit
+reads its priorities from that stack.  The stack after that split must
+equal, field by field, the split ``split_top`` builds from scratch on a
+fresh copy of the depth's first arena, and every visit's priorities
+must split that arena the same way; and no split outlives the call on
+the caller's game.
 """
 
 from pgsolve import ParityGame, Player, gen_random, solve_constructive, solve_short, split_top
@@ -92,14 +92,16 @@ def fixpoint_visits(games, monkeypatch):
         splits.append((entered[-1], before, tuple(split), k, stack.snapshot()))
         return log
 
-    def visiting(stack, priorities, debug, tower, history_out):
+    def visiting(stack, debug, tower, history_out):
+        priorities = tuple(stack.priorities)
         entered.append(priorities)
         first, made = not tower, len(splits)
-        answer = real_fixpoint(stack, priorities, debug, tower, history_out)
+        answer = real_fixpoint(stack, debug, tower, history_out)
         if tower[0].__class__ is _Depth:
             if first:
                 owned[id(tower[0])] = splits[made]
-            visits.append((stack, priorities, tower[0], owned[id(tower[0])]))
+            depth = tower[0]  # its visit reads the first n priorities
+            visits.append((stack, priorities[: depth.n], depth, owned[id(depth)]))
         return answer
 
     monkeypatch.setattr(_Stack, "split", splitting)
