@@ -19,15 +19,20 @@ fixed point on its own output.
 Solution files are one line per vertex: ``id winner choice`` with ``-``
 for a vertex where the owner's strategy has no explicit choice.
 
-Each parser matches all rows with one ``findall`` over the nonblank
-lines, with a pattern that never crosses a line (so row i is line i),
-and checks them column by column.  Only a faulty text is walked line by
+Canonical text, as emitted (single spaces, owners and winners 0 or 1,
+no line break ``str.splitlines`` splits on but newlines), is read with
+one strict ``findall`` over the raw text.  Any other text takes one
+general ``findall`` over its nonblank lines, with a pattern that never
+crosses a line, so row i is line i.  Either way the rows are checked
+column by column, and ids already ascending skip the reordering.  Errors
+are located on the nonblank lines; only a faulty text is walked line by
 line, to report its first error in file order.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import compress
 from operator import not_
 
@@ -44,12 +49,13 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-def _rows(pattern: str) -> re.Pattern:
+def _rows(pattern: str) -> str:
     """``pattern`` at every line start, its whitespace kept inside the line."""
-    return re.compile("^" + pattern.replace(r"\s", r"[^\S\n]"), re.M)
+    return "(?m)^" + pattern.replace(r"\s", r"[^\S\n]")
 
 
-_HEADER = re.compile(r"\s*parity\s+(\d+)\s*;\s*$")
+# Compiled on first use, through the cache of ``re``: an import compiles none.
+_HEADER = r"\s*parity\s+(\d+)\s*;\s*$"
 _RECORD = _rows(
     r"\s*(?P<id>\d+)"
     r"\s+(?P<priority>\d+)"
@@ -59,14 +65,40 @@ _RECORD = _rows(
     r"\s*;\s*$"
 )
 _SOLUTION_LINE = _rows(r"\s*(?P<id>\d+)\s+(?P<winner>\d+)\s+(?P<choice>\d+|-)\s*$")
+_CANONICAL_HEADER = r"parity [0-9]+;\n"
+_CANONICAL_RECORD = (  # no control character, U+0085, U+2028 or U+2029 in a name
+    r'(?m)^([0-9]+) ([0-9]+) ([01]) ([0-9]+(?:,[0-9]+)*)(?: ("[^"\x00-\x1f\x85\u2028\u2029]*"))?;$'
+)
+_CANONICAL_SOLUTION_LINE = r"(?m)^([0-9]+) ([01]) ([0-9]+|-)$"
 
 
 class _Lines:
-    """The nonblank lines of a text, and the first error among them."""
+    """The rows of a text, and the first error among its nonblank lines."""
 
     def __init__(self, text: str):
         self.text = text
-        self.body = [*filter(str.strip, text.splitlines())]
+
+    @cached_property
+    def body(self) -> list[str]:
+        return [*filter(str.strip, self.text.splitlines())]
+
+    def rows(self, canonical: str, general: str, head: bool = False) -> list[tuple] | None:
+        """The row of each line after the header (with ``head``), or None
+        when a line has none; a missing or malformed header raises.  Text
+        whose every line is one ``canonical`` match takes that one scan;
+        any other text one ``general`` scan of its nonblank lines."""
+        header = re.match(_CANONICAL_HEADER, self.text) if head else None
+        if header or not head:
+            start = header.end() if header else 0
+            rows = re.compile(canonical).findall(self.text, start)
+            if len(rows) == self.text.count("\n", start, -1) + 1:
+                return rows
+        if head and not self.body:
+            raise ParseError(1, 1, "empty input, expected a parity header")
+        if head and re.match(_HEADER, self.body[0]) is None:
+            raise self.error(0, "malformed header, expected 'parity <max-id>;'")
+        rows = re.findall(general, "\n".join(self.body[head:]))
+        return rows if len(rows) + head == len(self.body) else None
 
     def error(self, i: int, reason: str, column: int | None = None) -> ParseError:
         """A ParseError on nonblank line ``i``, by default at its first token."""
@@ -79,7 +111,7 @@ class _Lines:
         line from ``start`` on; ``numbers(groups)`` gives id, player, the rest."""
         seen = set()
         for i in range(start, len(self.body)):
-            match = pattern.match(self.body[i])
+            match = re.match(pattern, self.body[i])
             if match is None:
                 return i, None
             try:
@@ -102,16 +134,13 @@ def parse_game(text: str) -> ParityGame:
     The records' shape and the range test below check all a game needs.
     """
     lines = _Lines(text)
-    if not lines.body:
-        raise ParseError(1, 1, "empty input, expected a parity header")
-    if _HEADER.match(lines.body[0]) is None:
-        raise lines.error(0, "malformed header, expected 'parity <max-id>;'")
-    rows = _RECORD.findall("\n".join(lines.body[1:]))
-    ids, priorities, owners, successors, names = [*zip(*rows)] or [()] * 5
+    rows = lines.rows(_CANONICAL_RECORD, _RECORD, head=True)
+    ids, priorities, owners, successors, names = [*zip(*rows or ())] or [()] * 5
     try:
         ids, priorities, owners = (list(map(int, col)) for col in (ids, priorities, owners))
         successors = [tuple(map(int, succ.split(","))) for succ in successors]
-        clean = len(set(ids)) == len(ids) == len(lines.body) - 1  # one row per line
+        ordered = ids == [*range(len(ids))]
+        clean = rows is not None and (ordered or len(set(ids)) == len(ids))
     except ValueError:
         clean = False
     if not (clean and set(owners) <= {0, 1}):
@@ -133,12 +162,13 @@ def parse_game(text: str) -> ParityGame:
     if max(map(max, successors)) >= n:
         i, succ = next((i, s) for i, s in enumerate(successors, 1) if max(s) >= n)
         raise lines.error(i, f"dangling successor id {next(u for u in succ if u >= n)}")
-    order = sorted(range(n), key=ids.__getitem__)
     owners = [*map(_PLAYERS.__getitem__, owners)]
     names = [name[1:-1] if name else None for name in names] if any(names) else [None] * n
-    return _arena(
-        *(tuple(map(col.__getitem__, order)) for col in (owners, priorities, successors, names))
-    )
+    columns = owners, priorities, successors, names
+    if not ordered:
+        order = sorted(range(n), key=ids.__getitem__)
+        columns = ([*map(col.__getitem__, order)] for col in columns)
+    return _arena(*map(tuple, columns))
 
 
 def emit_game(game: ParityGame) -> str:
@@ -155,14 +185,14 @@ def emit_game(game: ParityGame) -> str:
 def parse_solution(text: str, game: ParityGame) -> Solution:
     """Parse a solution file for ``game``; every vertex exactly once."""
     lines = _Lines(text)
-    rows = _SOLUTION_LINE.findall("\n".join(lines.body))
-    ids, winners, moves = [*zip(*rows)] or [()] * 3
+    rows = lines.rows(_CANONICAL_SOLUTION_LINE, _SOLUTION_LINE)
+    ids, winners, moves = [*zip(*rows or ())] or [()] * 3
     n = game.n
     try:
         ids, winners = list(map(int, ids)), list(map(int, winners))
         explicit = [*compress(ids, map("-".__ne__, moves))]
         moves = [*map(int, filter("-".__ne__, moves))]
-        clean = len(set(ids)) == len(ids) == len(lines.body)  # one row per line
+        clean = rows is not None and len(set(ids)) == len(ids)
     except ValueError:
         clean = False
     if not (clean and max(ids, default=-1) < n and set(winners) <= {0, 1}):

@@ -8,8 +8,8 @@ priority of the player's parity.  Refutations come back as a replayable
 path plus cycle.
 
 The cycle test is one nested decomposition into strongly connected
-components.  The reachable subgraph is split into SCCs; an SCC with no
-cycle is skipped, one whose top priority has the adversary's parity
+components.  The reachable subgraph is split into SCCs; a pass returns
+only the cyclic ones.  One whose top priority has the adversary's parity
 holds a bad cycle with that top, and one whose top favours the player
 is split again without its top-priority vertices.  An SCC whose top is
 at most the best bad top found so far is pruned.  Only a refuted claim
@@ -94,14 +94,15 @@ def _sccs(
 ) -> list[list[int]]:
     """Iterative Tarjan over the induced subgraph on ``vertices``.
 
-    Components come out in Tarjan's order, each listed from its last
-    stacked vertex back to its root.  ``tables`` is the pair of ``index``
-    and ``low`` lists over all n vertices that every pass of one
-    ``verify_strategy`` call shares.  ``index`` is -1 at a vertex of
-    this pass not yet visited and n at every vertex off the Tarjan
-    stack, which includes the vertices outside the pass.  A pass ends
-    with every index back at n, so the next one needs no reset and no
-    membership set.
+    Only cyclic components come out: a single vertex without a self-loop
+    is dropped as it is popped.  They come in Tarjan's order, each
+    listed from its last stacked vertex back to its root.  ``tables`` is
+    the pair of ``index`` and ``low`` lists over all n vertices that
+    every pass of one ``verify_strategy`` call shares.  ``index`` is -1
+    at a vertex of this pass not yet visited and n at every vertex off
+    the Tarjan stack, which includes the vertices outside the pass.  A
+    pass ends with every index back at n, so the next one needs no reset
+    and no membership set.
     """
     index, low = tables
     done = len(index)
@@ -134,6 +135,8 @@ def _sccs(
                 if low[v] == index[v]:
                     w = stack.pop()
                     index[w] = done
+                    if w == v and v not in edges[v]:
+                        continue  # acyclic: one vertex without a self-loop
                     component = [w]
                     while w != v:
                         w = stack.pop()
@@ -149,40 +152,22 @@ def _shortest_cycle(
     start: int, members: set[int], edges: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Shortest closed walk from ``start`` back to itself inside an SCC."""
-    if start in edges[start]:
-        return (start,)
-    parent: dict[int, int] = {}
-    queue = deque()
-    for u in edges[start]:
-        if u in members and u not in parent:
-            parent[u] = start
-            queue.append(u)
-    while start not in parent:
-        v = queue.popleft()
-        for u in edges[v]:
-            if u in members and u not in parent:
-                parent[u] = v
-                queue.append(u)
-    tail = []
-    v = parent[start]
-    while v != start:
-        tail.append(v)
-        v = parent[v]
-    return (start, *reversed(tail))
+    return (start, *_path_to(start, [u for u in edges[start] if u in members], edges, members))
 
 
 def _path_to(
-    target: int, region: list[int], edges: list[tuple[int, ...]]
+    target: int, sources: list[int], edges: list[tuple[int, ...]], inside: set[int] | None = None
 ) -> tuple[int, ...]:
-    """Shortest path from the ascending ``region`` to ``target``, without it."""
-    parent: dict[int, int | None] = dict.fromkeys(region)
+    """Shortest path from the ``sources``, searched in order, to ``target``,
+    without it, through vertices ``inside`` only when that is given."""
+    parent: dict[int, int | None] = dict.fromkeys(sources)
     if target in parent:
         return ()
-    queue = deque(region)
+    queue = deque(parent)
     while queue:
         v = queue.popleft()
         for u in edges[v]:
-            if u not in parent:
+            if u not in parent and (inside is None or u in inside):
                 parent[u] = v
                 if u == target:
                     queue.clear()
@@ -215,8 +200,6 @@ def _worst_top(
     pending = [reached]
     while pending:
         for component in _sccs(pending.pop(), edges, tables):
-            if len(component) == 1 and component[0] not in edges[component[0]]:
-                continue  # acyclic: one vertex without a self-loop
             top = max(map(priorities.__getitem__, component))
             if top <= best:
                 continue
@@ -227,29 +210,6 @@ def _worst_top(
             else:
                 best = top
     return best if best >= 0 else None
-
-
-def _witness(
-    p: int,
-    region: list[int],
-    reached: list[int],
-    priorities: tuple[int, ...],
-    edges: list[tuple[int, ...]],
-    tables: tuple[list[int], list[int]],
-) -> BadCycleWitness:
-    """The refutation of a claim whose largest bad cycle top is ``p``.
-
-    Among the vertices of priority at most p, the first cyclic SCC with
-    a priority-p vertex holds the cycle: the shortest one through its
-    least priority-p vertex, reached by a shortest path from the region.
-    """
-    capped = [v for v in reached if priorities[v] <= p]
-    for component in _sccs(capped, edges, tables):
-        carriers = sorted(v for v in component if priorities[v] == p)
-        if carriers and (len(component) > 1 or carriers[0] in edges[carriers[0]]):
-            cycle = _shortest_cycle(carriers[0], set(component), edges)
-            return BadCycleWitness(_path_to(cycle[0], region, edges), cycle, p)
-    raise AssertionError(f"no reachable cycle is topped by priority {p}")
 
 
 def verify_strategy(
@@ -275,11 +235,19 @@ def verify_strategy(
         bad = next(v for v in region if not 0 <= v < n)
         raise GameError(f"region vertex {bad} out of range 0..{n - 1}")
     edges, reached = _reachable(game, player, strategy, region)
-    tables = [n] * n, [0] * n
-    p = _worst_top(player, game.priorities, reached, edges, tables)
+    tables, priorities = ([n] * n, [0] * n), game.priorities
+    p = _worst_top(player, priorities, reached, edges, tables)
     if p is None:
         return None
-    return _witness(p, region, reached, game.priorities, edges, tables)
+    # The witness: among the vertices of priority at most p, the first SCC
+    # with a priority-p vertex holds the shortest cycle through its least
+    # one, reached by a shortest path from the region.
+    for component in _sccs([v for v in reached if priorities[v] <= p], edges, tables):
+        carriers = [v for v in component if priorities[v] == p]
+        if carriers:
+            cycle = _shortest_cycle(min(carriers), set(component), edges)
+            return BadCycleWitness(_path_to(cycle[0], region, edges), cycle, p)
+    raise AssertionError(f"no reachable cycle is topped by priority {p}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """The one-scan parsers against the line-by-line parsers they replaced.
 
-``parse_game`` and ``parse_solution`` find all records with one
-``findall`` over the nonblank lines and walk the lines only to locate
+``parse_game`` and ``parse_solution`` read canonical text with one
+strict ``findall`` over the raw text, any other text with one general
+``findall`` over its nonblank lines, and walk the lines only to locate
 an error.  The references below are the parsers they replaced: one
 regex match and one record loop per line.  On valid and on mutated
-texts both must give an equal game or solution, or a ``ParseError``
-with equal line, column and reason.
+texts, canonical or not, both must give an equal game or solution, or
+a ``ParseError`` with equal line, column and reason.
 """
 
 import re
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsolve import ParityGame, ParseError, Player, Solution, Strategy
-from pgsolve import parse_game, parse_solution
+from pgsolve import emit_game, emit_solution, parse_game, parse_solution, solve_short
 
 _HEADER = re.compile(r"\s*parity\s+(\d+)\s*;\s*$")
 _RECORD = re.compile(
@@ -129,6 +130,10 @@ def outcome(parse, *args):
     return (value.w0, value.w1, [*value.sigma.choices.items()], [*value.tau.choices.items()])
 
 
+# Every line break of ``str.splitlines``.
+LINE_BREAKS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
 # One digit more than ``int`` converts from text.
 TOO_LONG = "9" * (sys.get_int_max_str_digits() + 1)
 SPACES = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f", " 　"])
@@ -255,6 +260,27 @@ def test_fixed_cases_match_the_reference():
         "parity 2;\n0 1 00 1;\n1 1 01 0,5,7;\n2 1 0 9;\n",
         "parity 2;\n2 1 0 0;\n0 1 0 2;\n",
         "parity 2;\n0 1 0 0 \"a\nb\";\n",
+        # canonical spelling, and one change away from it
+        *(f'parity 1;\n0 1 0 1 "a{brk}b";\n1 2 1 0;\n' for brk in LINE_BREAKS),
+        "parity 1;\r\n0 1 0 1;\r\n1 2 1 0;\r\n",
+        "parity 1;\n0 1 0 1;\n1 2 1 0;\n\n",
+        "parity 1;\n0 1 0 1;\n1 2 1 0;",
+        "parity 1;\n0 1 0 1;\n1\t2 1 0;\n",
+        "parity 1;\n1 2 1 0;\n0 1 0 1;\n",
+        "parity 7;\n0 1 0 1;\n1 2 1 0;\n",
+        "parity 1;\n0 1 0 1 \"\";\n1 2 1 0 \"x;y \\\";\n",
+        "parity 1;\n0 1 0 1;\n1 2 1 0,2;\n",
+        "parity 1;\n0 1 0 1;\n0 2 1 0;\n",
+        "parity 2;\n0 1 0 1;\n2 2 1 0;\n",
+        "parity 1;\n0 1 0 1;\n1 2 01 0;\n",
+        "parity 1;\n0 1 0 1;\n1 2 2 0;\n",
+        "parity 1;\n0 1 0 1;\n1 ٣ 1 ٠;\n",
+        "parity 0;\n",
+        "parity 0;",
+        "0 1 0 0;\n",
+        f"parity 1;\n{TOO_LONG} 1 0 1;\n1 2 1 0;\n",
+        f"parity 1;\n0 {TOO_LONG} 0 1;\n1 2 1 0;\n",
+        f"parity 1;\n0 1 0 1,{TOO_LONG};\n1 2 1 0;\n",
     ]
     for text in games:
         assert outcome(parse_game, text) == outcome(reference_parse_game, text)
@@ -269,8 +295,79 @@ def test_fixed_cases_match_the_reference():
         "0 0 1\n0 2 -\n",
         "0 00 -\n1 01 -\n",
         "0 0 -\n",
+        # canonical spelling, and one change away from it
+        *(f"0 0 1{brk}1 1 0\n2 0 -\n" for brk in LINE_BREAKS),
+        "0 0 1\r\n1 1 0\r\n2 0 -\r\n",
+        "0 0 1\n1 1 0\n2 0 -\n\n",
+        "0 0 1\n1 1 0\n2 0 -",
+        "0 0 1\n1\t1 0\n2 0 -\n",
+        "2 0 -\n1 1 0\n0 0 1\n",
+        "0 0 1\n1 1 0\n1 0 -\n",
+        "0 0 1\n1 1 0\n3 0 -\n",
+        "0 0 1\n1 2 0\n2 0 -\n",
+        "0 0 1\n1 1 0\n",
+        "0 0 1\n1 1 ٠\n2 0 -\n",
+        f"{TOO_LONG} 0 1\n1 1 0\n2 0 -\n",
+        f"0 0 {TOO_LONG}\n1 1 0\n2 0 -\n",
+        f"0 0 1\n1 1 0\n2 {TOO_LONG} -\n",
     ]
     for text in solutions:
         assert outcome(parse_solution, text, game) == outcome(
             reference_parse_solution, text, game
         )
+
+
+@st.composite
+def perturbed_texts(draw):
+    """An emitted game and solution, one of them changed in one place."""
+    n = draw(st.integers(1, 6))
+    names = st.one_of(st.none(), *[st.text(" ab;,\t\xa0\x1f٣-", max_size=3)] * 2)
+    game = ParityGame.from_vertices(
+        (
+            draw(st.integers(0, 1)),
+            draw(st.integers(0, 9)),
+            draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)),
+            draw(names),
+        )
+        for _ in range(n)
+    )
+    texts = [emit_game(game), emit_solution(game, solve_short(game))]
+    at = draw(st.integers(0, 1))
+    text = texts[at]
+    kind = draw(st.sampled_from(["replace", "insert", "delete", "lines", "crlf", "blank"]))
+    where = draw(st.integers(0, len(text)))
+    opening = [i + 1 for i, c in enumerate(text) if c == '"'][::2]
+    if opening and draw(st.booleans()):  # just inside a name
+        where = draw(st.sampled_from(opening))
+    tokens = [*LINE_BREAKS, " ", "\t", "\xa0", "0", "1", "2", "9", "٣", ",", ";", '"', "-"]
+    token = draw(st.sampled_from([*tokens, TOO_LONG]))
+    if kind == "replace":
+        text = text[:where] + token + text[where + 1:]
+    elif kind == "insert":
+        text = text[:where] + token + text[where:]
+    elif kind == "delete":
+        text = text[:where] + text[where + 1:]
+    elif kind == "lines":
+        lines = text.splitlines(keepends=True)
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+        text = "".join(lines)
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    else:
+        text += "\n"
+    texts[at] = text
+    return game, texts
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_texts())
+def test_perturbed_emitted_texts_match_the_reference(case):
+    """Emitted text takes the canonical scan; one change sends it to the
+    general one or makes it faulty, and each path must agree with the
+    reference on the game, the solution or the error."""
+    game, (game_text, solution_text) = case
+    assert outcome(parse_game, game_text) == outcome(reference_parse_game, game_text)
+    assert outcome(parse_solution, solution_text, game) == outcome(
+        reference_parse_solution, solution_text, game
+    )

@@ -85,10 +85,11 @@ def test_passes_on_one_shared_table_match_fresh_tarjan_runs():
 
     Each pass is a subset of the previous one, a list disjoint from it
     or a fresh sample, in shuffled order, and most lists have edges
-    that leave them.
+    that leave them.  A pass returns the cyclic components only (two or
+    more vertices, or one with a self-loop), in the reference's order.
     """
     rng = random.Random(18)
-    passes = leaving = 0
+    passes = leaving = dropped = looped = 0
     for _ in range(60):
         n = rng.randint(1, 40)
         edges = [
@@ -107,12 +108,17 @@ def test_passes_on_one_shared_table_match_fresh_tarjan_runs():
             else:
                 vertices = rng.sample(range(n), rng.randint(1, n))
             got = verification._sccs(vertices, edges, tables)
-            assert got == reference_sccs(vertices, edges)
+            every = reference_sccs(vertices, edges)
+            cyclic = [c for c in every if len(c) > 1 or c[0] in edges[c[0]]]
+            assert got == cyclic
+            dropped += len(every) - len(cyclic)
+            looped += sum(len(c) == 1 for c in cyclic)
             members = set(vertices)
             leaving += any(u not in members for v in vertices for u in edges[v])
             passes += 1
     assert passes == 1500
     assert leaving > 500
+    assert dropped > 5000 and looped > 500
 
 
 def reference_reachable(game, player, strategy, region):
