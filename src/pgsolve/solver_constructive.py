@@ -20,14 +20,15 @@ regions and choice maps.  A depth with nothing to split decides on that
 stack and, at each later visit, re-decides only the vertices a bump can
 move: the predecessors of the logged slots.
 
-Rounds are plain tuples with choice dicts; only the top depth's are
-also FixpointStates, with priority tuples.  At every depth, monotone
-growth, strategy stability, the round bound and, at the fixpoint, the
-equivalence between bumped copies and losing originals are asserted in
-every run.  ``solve_constructive`` certifies its solution with one
-``check_solution``; the per-round verifier checks, the checks of every
-nested solution and a from-scratch base case beside every incremental
-one run only with ``debug=True``, on stack snapshots taken for them alone.
+Rounds are plain tuples with choice dicts, composed by ``compose_tau``
+at every depth; FixpointStates are built only for ``history_out``.  At
+every depth, monotone growth, strategy stability, the round bound and,
+at the fixpoint, the equivalence between bumped copies and losing
+originals are asserted in every run.  ``solve_constructive`` certifies
+its solution with one ``check_solution``; the per-round verifier
+checks, the checks of every nested solution and a from-scratch base
+case beside every incremental one run only with ``debug=True``, on
+stack snapshots taken for them alone.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .solver_short import (
     _certified,
     _decide,
     _require_solution,
-    _unsplit as _merged,  # a split answer's choices, copies dropped, moves mapped back
+    _unsplit,
     base_case_solve,
 )
 from .transforms import _Stack, _normalized
@@ -135,26 +136,11 @@ def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
     return lifted
 
 
-def _composed(tau: dict, settled: frozenset, w1: frozenset, fresh: dict) -> dict[int, int]:
-    """``tau``'s choices, then ``fresh``'s on ``w1 - settled``, in a new dict."""
+def compose_tau(tau: dict, settled: frozenset, w1: frozenset, fresh: dict) -> dict[int, int]:
+    """``tau``'s choices, then ``fresh``'s on ``w1 - settled``, in a new dict: a round's
+    strategy from the previous round's and its region ``settled``, called once per round
+    at every depth.  Regions only grow, so a vertex keeps its earliest round's choice."""
     return {**tau, **{v: u for v, u in fresh.items() if v in w1 and v not in settled}}
-
-
-def compose_tau(
-    history: Sequence[FixpointState], w1: frozenset[int], tau_plus: Strategy
-) -> Strategy:
-    """``tau_plus.player``'s strategy for the current round (P0 for odd k).
-
-    On a vertex seen in an earlier round's region, the choice of the
-    earliest such round; on the newly won rest, the fresh strategy;
-    undefined elsewhere.  Folds ``_composed`` over the history; only
-    the top depth's rounds call this, inner rounds call ``_composed``.
-    """
-    choices, settled = {}, frozenset()
-    for state in history:
-        choices = _composed(choices, settled, state.w1, state.tau.choices)
-        settled |= state.w1
-    return Strategy(tau_plus.player, _composed(choices, settled, w1, tau_plus.choices))
 
 
 # A round as ``_check_round`` reads it; ``_fixpoint`` keeps plain tuples.
@@ -205,7 +191,7 @@ def _check_round(
         fail(f"round {alpha}: tau rejected: {exc}")
     if witness is not None:
         fail(f"round {alpha}: tau loses in the bumped game: {witness}")
-    merged = Strategy(player, _merged(tau, depth.n, depth.order))
+    merged = Strategy(player, _unsplit(tau, depth.n, depth.order))
     base = depth.arenas[0]._relabelled(priorities=head)
     try:
         witness = verify_strategy(base, player, merged, w1 & depth.vertices)
@@ -301,7 +287,6 @@ def _fixpoint(
     k, order, loser, n, vertices, arenas = entry
     end, bumped = n + len(order), stack.bumped
     history: list[tuple] = []  # the _Round fields of each round
-    states: list[FixpointState] = []  # the top depth's rounds, for history_out
     x, tau, last = frozenset(), {}, None
     while True:
         alpha = len(history)
@@ -314,20 +299,16 @@ def _fixpoint(
                     priorities[i] = p
                     bumped.append(i)
             inner = _fixpoint(stack, debug, below, None)
-        pi = tuple(priorities[:end]) if debug or history_out is not None else None
-        arena = arenas[1]._relabelled(priorities=pi) if debug else None
+        arena = arenas[1]._relabelled(priorities=tuple(priorities[:end])) if debug else None
         if debug and bumps != last:
             _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
         last = bumps
         regions, choices = inner
         lost, before = frozenset(regions[loser]), tau
-        # regions only grow (checked below): the last tau holds every earliest choice
-        if history_out is None:
-            tau = _composed(before, x, lost, choices[loser])
-        else:  # top depth: one module-level compose_tau call per round, which perfbench counts
-            strategy = compose_tau(states[-1:], lost, Strategy(loser, choices[loser]))
-            states.append(FixpointState(alpha, x, pi, strategy, lost))
-            tau = strategy.choices
+        tau = compose_tau(before, x, lost, choices[loser])
+        if history_out is not None:
+            pi = tuple(priorities[:end])
+            history_out.append(FixpointState(alpha, x, pi, Strategy(loser, tau), lost))
         state = (alpha, x, tau, lost)
         # growth, then stability on the previous region x (vacuous while x is empty)
         if debug or x and not (x <= lost and before.items() <= tau.items()
@@ -345,10 +326,8 @@ def _fixpoint(
             )
     lost = lost & vertices
     won = vertices - lost
-    favoured = _merged(choices[1 - loser], n, order)
-    disfavoured = _merged(tau, n, order)
-    if history_out is not None:
-        history_out.extend(states)
+    favoured = _unsplit(choices[1 - loser], n, order)
+    disfavoured = _unsplit(tau, n, order)
     if loser is Player.P1:
         return (won, lost), (favoured, disfavoured)
     return (lost, won), (disfavoured, favoured)
@@ -358,7 +337,8 @@ def _constructive(
     game: ParityGame, debug: bool, history_out: list[FixpointState] | None, what: str
 ) -> Solution:
     # Both public solvers; on a loop-normalized game preprocess and _lift change nothing.
-    history: list[FixpointState] = []
+    # The rounds reach the caller's history_out only once the solution is certified.
+    history = [] if history_out is not None else None
 
     def solve(game: ParityGame, debug: bool) -> Solution:
         record = preprocess(game)
@@ -386,10 +366,10 @@ def fixpoint_solve(
 
     Requires that only absorbing vertices carry self-loops (run
     ``preprocess`` first, or use ``solve_constructive``).  When
-    ``history_out`` is given, the top-level rounds are appended to it;
-    for an odd top priority their ``w1`` and ``tau`` are P0's, the
-    player it disfavours.  The solution is certified before it is
-    returned.
+    ``history_out`` is given, the top-level rounds are appended to it,
+    and only then are they built as FixpointStates; for an odd top
+    priority their ``w1`` and ``tau`` are P0's, the player it
+    disfavours.  The solution is certified before it is returned.
     """
     if game._mixed_loops:
         v = game._mixed_loops[0]

@@ -28,7 +28,6 @@ CertificationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
@@ -49,15 +48,6 @@ from .verification import check_solution, verify_strategy
 
 class CertificationError(RuntimeError):
     """An output the construction promises to be winning failed its check."""
-
-
-@dataclass(frozen=True)
-class WinningCore:
-    """One player, a region, and a strategy certified to win on it."""
-
-    player: Player
-    region: frozenset[int]
-    strategy: Strategy
 
 
 def _require_winning(
@@ -263,8 +253,9 @@ def _core(
     return player, region, choices
 
 
-def nonempty_step(game: ParityGame) -> WinningCore:
-    """Produce one certified winning core of a game with relevant vertices.
+def nonempty_step(game: ParityGame) -> tuple[Player, frozenset[int], Strategy]:
+    """One certified winning core of a game with relevant vertices:
+    ``(player, region, strategy)``, the strategy winning the region.
 
     Splits the top relevant priority, which favours the player of its
     parity, and fully solves the split game.  If that player wins it
@@ -278,7 +269,7 @@ def nonempty_step(game: ParityGame) -> WinningCore:
         raise GameError("nonempty_step needs at least one relevant vertex")
     stack = _Stack(game)
     player, region, choices = _core(stack, _Closure(stack), relevant, True)
-    return WinningCore(player, frozenset(region), Strategy(player, choices))
+    return player, frozenset(region), Strategy(player, choices)
 
 
 def _solve_short(stack: _Stack, state: _Closure, relevant: list[int], debug: bool) -> None:

@@ -7,20 +7,37 @@ bumped priorities and recursed on it, and every answer was a
 last answer and re-decided only the predecessors of the vertices whose
 priority changed.  It is kept here, without its checks, as the
 reference the solver must match byte for byte and round for round.
-Loop normalization, the split builder, ``compose_tau`` and the
-per-vertex base-case rule are the package's own.
+Loop normalization, the split builder and the per-vertex base-case rule
+are the package's own; the round composition is its own fold.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import ne
+from typing import Sequence
 
 from pgsolve import FixpointState, ParityGame, Player, Solution, Strategy
 from pgsolve.game import _PLAYERS, relevant_priorities
-from pgsolve.solver_constructive import compose_tau, preprocess
+from pgsolve.solver_constructive import preprocess
 from pgsolve.solver_short import _decide
 from pgsolve.transforms import SplitGame, split_top
+
+
+def compose_tau(
+    history: Sequence[FixpointState], w1: frozenset[int], tau_plus: Strategy
+) -> Strategy:
+    """``tau_plus.player``'s strategy for the current round.
+
+    On a vertex seen in an earlier round's region, the choice of the
+    earliest such round; on the newly won rest, the fresh strategy;
+    undefined elsewhere.
+    """
+    choices, settled = {}, frozenset()
+    for region, fresh in [*((state.w1, state.tau) for state in history), (w1, tau_plus)]:
+        entered = {v: u for v, u in fresh.choices.items() if v in region and v not in settled}
+        choices, settled = {**choices, **entered}, settled | region
+    return Strategy(tau_plus.player, choices)
 
 
 def rebased(split: SplitGame, game: ParityGame) -> SplitGame:

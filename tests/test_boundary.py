@@ -69,24 +69,16 @@ def test_default_mode_certifies_exactly_once(solve, monkeypatch):
         assert calls["verify_strategy"] > 2
 
 
-UNSPLIT, MERGED = solver_short._unsplit, solver_constructive._merged
-
-
-def without_least(choices):
-    """``choices`` less its least-index entry, the one bug both corruptions add."""
-    if choices:
-        del choices[min(choices)]
-    return choices
-
-
-def drop_first_choice(choices, n, order):
-    """The fixpoint's merge with one bug: the least-index choice goes missing."""
-    return without_least(MERGED(choices, n, order))
+UNSPLIT = solver_short._unsplit
 
 
 def drop_first_unsplit(choices, n, split):
-    """The short solver's merge back from the stack, with the same bug."""
-    return without_least(UNSPLIT(choices, n, split))
+    """Both solvers' merge back from a split, with one bug: the
+    least-index choice goes missing."""
+    choices = UNSPLIT(choices, n, split)
+    if choices:
+        del choices[min(choices)]
+    return choices
 
 
 # Each game needs an explicit choice that the bug then drops.
@@ -101,8 +93,8 @@ CORRUPTIBLE = (
     (
         solve_constructive,
         solver_constructive,
-        "_merged",
-        drop_first_choice,
+        "_unsplit",
+        drop_first_unsplit,
         [(1, 1, (2, 0)), (1, 1, (2,)), (1, 0, (2, 0, 1))],
     ),
 )
@@ -135,7 +127,7 @@ def test_exported_helpers_certify_their_output(monkeypatch):
     with pytest.raises(CertificationError, match="lifted solution"):
         lift_solution(preprocess(game), wrong)
     monkeypatch.setattr(solver_short, "_unsplit", drop_first_unsplit)
-    monkeypatch.setattr(solver_constructive, "_merged", drop_first_choice)
+    monkeypatch.setattr(solver_constructive, "_unsplit", drop_first_unsplit)
     with pytest.raises(CertificationError, match="core failed verification"):
         nonempty_step(ParityGame.from_vertices(short_rows))
     reduced = preprocess(ParityGame.from_vertices(constructive_rows)).reduced

@@ -21,7 +21,6 @@ from __future__ import annotations
 import ast
 import re
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +28,6 @@ from pgsolve import (
     CertificationError,
     ParityGame,
     Player,
-    Strategy,
     emit_game,
     parse_game,
     restrict,
@@ -54,7 +52,6 @@ DUPLICATES = ParityGame.from_vertices(
     [(0, 1, (1, 1, 0)), (1, 2, (2, 0, 2)), (0, 3, (3, 2, 2)), (1, 0, (3,))]
 )
 COMPOSE_TAU = solver_constructive.compose_tau
-COMPOSED = solver_constructive._composed
 NAMES = ("", "a b", "\t", "é~", None, "x;y", "0 1 2")
 
 
@@ -171,86 +168,24 @@ def first_line(exc: CertificationError) -> str:
     return message.split("\n", 1)[0]
 
 
-def edit_previous_choice(monkeypatch, edit) -> list[str]:
-    """Patch ``compose_tau`` so the first round that ``edit`` accepts
-    changes the previous round's strategy; return the expected reasons."""
-    expected: list[str] = []
-
-    def editing(history, w1, tau_plus):
-        tau = COMPOSE_TAU(history, w1, tau_plus)
-        if history and not expected:
-            previous = history[-1]
-            choices = dict(tau.choices)
-            v = edit(previous, choices)
-            if v is not None:
-                expected.append(
-                    f"round {previous.alpha + 1}: choice at {v} drifted from "
-                    f"round {previous.alpha}"
-                )
-                return Strategy(tau.player, choices)
-        return tau
-
-    monkeypatch.setattr(solver_constructive, "compose_tau", editing)
-    return expected
-
-
-def drop(previous, choices):
-    if previous.tau.choices:
-        v = min(previous.tau.choices)
-        del choices[v]
-        return v
-    return None
-
-
-def change(previous, choices):
-    if previous.tau.choices:
-        v = max(previous.tau.choices)
-        choices[v] = -1
-        return v
-    return None
-
-
-def add(previous, choices):
-    unset = sorted(previous.w1 - previous.tau.choices.keys())
-    if unset:
-        choices[unset[0]] = -1
-        return unset[0]
-    return None
-
-
-@pytest.mark.parametrize("edit", [drop, change, add])
-def test_a_drifted_choice_fails_its_round(monkeypatch, edit):
-    fired = 0
-    for game in [*random_corpus(80, 12), ladder_game(4)]:
-        expected = edit_previous_choice(monkeypatch, edit)
-        try:
-            solve_constructive(game)
-        except CertificationError as exc:
-            assert expected and first_line(exc) == expected[0]
-            fired += 1
-        else:
-            assert not expected
-    assert fired > 5
-
-
-def edit_inner_choice(monkeypatch, edit, rounds: list | None = None) -> list[str]:
-    """Patch ``_composed`` so the first inner-depth round that ``edit``
-    accepts changes the previous round's strategy; return the expected
-    reasons.  Only inner rounds call ``_composed`` from ``_fixpoint``
-    itself (the top depth's go through ``compose_tau``), so the caller's
-    frame names the round.  ``rounds``, when given, receives the edited
-    round's depth size n and its priorities as the call's stack holds
-    them: the first n, then the depth's copies."""
+def edit_previous_choice(monkeypatch, edit, inner: bool, rounds: list | None = None) -> list[str]:
+    """Patch ``compose_tau`` so the first round of an inner-depth visit
+    (``inner``) or of the top depth that ``edit`` accepts changes the
+    previous round's strategy; return the expected reasons.  Every round
+    calls ``compose_tau`` from ``_fixpoint``'s own frame, which names the
+    round; an inner depth's frame was called by ``_fixpoint`` itself.
+    ``rounds``, when given, receives the edited round's depth size n and
+    its priorities as the call's stack holds them: the first n, then the
+    depth's copies."""
     expected: list[str] = []
 
     def editing(tau, settled, w1, fresh):
-        choices = COMPOSED(tau, settled, w1, fresh)
+        choices = COMPOSE_TAU(tau, settled, w1, fresh)
         caller = sys._getframe(1)
-        if settled and not expected and caller.f_code.co_name == "_fixpoint":
+        if settled and not expected and (caller.f_back.f_code is caller.f_code) is inner:
             local = caller.f_locals
             alpha = local["alpha"]
-            previous = SimpleNamespace(alpha=alpha - 1, w1=settled, tau=Strategy(0, tau))
-            v = edit(previous, choices)
+            v = edit(tau, settled, choices)
             if v is not None:
                 expected.append(f"round {alpha}: choice at {v} drifted from round {alpha - 1}")
                 if rounds is not None:
@@ -258,15 +193,42 @@ def edit_inner_choice(monkeypatch, edit, rounds: list | None = None) -> list[str
                     rounds.append((n, tuple(local["stack"].priorities[: n + len(local["order"])])))
         return choices
 
-    monkeypatch.setattr(solver_constructive, "_composed", editing)
+    monkeypatch.setattr(solver_constructive, "compose_tau", editing)
     return expected
 
 
-@pytest.mark.parametrize("edit", [drop, change, add])
-def test_a_drifted_inner_choice_fails_its_round(monkeypatch, edit):
+# An edit of the round's choices, given the previous round's tau and
+# region; it returns the vertex whose choice it changed, or None.
+def drop(tau, region, choices):
+    if tau:
+        v = min(tau)
+        del choices[v]
+        return v
+    return None
+
+
+def change(tau, region, choices):
+    if tau:
+        v = max(tau)
+        choices[v] = -1
+        return v
+    return None
+
+
+def add(tau, region, choices):
+    unset = sorted(region - tau.keys())
+    if unset:
+        choices[unset[0]] = -1
+        return unset[0]
+    return None
+
+
+def drifted_rounds(monkeypatch, edit, inner: bool) -> int:
+    """Solve a corpus with ``edit`` applied once per game; each edited
+    solve must fail with the edited round's reason.  Returns how many did."""
     fired = 0
     for game in [*random_corpus(80, 12), ladder_game(4)]:
-        expected = edit_inner_choice(monkeypatch, edit)
+        expected = edit_previous_choice(monkeypatch, edit, inner)
         try:
             solve_constructive(game)
         except CertificationError as exc:
@@ -274,7 +236,17 @@ def test_a_drifted_inner_choice_fails_its_round(monkeypatch, edit):
             fired += 1
         else:
             assert not expected
-    assert fired > 5
+    return fired
+
+
+@pytest.mark.parametrize("edit", [drop, change, add])
+def test_a_drifted_choice_fails_its_round(monkeypatch, edit):
+    assert drifted_rounds(monkeypatch, edit, False) > 5
+
+
+@pytest.mark.parametrize("edit", [drop, change, add])
+def test_a_drifted_inner_choice_fails_its_round(monkeypatch, edit):
+    assert drifted_rounds(monkeypatch, edit, True) > 5
 
 
 def test_an_inner_round_failure_dumps_each_rounds_full_priorities(monkeypatch):
@@ -283,7 +255,7 @@ def test_an_inner_round_failure_dumps_each_rounds_full_priorities(monkeypatch):
     fired = 0
     for game in [*random_corpus(80, 12), ladder_game(4)]:
         rounds: list = []
-        expected = edit_inner_choice(monkeypatch, change, rounds)
+        expected = edit_previous_choice(monkeypatch, change, True, rounds)
         try:
             solve_constructive(game)
         except CertificationError as exc:
@@ -307,7 +279,7 @@ def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
         alphas: list[int] = []
 
         def shrinking(stack, debug, tower, history_out):
-            if history_out is not None:
+            if not top:  # the first call is the top-level one
                 top.append(tower)
             answer = real_fixpoint(stack, debug, tower, history_out)
             if dropped or tower is not top[0][1]:

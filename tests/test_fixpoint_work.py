@@ -62,36 +62,27 @@ def test_constructive_work_stays_under_its_ceilings(monkeypatch, name):
 
 
 def test_a_round_repeats_only_the_previous_rounds_bumps(monkeypatch):
-    # Every round of every depth composes its strategy once, inner ones
-    # with ``_composed`` and the top one with ``compose_tau``, called from
-    # the round's own frame: its locals name the round's x and split set.
+    # Every round of every depth composes its strategy with one
+    # ``compose_tau`` call from the round's own frame: its locals name
+    # the round's x and split set.
     rounds: dict = {}  # a visit's frame -> the bumped split vertices of each round
     calls = [0]
-    real_fixpoint, real_composed = solver_constructive._fixpoint, solver_constructive._composed
-    real_compose_tau = solver_constructive.compose_tau
-
-    def record() -> None:
-        caller = sys._getframe(2)
-        if caller.f_code.co_name == "_fixpoint":
-            local = caller.f_locals
-            visit = rounds.setdefault(caller, [])
-            assert local["alpha"] == len(visit)
-            visit.append(frozenset(local["x"]) & frozenset(local["order"]))
+    real_fixpoint, real_compose_tau = solver_constructive._fixpoint, solver_constructive.compose_tau
 
     def composing(*args):
-        record()
-        return real_composed(*args)
-
-    def composing_tau(*args):
-        record()
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "_fixpoint"
+        local = caller.f_locals
+        visit = rounds.setdefault(caller, [])
+        assert local["alpha"] == len(visit)
+        visit.append(frozenset(local["x"]) & frozenset(local["order"]))
         return real_compose_tau(*args)
 
     def counting(*args):
         calls[0] += 1
         return real_fixpoint(*args)
 
-    monkeypatch.setattr(solver_constructive, "_composed", composing)
-    monkeypatch.setattr(solver_constructive, "compose_tau", composing_tau)
+    monkeypatch.setattr(solver_constructive, "compose_tau", composing)
     monkeypatch.setattr(solver_constructive, "_fixpoint", counting)
     repeats = 0
     for game in invariant_corpus():

@@ -88,16 +88,14 @@ def test_tracer_targets_resolve():
 
 
 # Public names that are neither exported nor traced: the loop
-# normalization record, the answer of nonempty_step, the oracle's budget
-# knobs and the command line's entry points.
+# normalization record, the oracle's budget knobs and the command line's
+# parser and console-script entry point.
 UNDOCUMENTED = {
     "TransformRecord",
-    "WinningCore",
     "DEFAULT_PROFILE_BUDGET",
     "profile_count",
     "BUDGET_VAR",
     "build_parser",
-    "main",
     "run",
 }
 
@@ -129,7 +127,7 @@ def test_every_public_name_is_exported_traced_or_allowed():
 # The lines of src/pgsolve/*.py, as ``wc -l`` counts them, may not pass
 # this ceiling: a change that adds lines pays for them by removing others,
 # or lowers the ceiling when it removes more than it adds.
-SOURCE_LINES = 2528
+SOURCE_LINES = 2499
 
 
 def test_source_does_not_grow():

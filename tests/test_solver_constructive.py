@@ -95,20 +95,16 @@ def test_lift_materializes_choice_forced_only_in_reduced():
 
 
 def test_compose_tau_keeps_earliest_choice():
-    def state(alpha, w1, choices):
-        return FixpointState(
-            alpha, frozenset(), (), Strategy(Player.P1, choices), frozenset(w1)
-        )
-
-    history = [state(0, {1}, {1: 5}), state(1, {1, 2}, {1: 6, 2: 7})]
-    fresh = Strategy(Player.P1, {1: 9, 2: 9, 3: 8})
-    tau = compose_tau(history, frozenset({1, 2, 3}), fresh)
-    assert tau.choices == {1: 5, 2: 7, 3: 8}
+    # three rounds, each composed from the previous one's tau and region
+    tau, settled = {}, frozenset()
+    for w1, fresh in (({1}, {1: 5}), ({1, 2}, {1: 6, 2: 7}), ({1, 2, 3}, {1: 9, 2: 9, 3: 8})):
+        tau, settled = compose_tau(tau, settled, frozenset(w1), fresh), frozenset(w1)
+    assert tau == {1: 5, 2: 7, 3: 8}
 
 
 def test_compose_tau_skips_forced_vertices():
-    tau = compose_tau([], frozenset({0, 1}), Strategy(Player.P1, {1: 0}))
-    assert tau.choices == {1: 0}
+    tau = compose_tau({}, frozenset(), frozenset({0, 1}), {1: 0})
+    assert tau == {1: 0}
 
 
 def test_fixpoint_history_on_chain():
@@ -245,9 +241,8 @@ def test_default_mode_builds_one_arena_per_call(monkeypatch):
 
 
 def test_default_mode_builds_no_strategy_per_inner_round(monkeypatch):
-    # Inner rounds compose plain choice dicts; only the top depth, whose
-    # rounds leave through history_out, wraps its fresh choices and its
-    # composed tau in a Strategy, and the boundary lifts two more.
+    # Every round composes plain choice dicts; only a round record for
+    # history_out wraps its tau in a Strategy, and the boundary lifts two.
     built = []
     post_init = Strategy.__post_init__
 
@@ -261,4 +256,28 @@ def test_default_mode_builds_no_strategy_per_inner_round(monkeypatch):
         built.clear()
         history = []
         solve_constructive(game, history_out=history)
-        assert len(built) <= 2 * len(history) + 4
+        assert len(built) <= len(history) + 2
+
+
+def test_default_mode_builds_no_round_records(monkeypatch):
+    # Without history_out no round becomes a FixpointState or a Strategy:
+    # the only Strategy objects are the two of the lifted solution.
+    records, strategies = [], []
+    init, post_init = FixpointState.__init__, Strategy.__post_init__
+
+    def recording(self, *args, **kwargs):
+        records.append(args)
+        init(self, *args, **kwargs)
+
+    def counting(self):
+        strategies.append(self.player)
+        post_init(self)
+
+    monkeypatch.setattr(FixpointState, "__init__", recording)
+    monkeypatch.setattr(Strategy, "__post_init__", counting)
+    for game in (cycle(11), ladder_game(14)):
+        records.clear()
+        strategies.clear()
+        solve_constructive(game)
+        assert records == []
+        assert sorted(strategies) == [Player.P0, Player.P1]

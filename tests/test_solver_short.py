@@ -123,15 +123,15 @@ def test_combined_strategy_wins_on_union():
 
 
 def test_nonempty_step_chain_yields_p1_core():
-    core = nonempty_step(chain_game())
-    assert core.player is Player.P1
-    assert core.region == {1, 2}
+    player, region, _ = nonempty_step(chain_game())
+    assert player is Player.P1
+    assert region == {1, 2}
 
 
 def test_nonempty_step_two_cycle_yields_whole_game():
-    core = nonempty_step(two_cycle_game())
-    assert core.player is Player.P0
-    assert core.region == {0, 1}
+    player, region, _ = nonempty_step(two_cycle_game())
+    assert player is Player.P0
+    assert region == {0, 1}
 
 
 def test_nonempty_step_odd_top_priority_flips():
@@ -140,9 +140,9 @@ def test_nonempty_step_odd_top_priority_flips():
     game = ParityGame.from_vertices(
         [(0, 1, (1,), "u"), (1, 1, (0,), "v")]
     )
-    core = nonempty_step(game)
-    assert core.player is Player.P1
-    assert core.region == {0, 1}
+    player, region, _ = nonempty_step(game)
+    assert player is Player.P1
+    assert region == {0, 1}
 
 
 def test_nonempty_step_requires_relevant_vertex():
@@ -193,12 +193,12 @@ def test_nonempty_step_commutes_with_shift_and_swap():
     for game in random_corpus(300, 8):
         if not relevant_priorities(game):
             continue
-        core = nonempty_step(game)
-        swapped = nonempty_step(shift_and_swap(game))
-        assert swapped.player is core.player.opponent
-        assert swapped.strategy.player is swapped.player
-        assert swapped.region == core.region
-        assert swapped.strategy.choices == core.strategy.choices
+        player, region, strategy = nonempty_step(game)
+        swapped_player, swapped_region, swapped = nonempty_step(shift_and_swap(game))
+        assert swapped_player is player.opponent
+        assert swapped.player is swapped_player
+        assert swapped_region == region
+        assert swapped.choices == strategy.choices
         checked += 1
     assert checked > 200
 
