@@ -18,14 +18,9 @@ import os
 import sys
 from typing import Callable, NoReturn
 
-from .game import GameError, ParityGame, Solution, StrategyError
+from .game import GameError, ParityGame, StrategyError
 from .generate import gen_random
-from .oracle import (
-    DEFAULT_PROFILE_BUDGET,
-    BudgetExceededError,
-    brute_force_solve,
-    profile_count,
-)
+from .oracle import _DEFAULT_PROFILE_BUDGET, BudgetExceededError, _profile_count, brute_force_solve
 from .pgfile import ParseError, emit_game, emit_solution, parse_game, parse_solution
 from .solver_constructive import solve_constructive
 from .solver_short import CertificationError, solve_short
@@ -39,17 +34,17 @@ from .transforms import (
 )
 from .verification import check_solution
 
-BUDGET_VAR = "PGSOLVE_ORACLE_BUDGET"
+_BUDGET_VAR = "PGSOLVE_ORACLE_BUDGET"
 
 
 def _budget() -> int:
-    raw = os.environ.get(BUDGET_VAR)
+    raw = os.environ.get(_BUDGET_VAR)
     if raw is None:
-        return DEFAULT_PROFILE_BUDGET
+        return _DEFAULT_PROFILE_BUDGET
     try:
         return int(raw)
     except ValueError:
-        _usage_error(f"{BUDGET_VAR} must be an integer, got {raw!r}")
+        _usage_error(f"{_BUDGET_VAR} must be an integer, got {raw!r}")
 
 
 def _load(path: str, parse: Callable[[str], object] = parse_game):
@@ -95,29 +90,27 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _solve_checked(game: ParityGame, algo: str) -> tuple[Solution | None, str | None]:
-    """Run one solver and check its answer: (solution, failure or None).
-
-    A solver that raises gives no solution; the failure line names it.
-    """
-    try:
-        solution = _SOLVERS[algo](game)
-    except Exception as exc:  # noqa: BLE001 - a crashing solver is a finding
-        return None, f"error: {algo}: {type(exc).__name__}: {exc}"
-    diagnostic = check_solution(game, solution)
-    if diagnostic is not None:
-        return solution, f"refuted: {algo}: {diagnostic}"
-    return solution, None
+def _outcomes(game: ParityGame, algos: list[str]) -> tuple[set, list[str]]:
+    """Run each solver and check its answer: the distinct (w0, w1) pairs
+    of the solutions, and one failure line per solver that raised (no
+    solution) or whose solution was refuted."""
+    regions, failures = set(), []
+    for algo in algos:
+        try:
+            solution = _SOLVERS[algo](game)
+        except Exception as exc:  # noqa: BLE001 - a crashing solver is a finding
+            failures.append(f"error: {algo}: {type(exc).__name__}: {exc}")
+            continue
+        diagnostic = check_solution(game, solution)
+        if diagnostic is not None:
+            failures.append(f"refuted: {algo}: {diagnostic}")
+        regions.add((solution.w0, solution.w1))
+    return regions, failures
 
 
 def _disagrees(game: ParityGame, algos: list[str]) -> bool:
-    regions = set()
-    for algo in algos:
-        solution, failure = _solve_checked(game, algo)
-        if failure is not None:
-            return True
-        regions.add((solution.w0, solution.w1))
-    return len(regions) > 1
+    regions, failures = _outcomes(game, algos)
+    return bool(failures) or len(regions) > 1
 
 
 def _minimize(game: ParityGame, algos: list[str]) -> ParityGame:
@@ -144,16 +137,9 @@ def _minimize(game: ParityGame, algos: list[str]) -> ParityGame:
 def _cmd_compare(args) -> int:
     game = _load(args.file)
     algos = ["short", "constructive"]
-    if profile_count(game) <= _budget():
+    if _profile_count(game) <= _budget():
         algos.append("oracle")
-    regions = set()
-    failures = []
-    for algo in algos:
-        solution, failure = _solve_checked(game, algo)
-        if failure is not None:
-            failures.append(failure)
-        if solution is not None:
-            regions.add((solution.w0, solution.w1))
+    regions, failures = _outcomes(game, algos)
     agree = len(regions) <= 1
     if agree and not failures:
         print(f"agreed: {', '.join(algos)}")
@@ -195,7 +181,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgsolve", description="Solve, check and transform parity games."
     )
@@ -235,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except StrategyError as exc:

@@ -14,7 +14,7 @@ from math import prod
 from .game import ParityGame, Player, Solution, Strategy
 from .solver_short import combine_strategies
 
-DEFAULT_PROFILE_BUDGET = 10_000_000
+_DEFAULT_PROFILE_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -28,7 +28,7 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def profile_count(game: ParityGame) -> int:
+def _profile_count(game: ParityGame) -> int:
     """Number of total strategy pairs: product of distinct out-degrees."""
     return prod(len(game.choices_at(v)) for v in game.vertices)
 
@@ -113,8 +113,8 @@ def brute_force_solve(game: ParityGame, budget: int | None = None) -> Solution:
     space is larger than ``budget`` (default 10**7 profiles).
     """
     if budget is None:
-        budget = DEFAULT_PROFILE_BUDGET
-    profiles = profile_count(game)
+        budget = _DEFAULT_PROFILE_BUDGET
+    profiles = _profile_count(game)
     if profiles > budget:
         raise BudgetExceededError(profiles, budget)
     w0, sigma = _solve_for(game, Player.P0)

@@ -12,28 +12,30 @@ is losing, so merging the final strategies back yields both regions of
 the original game.  The opponent's strategy on earlier rounds' regions
 is frozen the moment a vertex first enters, which is what makes it a
 single memoryless witness.  A bump changes only the priorities of
-absorbing copies, so each recursion depth splits once per call, in
-place on the call's one stack of its game's tables, and a round writes
+absorbing copies, so every depth's relevance, k and split set are fixed
+for a call: before the first round, each depth is split once, top down,
+in place on the call's one stack of its game's tables.  A round writes
 its bumps into its own copies' slots of the stack's priorities, logging
-each slot it changes.  Answers inside the recursion are pairs of
-regions and choice maps.  A depth with nothing to split decides on that
-stack and, at each later visit, re-decides only the vertices a bump can
-move: the predecessors of the logged slots.
+each slot it changes, and solves the depth below again only when one
+changed.  Answers inside the recursion are pairs of regions and choice
+maps.  The depth with nothing to split decides on that stack and, at
+each later visit, re-decides only the vertices a bump can move: the
+predecessors of the logged slots.
 
 Rounds are plain tuples with choice dicts, composed by ``compose_tau``
-at every depth; FixpointStates are built only for ``history_out``.  At
-every depth, monotone growth, strategy stability, the round bound and,
-at the fixpoint, the equivalence between bumped copies and losing
-originals are asserted in every run.  ``solve_constructive`` certifies
-its solution with one ``check_solution``; the per-round verifier
-checks, the checks of every nested solution and a from-scratch base
-case beside every incremental one run only with ``debug=True``, on
-stack snapshots taken for them alone.
+at every depth; FixpointStates are built only for ``history_out`` and
+failure dumps.  At every depth, monotone growth, strategy stability,
+the round bound and, at the fixpoint, the equivalence between bumped
+copies and losing originals are asserted in every run.
+``solve_constructive`` certifies its solution with one
+``check_solution``; the per-round verifier checks, the checks of every
+nested solution and a from-scratch base case beside every incremental
+one run only with ``debug=True``, on stack snapshots taken for them
+alone, one shared by each pair of adjacent depths.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple, Sequence
 
@@ -59,7 +61,7 @@ from .verification import verify_strategy
 
 
 @dataclass(frozen=True)
-class TransformRecord:
+class _TransformRecord:
     """What loop normalization did, enough to lift a solution back."""
 
     original: ParityGame
@@ -92,9 +94,10 @@ class _Depth(NamedTuple):
     n: int
     vertices: frozenset[int]  # range(n)
     arenas: tuple[ParityGame, ParityGame] | None  # debug: the stack before and after the split
+    below: _Depth | _Bottom
 
 
-def preprocess(game: ParityGame) -> TransformRecord:
+def preprocess(game: ParityGame) -> _TransformRecord:
     """Normalize self-loops so only absorbing vertices carry them.
 
     In one pass, a vertex whose own loop wins for its owner becomes
@@ -105,10 +108,10 @@ def preprocess(game: ParityGame) -> TransformRecord:
     if reduced._mixed_loops:
         v = reduced._mixed_loops[0]
         raise CertificationError(f"vertex {v} kept a self-loop next to proper edges")
-    return TransformRecord(game, reduced, normalized)
+    return _TransformRecord(game, reduced, normalized)
 
 
-def _lift(record: TransformRecord, answer: _Answer) -> Solution:
+def _lift(record: _TransformRecord, answer: _Answer) -> Solution:
     original, reduced = record.original, record.reduced
     # The two games differ only where a self-loop was normalized, and
     # each such vertex branched in the original.
@@ -123,7 +126,7 @@ def _lift(record: TransformRecord, answer: _Answer) -> Solution:
     return Solution(*regions, *strategies)
 
 
-def lift_solution(record: TransformRecord, solution: Solution) -> Solution:
+def lift_solution(record: _TransformRecord, solution: Solution) -> Solution:
     """Read a solution of the reduced game as one of the original.
 
     Regions carry over unchanged.  A vertex forced in the reduced game
@@ -143,43 +146,39 @@ def compose_tau(tau: dict, settled: frozenset, w1: frozenset, fresh: dict) -> di
     return {**tau, **{v: u for v, u in fresh.items() if v in w1 and v not in settled}}
 
 
-# A round as ``_check_round`` reads it; ``_fixpoint`` keeps plain tuples.
-_Round = namedtuple("_Round", "alpha x tau w1")
+def _states(depth: _Depth, head: tuple[int, ...], rounds: Sequence[tuple]) -> list[FixpointState]:
+    """A visit's ``(alpha, x, tau, w1)`` rounds as FixpointStates.  A round's priorities
+    are ``head``, the visit's first n, then its copies', bumped where in its x."""
+    return [FixpointState(alpha, x, (*head, *[depth.k + (v in x) for v in depth.order]),
+                          Strategy(depth.loser, tau), w1) for alpha, x, tau, w1 in rounds]
 
 
 def _check_round(
-    depth: _Depth,
-    head: tuple[int, ...],
-    arena: ParityGame | None,
-    history: Sequence[tuple],
-    state: _Round,
-    thorough: bool,
+    depth: _Depth, head: tuple[int, ...], arena: ParityGame | None, history: list, thorough: bool
 ) -> None:
-    """Assert the per-round guarantees, dumping the history on failure.
+    """Assert the per-round guarantees of ``history``'s last round, dumping it on failure.
 
     Growth and stability are tested inline at every round of every
     depth; this runs in debug mode or when that test fails, to name the
     round and the vertex.  The region grows monotonically and the
-    strategy never changes on the previous round's region, ``state.x``;
+    strategy never changes on the previous round's region, its ``x``;
     each round is compared with the previous one only, and by
-    transitivity the chain covers every earlier round.  A round's
-    priorities are ``head``, the visit's first n, then its copies',
-    bumped where in its ``x``.  When ``thorough`` (debug mode): the
-    round strategy wins its whole region in ``arena``, the bumped game,
-    for its player, and merged back it wins the region's originals in
-    the visit's base game, the depth's first one relabelled with ``head``.
+    transitivity the chain covers every earlier round.  When
+    ``thorough`` (debug mode): the round strategy wins its whole region
+    in ``arena``, the bumped game, for its player, and merged back it
+    wins the region's originals in the visit's base game, the depth's
+    first one relabelled with ``head``, the visit's first n priorities.
     """
-    player, (alpha, x, tau, w1), k = depth.loser, state, depth.k
+    player, (alpha, x, tau, w1) = depth.loser, history[-1]
 
     def fail(reason: str) -> None:
-        rounds = (FixpointState(a, r, (*head, *[k + (v in r) for v in depth.order]),
-                                Strategy(player, t), w) for a, r, t, w in (*history, state))
-        raise CertificationError(f"{reason}\nfixpoint history:\n" + "\n".join(map(repr, rounds)))
+        dump = "\n".join(map(repr, _states(depth, head, history)))
+        raise CertificationError(f"{reason}\nfixpoint history:\n{dump}")
 
     if not x <= w1:
         fail(f"round {alpha}: region dropped vertices {sorted(x - w1)}")
-    if history:
-        previous_alpha, _, before, region = history[-1]
+    if len(history) > 1:
+        previous_alpha, _, before, region = history[-2]
         for v in region:
             if tau.get(v) != before.get(v):
                 fail(f"round {alpha}: choice at {v} drifted from round {previous_alpha}")
@@ -257,64 +256,64 @@ def _solution(answer: _Answer) -> Solution:
     return Solution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
 
 
-def _fixpoint(
-    stack: _Stack, debug: bool, tower: list, history_out: list[FixpointState] | None
-) -> _Answer:
-    # ``stack`` and ``tower``, [this depth's _Depth or _Bottom, the tower
-    # below], are one per public call.  Built in one descent, a depth's
-    # first visit finds the stack as the depth above split it and splits
-    # it in place for the rest of the call.  Bumps change only priorities
-    # of absorbing copies, so edges, owners, relevance, k and the split
-    # set are the same at every visit.  A round writes its bumps into
+def _tower(stack: _Stack, debug: bool) -> _Depth | _Bottom:
+    """Split every depth of a public call once, top down, in place on its
+    stack, and return the top depth.  A bump changes only priorities of
+    absorbing copies, so edges, owners, relevance, k and the split set
+    are the same at every visit.  In debug mode adjacent depths share
+    a snapshot: the stack after one split is the one before the next."""
+    priorities, planned = stack.priorities, []
+    stack.bumped = []  # the copy slots a round changed, until the bottom re-decides
+    before = stack.snapshot() if debug else None
+    while relevant := _relevant_vertices(stack):
+        k, n = max(map(priorities.__getitem__, relevant)), stack.n
+        order = tuple(v for v in relevant if priorities[v] == k)
+        stack.split(order, k)
+        after = stack.snapshot() if debug else None
+        arenas = (before, after) if debug else None
+        planned.append((k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n)), arenas))
+        before = after
+    depth = _Bottom(stack)
+    for fields in reversed(planned):
+        depth = _Depth(*fields, depth)
+    return depth
+
+
+def _fixpoint(stack: _Stack, debug: bool, depth: _Depth | _Bottom, history: list) -> _Answer:
+    # One visit of ``depth`` on the call's stack, each round appending
+    # (alpha, x, tau, w1) to ``history``.  A round writes its bumps into
     # the copy slots n.. of the stack's priorities and logs each slot it
-    # changes for the bottom.  x only grows, so a round's bumps equal an
-    # earlier round's only when they equal the previous one's.
-    priorities = stack.priorities
-    if not tower:
-        relevant = _relevant_vertices(stack)
-        if not relevant:
-            tower += _Bottom(stack), []
-        else:
-            k, n = max(map(priorities.__getitem__, relevant)), stack.n
-            order = tuple(v for v in relevant if priorities[v] == k)
-            base = stack.snapshot() if debug else None
-            stack.split(order, k)
-            arenas = (base, stack.snapshot()) if debug else None
-            tower += _Depth(k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n)), arenas), []
-    entry, below = tower
-    if entry.__class__ is _Bottom:
-        return entry.solve(debug)
-    k, order, loser, n, vertices, arenas = entry
-    end, bumped = n + len(order), stack.bumped
-    history: list[tuple] = []  # the _Round fields of each round
-    x, tau, last = frozenset(), {}, None
+    # changes for the bottom.  No other depth writes those slots, so a
+    # later round that logs none has the previous round's game, and the
+    # previous inner answer stands.
+    if depth.__class__ is _Bottom:
+        return depth.solve(debug)
+    k, order, loser, n, vertices, arenas, below = depth
+    priorities, bumped, end = stack.priorities, stack.bumped, n + len(order)
+    x, tau = frozenset(), {}
     while True:
         alpha = len(history)
         if alpha > end + 1:
             raise CertificationError("fixpoint failed to converge in |V+|+1 rounds")
-        bumps = [k + (v in x) for v in order]
-        if bumps != last:  # else the previous round's inner answer stands
-            for i, p in enumerate(bumps, n):
-                if priorities[i] != p:
-                    priorities[i] = p
-                    bumped.append(i)
-            inner = _fixpoint(stack, debug, below, None)
+        logged = len(bumped)
+        for i, v in enumerate(order, n):
+            p = k + (v in x)
+            if priorities[i] != p:
+                priorities[i] = p
+                bumped.append(i)
         arena = arenas[1]._relabelled(priorities=tuple(priorities[:end])) if debug else None
-        if debug and bumps != last:
-            _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
-        last = bumps
+        if not alpha or len(bumped) > logged:
+            inner = _fixpoint(stack, debug, below, [])
+            if debug:
+                _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
         regions, choices = inner
         lost, before = frozenset(regions[loser]), tau
         tau = compose_tau(before, x, lost, choices[loser])
-        if history_out is not None:
-            pi = tuple(priorities[:end])
-            history_out.append(FixpointState(alpha, x, pi, Strategy(loser, tau), lost))
-        state = (alpha, x, tau, lost)
+        history.append((alpha, x, tau, lost))
         # growth, then stability on the previous region x (vacuous while x is empty)
         if debug or x and not (x <= lost and before.items() <= tau.items()
                                and tau.keys() & x == before.keys()):
-            _check_round(entry, tuple(priorities[:n]), arena, history, _Round(*state), debug)
-        history.append(state)
+            _check_round(depth, tuple(priorities[:n]), arena, history, debug)
         if lost == x:
             break
         x = lost
@@ -338,21 +337,21 @@ def _constructive(
 ) -> Solution:
     # Both public solvers; on a loop-normalized game preprocess and _lift change nothing.
     # The rounds reach the caller's history_out only once the solution is certified.
-    history = [] if history_out is not None else None
+    top: list = []  # the top depth, its priorities and its rounds
 
     def solve(game: ParityGame, debug: bool) -> Solution:
         record = preprocess(game)
         reduced = record.reduced
         stack = _Stack(reduced)
-        stack.bumped = []  # the copy slots a round changed, until the bottom re-decides
-        answer = _fixpoint(stack, debug, [], history)
+        top[:] = _tower(stack, debug), reduced.priorities, []
+        answer = _fixpoint(stack, debug, top[0], top[2])
         if debug:
             _require_solution(reduced, _solution(answer), "fixpoint solution")
         return _lift(record, answer)
 
     solution = _certified(game, solve, debug, what)
     if history_out is not None:
-        history_out.extend(history)
+        history_out.extend(_states(*top))
     return solution
 
 

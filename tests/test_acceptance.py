@@ -23,7 +23,7 @@ from pgsolve import (
     solve_short,
     verify_strategy,
 )
-from pgsolve.oracle import profile_count
+from pgsolve.oracle import _profile_count
 from pgsolve.solver_short import combine_strategies
 from games import chain_game, ladder_game, random_corpus
 
@@ -165,7 +165,7 @@ def test_criterion_8_ladder_family_rounds_and_agreement():
             assert (solved.w0, solved.w1) == (frozenset(), frozenset(game.vertices))
             other = solve_short(game)
             assert (solved.w0, solved.w1) == (other.w0, other.w1)
-            assert profile_count(game) <= 10**7
+            assert _profile_count(game) <= 10**7
             reference = brute_force_solve(game)
             assert (solved.w0, solved.w1) == (reference.w0, reference.w1)
             alphas.append(_ladder_alpha0(m))

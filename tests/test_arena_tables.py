@@ -192,10 +192,10 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
     visits: list = []
     real_fixpoint = solver_constructive._fixpoint
 
-    def recording_fixpoint(stack, debug, tower, history_out):
+    def recording_fixpoint(stack, debug, depth, history):
         tables = (stack.owners, stack._choices, stack._predecessors)
-        visits.append((stack, tower, tuple(stack.priorities), tables))
-        return real_fixpoint(stack, debug, tower, history_out)
+        visits.append((stack, depth, tuple(stack.priorities), tables))
+        return real_fixpoint(stack, debug, depth, history)
 
     monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
     bumped = 0
@@ -204,12 +204,11 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
         solve_constructive(game)
         first = visits[0][0]
         tables = (first.owners, first._choices, first._predecessors)
-        # a depth's first visit finds the stack as long as the depth's game
-        seen: dict = {}  # the priorities each depth first read, by its tower
-        for stack, tower, priorities, held in visits:
+        seen: dict = {}  # the priorities each depth first read, by its depth
+        for stack, depth, priorities, held in visits:
             assert stack is first
             assert all(map(operator.is_, held, tables))
-            start = seen.setdefault(id(tower), priorities)
+            start = seen.setdefault(id(depth), priorities)
             bumped += priorities[: len(start)] != start
     assert bumped > 0
 

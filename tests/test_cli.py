@@ -87,7 +87,7 @@ def test_compare_agreement_includes_oracle(chain_file, capsys):
 
 
 def test_compare_drops_oracle_over_budget(chain_file, capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_VAR, "0")
+    monkeypatch.setenv(cli._BUDGET_VAR, "0")
     assert cli.main(["compare", chain_file]) == 0
     assert capsys.readouterr().out == "agreed: short, constructive\n"
 
@@ -117,7 +117,7 @@ def test_solve_oracle_over_budget_is_a_limit_error(tmp_path, capsys, monkeypatch
     )
     path = tmp_path / "wide.pg"
     path.write_text(emit_game(game))
-    monkeypatch.setenv(cli.BUDGET_VAR, "65535")
+    monkeypatch.setenv(cli._BUDGET_VAR, "65535")
     with pytest.raises(SystemExit) as err:
         cli.main(["solve", "--algo", "oracle", str(path)])
     assert err.value.code == 2
@@ -125,11 +125,11 @@ def test_solve_oracle_over_budget_is_a_limit_error(tmp_path, capsys, monkeypatch
 
 
 def test_budget_var_must_be_integer(chain_file, capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_VAR, "lots")
+    monkeypatch.setenv(cli._BUDGET_VAR, "lots")
     with pytest.raises(SystemExit) as err:
         cli.main(["solve", "--algo", "oracle", chain_file])
     assert err.value.code == 2
-    assert cli.BUDGET_VAR in capsys.readouterr().err
+    assert cli._BUDGET_VAR in capsys.readouterr().err
 
 
 def test_transform_split_golden(chain_file, capsys):

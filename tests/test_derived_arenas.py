@@ -274,17 +274,17 @@ def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
     real_fixpoint, real_check = solver_constructive._fixpoint, solver_constructive._check_round
     fired = 0
     for game in [*random_corpus(80, 12), *map(ladder_game, range(2, 6))]:
-        top: list = []  # the top-level call's tower, then its inner answers
+        top: list = []  # the top-level call's depth, then its inner answers
         dropped: list[int] = []
         alphas: list[int] = []
 
-        def shrinking(stack, debug, tower, history_out):
+        def shrinking(stack, debug, depth, history):
             if not top:  # the first call is the top-level one
-                top.append(tower)
-            answer = real_fixpoint(stack, debug, tower, history_out)
-            if dropped or tower is not top[0][1]:
+                top.append(depth)
+            answer = real_fixpoint(stack, debug, depth, history)
+            if dropped or depth is top[0] or depth is not top[0].below:
                 return answer
-            loser = Player(1 - top[0][0].k % 2)
+            loser = Player(1 - top[0].k % 2)
             regions, choices = answer
             earlier = set().union(*(inner[loser] for inner in top[1:]))
             top.append(tuple(map(frozenset, regions)))  # a bottom's answer is live
@@ -298,9 +298,9 @@ def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
             shrunk[1 - loser].add(v)
             return tuple(map(frozenset, shrunk)), choices
 
-        def checking(depth, head, arena, history, state, thorough):
-            alphas.append(state.alpha)
-            real_check(depth, head, arena, history, state, thorough)
+        def checking(depth, head, arena, history, thorough):
+            alphas.append(history[-1][0])  # the checked round is the history's last
+            real_check(depth, head, arena, history, thorough)
 
         monkeypatch.setattr(solver_constructive, "_fixpoint", shrinking)
         monkeypatch.setattr(solver_constructive, "_check_round", checking)

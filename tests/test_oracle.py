@@ -12,7 +12,7 @@ from pgsolve import (
     play,
     verify_strategy,
 )
-from pgsolve.oracle import profile_count
+from pgsolve.oracle import _profile_count
 from games import chain_game, random_corpus, two_cycle_game
 
 
@@ -78,14 +78,14 @@ def test_profile_count_multiplies_distinct_choices():
     game = ParityGame.from_vertices(
         [(0, 1, (0, 1, 1)), (1, 2, (0, 1))]
     )
-    assert profile_count(game) == 4  # duplicate successor does not count
+    assert _profile_count(game) == 4  # duplicate successor does not count
 
 
 def test_budget_error():
     game = ParityGame.from_vertices(
         [(v % 2, v, tuple(range(8))) for v in range(8)]
     )
-    assert profile_count(game) == 8**8
+    assert _profile_count(game) == 8**8
     with pytest.raises(BudgetExceededError) as err:
         brute_force_solve(game)
     assert err.value.profiles == 8**8
@@ -95,7 +95,7 @@ def test_budget_is_checked_before_any_work():
     game = two_cycle_game()
     with pytest.raises(BudgetExceededError):
         brute_force_solve(game, budget=0)
-    solved = brute_force_solve(game, budget=profile_count(game))
+    solved = brute_force_solve(game, budget=_profile_count(game))
     assert check_solution(game, solved) is None
 
 

@@ -87,17 +87,9 @@ def test_tracer_targets_resolve():
 
 
 
-# Public names that are neither exported nor traced: the loop
-# normalization record, the oracle's budget knobs and the command line's
-# parser and console-script entry point.
-UNDOCUMENTED = {
-    "TransformRecord",
-    "DEFAULT_PROFILE_BUDGET",
-    "profile_count",
-    "BUDGET_VAR",
-    "build_parser",
-    "run",
-}
+# Public names that are neither exported nor traced: the console-script
+# entry point that pyproject.toml names.
+UNDOCUMENTED = {"run"}
 
 
 def _defined_names(path: Path):
@@ -127,7 +119,7 @@ def test_every_public_name_is_exported_traced_or_allowed():
 # The lines of src/pgsolve/*.py, as ``wc -l`` counts them, may not pass
 # this ceiling: a change that adds lines pays for them by removing others,
 # or lowers the ceiling when it removes more than it adds.
-SOURCE_LINES = 2499
+SOURCE_LINES = 2484
 
 
 def test_source_does_not_grow():

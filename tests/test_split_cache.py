@@ -2,20 +2,20 @@
 
 Within one ``solve_constructive`` call every visit of a given recursion
 depth of ``_fixpoint`` has the same edges and split set: a bump changes
-only the priorities of absorbing copies.  So ``_fixpoint`` splits a
-depth once, on the call's one stack, at the top relevant priority of
-the depth's first visit, leaves the split there, and each later visit
-reads its priorities from that stack.  The stack after that split must
-equal, field by field, the split ``split_top`` builds from scratch on a
-fresh copy of the depth's first arena, and every visit's priorities
-must split that arena the same way; and no split outlives the call on
-the caller's game.
+only the priorities of absorbing copies.  So ``_tower`` splits every
+depth once, top down, on the call's one stack, before the first round,
+at the top relevant priority the depth's first visit reads, and leaves
+the splits there; each visit reads its priorities from that stack.  The
+stack after a depth's split must equal, field by field, the split
+``split_top`` builds from scratch on a fresh copy of the depth's first
+arena, and every visit's priorities must split that arena the same way;
+and no split outlives the call on the caller's game.
 """
 
 from pgsolve import ParityGame, Player, gen_random, solve_constructive, solve_short, split_top
 from pgsolve import solver_constructive, transforms
 from pgsolve.game import relevant_priorities
-from pgsolve.solver_constructive import _Depth
+from pgsolve.solver_constructive import _Bottom, _Depth
 from pgsolve.transforms import _Stack
 from games import cycle, ladder_game, random_corpus
 
@@ -50,7 +50,7 @@ def assert_same_in_place_split(record) -> None:
     """The stack after a depth's split is the fresh split of the stack
     before it, read with the priorities of the depth's first visit."""
     priorities, before, split, k, after = record
-    assert before.priorities == priorities  # the descent left the stack on this visit
+    assert before.priorities == priorities  # the depth's first visit reads the split's priorities
     expected = fresh_split(before, None)
     assert expected.k == k
     assert split == tuple(sorted(expected.split_set))
@@ -77,34 +77,54 @@ def assert_same_visit(priorities, depth, record) -> None:
     assert (*priorities, *[k] * len(depth.order)) == expected.plus.priorities
 
 
+def tower_depths(top) -> list:
+    """The ``_Depth``s of a tower, top down, through their ``below`` links."""
+    depths = []
+    while top.__class__ is _Depth:
+        depths.append(top)
+        top = top.below
+    assert top.__class__ is _Bottom
+    return depths
+
+
 def fixpoint_visits(games, monkeypatch):
     """Every (stack, priorities, depth, split) of a visit ``_fixpoint``
     makes to a depth with a split, and every in-place split of a stack:
-    the priorities of the visit that made it, the stack as an arena
+    the priorities of the depth's first visit, the stack as an arena
     before and after, the split set and k."""
-    visits, splits, entered = [], [], []
+    visits, splits = [], []
     owned = {}  # id of a depth -> its split
-    real_fixpoint, real_split = solver_constructive._fixpoint, _Stack.split
+    real_fixpoint, real_split, real_tower = (
+        solver_constructive._fixpoint, _Stack.split, solver_constructive._tower
+    )
 
     def splitting(stack, split, k):
         before = stack.snapshot()
         log = real_split(stack, split, k)
-        splits.append((entered[-1], before, tuple(split), k, stack.snapshot()))
+        splits.append([None, before, tuple(split), k, stack.snapshot()])
         return log
 
-    def visiting(stack, debug, tower, history_out):
+    def planning(stack, debug):
+        made = len(splits)
+        top = real_tower(stack, debug)
+        depths = tower_depths(top)
+        assert len(depths) == len(splits) - made  # one split per depth, top down
+        owned.update((id(depth), splits[made + i]) for i, depth in enumerate(depths))
+        return top
+
+    def visiting(stack, debug, depth, history):
         priorities = tuple(stack.priorities)
-        entered.append(priorities)
-        first, made = not tower, len(splits)
-        answer = real_fixpoint(stack, debug, tower, history_out)
-        if tower[0].__class__ is _Depth:
-            if first:
-                owned[id(tower[0])] = splits[made]
-            depth = tower[0]  # its visit reads the first n priorities
+        if depth.__class__ is _Depth:
+            record = owned[id(depth)]
+            if record[0] is None:  # the depth's first visit
+                record[0] = priorities[: depth.n]
+        answer = real_fixpoint(stack, debug, depth, history)
+        if depth.__class__ is _Depth:  # its visit reads the first n priorities
             visits.append((stack, priorities[: depth.n], depth, owned[id(depth)]))
         return answer
 
     monkeypatch.setattr(_Stack, "split", splitting)
+    monkeypatch.setattr(solver_constructive, "_tower", planning)
     monkeypatch.setattr(solver_constructive, "_fixpoint", visiting)
     for game in games:
         solve_constructive(game)
@@ -167,3 +187,46 @@ def test_no_split_outlives_a_call():
     split_top(split, 4)
     for game in (short, constructive, split):
         assert set(vars(game)) <= ARENA_ATTRIBUTES
+
+
+def test_the_tower_is_split_before_the_first_round(monkeypatch):
+    # Every split of a call runs in ``_tower``, before the first
+    # ``_fixpoint`` call, one per depth; in debug mode adjacent depths
+    # share the snapshot between their splits.
+    real_fixpoint, real_split, real_tower = (
+        solver_constructive._fixpoint, _Stack.split, solver_constructive._tower
+    )
+    events, towers = [], []
+
+    def splitting(stack, split, k):
+        events.append("split")
+        return real_split(stack, split, k)
+
+    def visiting(*args):
+        events.append("visit")
+        return real_fixpoint(*args)
+
+    def planning(stack, debug):
+        towers.append(real_tower(stack, debug))
+        return towers[-1]
+
+    monkeypatch.setattr(_Stack, "split", splitting)
+    monkeypatch.setattr(solver_constructive, "_fixpoint", visiting)
+    monkeypatch.setattr(solver_constructive, "_tower", planning)
+    checked = 0
+    for debug in (False, True):
+        for game in (cycle(7), ladder_game(5), gen_random(40, 8, 3, 1), gen_random(40, 8, 3, 2)):
+            events.clear()
+            towers.clear()
+            solve_constructive(game, debug=debug)
+            (top,) = towers
+            depths = tower_depths(top)
+            assert len(depths) > 1
+            assert events.index("visit") == events.count("split") == len(depths)
+            for above, below in zip(depths, depths[1:]):
+                if debug:
+                    assert below.arenas[0] is above.arenas[1]
+                    checked += 1
+                else:
+                    assert above.arenas is None
+    assert checked > 4
