@@ -16,11 +16,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 from .game import GameError, ParityGame, StrategyError
 from .generate import gen_random
-from .oracle import _DEFAULT_PROFILE_BUDGET, BudgetExceededError, _profile_count, brute_force_solve
+from .oracle import (
+    _DEFAULT_PROFILE_BUDGET,
+    BudgetExceededError,
+    _profile_count,
+    brute_force_solve,
+)
 from .pgfile import ParseError, emit_game, emit_solution, parse_game, parse_solution
 from .solver_constructive import solve_constructive
 from .solver_short import CertificationError, solve_short
@@ -90,27 +95,27 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _outcomes(game: ParityGame, algos: list[str]) -> tuple[set, list[str]]:
-    """Run each solver and check its answer: the distinct (w0, w1) pairs
-    of the solutions, and one failure line per solver that raised (no
-    solution) or whose solution was refuted."""
-    regions, failures = set(), []
+def _outcomes(game: ParityGame, algos: list[str]) -> Iterator[tuple]:
+    """Run each solver in turn and check its answer, yielding its (w0, w1)
+    pair, None when it raised, and a failure line, None when certified."""
     for algo in algos:
         try:
             solution = _SOLVERS[algo](game)
         except Exception as exc:  # noqa: BLE001 - a crashing solver is a finding
-            failures.append(f"error: {algo}: {type(exc).__name__}: {exc}")
+            yield None, f"error: {algo}: {type(exc).__name__}: {exc}"
             continue
         diagnostic = check_solution(game, solution)
-        if diagnostic is not None:
-            failures.append(f"refuted: {algo}: {diagnostic}")
-        regions.add((solution.w0, solution.w1))
-    return regions, failures
+        failure = None if diagnostic is None else f"refuted: {algo}: {diagnostic}"
+        yield (solution.w0, solution.w1), failure
 
 
 def _disagrees(game: ParityGame, algos: list[str]) -> bool:
-    regions, failures = _outcomes(game, algos)
-    return bool(failures) or len(regions) > 1
+    regions = set()
+    for region, failure in _outcomes(game, algos):
+        if failure is not None:
+            return True  # the later solvers need not run
+        regions.add(region)
+    return len(regions) > 1
 
 
 def _minimize(game: ParityGame, algos: list[str]) -> ParityGame:
@@ -139,7 +144,9 @@ def _cmd_compare(args) -> int:
     algos = ["short", "constructive"]
     if _profile_count(game) <= _budget():
         algos.append("oracle")
-    regions, failures = _outcomes(game, algos)
+    outcomes = list(_outcomes(game, algos))
+    regions = {region for region, _ in outcomes if region is not None}
+    failures = [failure for _, failure in outcomes if failure is not None]
     agree = len(regions) <= 1
     if agree and not failures:
         print(f"agreed: {', '.join(algos)}")
@@ -188,8 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="solve a game file")
-    solve.add_argument("--algo", choices=("short", "constructive", "oracle"),
-                       default="short")
+    solve.add_argument("--algo", choices=tuple(_SOLVERS), default="short")
     solve.add_argument("file")
     solve.set_defaults(func=_cmd_solve)
 

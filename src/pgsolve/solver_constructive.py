@@ -154,7 +154,10 @@ def _states(depth: _Depth, head: tuple[int, ...], rounds: Sequence[tuple]) -> li
 
 
 def _check_round(
-    depth: _Depth, head: tuple[int, ...], arena: ParityGame | None, history: list, thorough: bool
+    depth: _Depth,
+    head: tuple[int, ...],
+    arena: ParityGame | None,
+    history: list,
 ) -> None:
     """Assert the per-round guarantees of ``history``'s last round, dumping it on failure.
 
@@ -163,11 +166,11 @@ def _check_round(
     round and the vertex.  The region grows monotonically and the
     strategy never changes on the previous round's region, its ``x``;
     each round is compared with the previous one only, and by
-    transitivity the chain covers every earlier round.  When
-    ``thorough`` (debug mode): the round strategy wins its whole region
-    in ``arena``, the bumped game, for its player, and merged back it
-    wins the region's originals in the visit's base game, the depth's
-    first one relabelled with ``head``, the visit's first n priorities.
+    transitivity the chain covers every earlier round.  When ``arena``,
+    the bumped game, is given (debug mode): the round strategy wins its
+    whole region there for its player, and merged back it wins the
+    region's originals in the visit's base game, the depth's first one
+    relabelled with ``head``, the visit's first n priorities.
     """
     player, (alpha, x, tau, w1) = depth.loser, history[-1]
 
@@ -182,22 +185,20 @@ def _check_round(
         for v in region:
             if tau.get(v) != before.get(v):
                 fail(f"round {alpha}: choice at {v} drifted from round {previous_alpha}")
-    if not thorough:
+    if arena is None:
         return
-    try:
-        witness = verify_strategy(arena, player, Strategy(player, tau), w1)
-    except Exception as exc:  # noqa: BLE001 - report through the dump
-        fail(f"round {alpha}: tau rejected: {exc}")
-    if witness is not None:
-        fail(f"round {alpha}: tau loses in the bumped game: {witness}")
-    merged = Strategy(player, _unsplit(tau, depth.n, depth.order))
     base = depth.arenas[0]._relabelled(priorities=head)
-    try:
-        witness = verify_strategy(base, player, merged, w1 & depth.vertices)
-    except Exception as exc:  # noqa: BLE001
-        fail(f"round {alpha}: merged tau rejected: {exc}")
-    if witness is not None:
-        fail(f"round {alpha}: merged tau loses in the base game: {witness}")
+    merged = _unsplit(tau, depth.n, depth.order)
+    for what, which, game, choices, region in (
+        ("tau", "bumped", arena, tau, w1),
+        ("merged tau", "base", base, merged, w1 & depth.vertices),
+    ):
+        try:
+            witness = verify_strategy(game, player, Strategy(player, choices), region)
+        except Exception as exc:  # noqa: BLE001 - report through the dump
+            fail(f"round {alpha}: {what} rejected: {exc}")
+        if witness is not None:
+            fail(f"round {alpha}: {what} loses in the {which} game: {witness}")
 
 
 class _Bottom:
@@ -264,15 +265,14 @@ def _tower(stack: _Stack, debug: bool) -> _Depth | _Bottom:
     a snapshot: the stack after one split is the one before the next."""
     priorities, planned = stack.priorities, []
     stack.bumped = []  # the copy slots a round changed, until the bottom re-decides
-    before = stack.snapshot() if debug else None
+    arenas = (None, stack.snapshot()) if debug else None  # the stack before and after a split
     while relevant := _relevant_vertices(stack):
         k, n = max(map(priorities.__getitem__, relevant)), stack.n
         order = tuple(v for v in relevant if priorities[v] == k)
         stack.split(order, k)
-        after = stack.snapshot() if debug else None
-        arenas = (before, after) if debug else None
+        if debug:
+            arenas = arenas[1], stack.snapshot()
         planned.append((k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n)), arenas))
-        before = after
     depth = _Bottom(stack)
     for fields in reversed(planned):
         depth = _Depth(*fields, depth)
@@ -313,7 +313,7 @@ def _fixpoint(stack: _Stack, debug: bool, depth: _Depth | _Bottom, history: list
         # growth, then stability on the previous region x (vacuous while x is empty)
         if debug or x and not (x <= lost and before.items() <= tau.items()
                                and tau.keys() & x == before.keys()):
-            _check_round(depth, tuple(priorities[:n]), arena, history, debug)
+            _check_round(depth, tuple(priorities[:n]), arena, history)
         if lost == x:
             break
         x = lost
@@ -337,21 +337,21 @@ def _constructive(
 ) -> Solution:
     # Both public solvers; on a loop-normalized game preprocess and _lift change nothing.
     # The rounds reach the caller's history_out only once the solution is certified.
-    top: list = []  # the top depth, its priorities and its rounds
+    tower = head = rounds = None  # the top depth, its priorities and its rounds
 
     def solve(game: ParityGame, debug: bool) -> Solution:
+        nonlocal tower, head, rounds
         record = preprocess(game)
-        reduced = record.reduced
-        stack = _Stack(reduced)
-        top[:] = _tower(stack, debug), reduced.priorities, []
-        answer = _fixpoint(stack, debug, top[0], top[2])
+        stack = _Stack(record.reduced)
+        tower, head, rounds = _tower(stack, debug), record.reduced.priorities, []
+        answer = _fixpoint(stack, debug, tower, rounds)
         if debug:
-            _require_solution(reduced, _solution(answer), "fixpoint solution")
+            _require_solution(record.reduced, _solution(answer), "fixpoint solution")
         return _lift(record, answer)
 
     solution = _certified(game, solve, debug, what)
     if history_out is not None:
-        history_out.extend(_states(*top))
+        history_out.extend(_states(tower, head, rounds))
     return solution
 
 

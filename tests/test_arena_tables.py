@@ -24,7 +24,7 @@ from pgsolve import (
     split_top,
 )
 from pgsolve.game import _relevant_vertices, relevant_priorities
-from pgsolve.solver_constructive import fixpoint_solve, preprocess
+from pgsolve.solver_constructive import _Depth, fixpoint_solve, preprocess
 from pgsolve import solver_constructive
 from pgsolve.transforms import RestrictionError
 from games import cycle, ladder_game, random_corpus, scratch_class
@@ -194,7 +194,10 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
 
     def recording_fixpoint(stack, debug, depth, history):
         tables = (stack.owners, stack._choices, stack._predecessors)
-        visits.append((stack, depth, tuple(stack.priorities), tables))
+        # a visit reads what the depths above write: the first n slots of
+        # a split depth, the whole stack at the bottom
+        n = depth.n if depth.__class__ is _Depth else stack.n
+        visits.append((stack, depth, tuple(stack.priorities[:n]), tables))
         return real_fixpoint(stack, debug, depth, history)
 
     monkeypatch.setattr(solver_constructive, "_fixpoint", recording_fixpoint)
@@ -208,8 +211,7 @@ def test_fixpoint_rounds_reuse_the_split_games_tables(monkeypatch):
         for stack, depth, priorities, held in visits:
             assert stack is first
             assert all(map(operator.is_, held, tables))
-            start = seen.setdefault(id(depth), priorities)
-            bumped += priorities[: len(start)] != start
+            bumped += seen.setdefault(id(depth), priorities) != priorities
     assert bumped > 0
 
 

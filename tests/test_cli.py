@@ -110,6 +110,25 @@ def test_compare_reports_and_minimizes_disagreement(chain_file, capsys, monkeypa
     assert cli._disagrees(counterexample, ["short", "constructive"])
 
 
+def test_disagrees_stops_at_the_first_failing_solver(monkeypatch):
+    # minimizing asks this of many candidates: one failure answers it, so
+    # the solvers after it, the oracle among them, do not run
+    ran = []
+
+    def failing(game):
+        ran.append("short")
+        raise RuntimeError("boom")
+
+    def constructive(game):
+        ran.append("constructive")
+        return cli.solve_constructive(game)
+
+    monkeypatch.setitem(cli._SOLVERS, "short", failing)
+    monkeypatch.setitem(cli._SOLVERS, "constructive", constructive)
+    assert cli._disagrees(chain_game(), ["short", "constructive"])
+    assert ran == ["short"]
+
+
 def test_solve_oracle_over_budget_is_a_limit_error(tmp_path, capsys, monkeypatch):
     # 8 vertices with 4 distinct successors each: 4^8 = 65536 profiles
     game = ParityGame.from_vertices(

@@ -298,9 +298,9 @@ def test_a_shrinking_inner_region_fails_its_round(monkeypatch):
             shrunk[1 - loser].add(v)
             return tuple(map(frozenset, shrunk)), choices
 
-        def checking(depth, head, arena, history, thorough):
+        def checking(depth, head, arena, history):
             alphas.append(history[-1][0])  # the checked round is the history's last
-            real_check(depth, head, arena, history, thorough)
+            real_check(depth, head, arena, history)
 
         monkeypatch.setattr(solver_constructive, "_fixpoint", shrinking)
         monkeypatch.setattr(solver_constructive, "_check_round", checking)
