@@ -121,9 +121,7 @@ def _disagrees(game: ParityGame, algos: list[str]) -> bool:
 def _minimize(game: ParityGame, algos: list[str]) -> ParityGame:
     """Greedily drop vertices while the disagreement survives."""
     current = game
-    shrinking = True
-    while shrinking:
-        shrinking = False
+    while True:
         for v in current.vertices:
             keep = set(current.vertices) - {v}
             if not keep:
@@ -134,9 +132,9 @@ def _minimize(game: ParityGame, algos: list[str]) -> ParityGame:
                 continue
             if _disagrees(sub.game, algos):
                 current = sub.game
-                shrinking = True
                 break
-    return current
+        else:
+            return current
 
 
 def _cmd_compare(args) -> int:
@@ -230,12 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StrategyError as exc:
+    except (StrategyError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, CertificationError) else 2
     except RecursionError as exc:
         print(f"error: game too deep for the recursive solver: {exc}", file=sys.stderr)
         return 2

@@ -151,13 +151,8 @@ class ParityGame:
     @classmethod
     def from_vertices(cls, rows: Iterable[Sequence]) -> "ParityGame":
         """Build a game from (owner, priority, successors[, name]) rows."""
-        owners, priorities, successors, names = [], [], [], []
-        for row in rows:
-            owners.append(row[0])
-            priorities.append(row[1])
-            successors.append(tuple(row[2]))
-            names.append(row[3] if len(row) > 3 else None)
-        return cls(tuple(owners), tuple(priorities), tuple(successors), tuple(names))
+        rows = [(row[0], row[1], tuple(row[2]), row[3] if len(row) > 3 else None) for row in rows]
+        return cls(*zip(*rows)) if rows else cls((), (), ())
 
     @property
     def n(self) -> int:

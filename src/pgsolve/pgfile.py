@@ -19,14 +19,15 @@ fixed point on its own output.
 Solution files are one line per vertex: ``id winner choice`` with ``-``
 for a vertex where the owner's strategy has no explicit choice.
 
-Canonical text, as emitted (single spaces, owners and winners 0 or 1,
-no line break ``str.splitlines`` splits on but newlines), is read with
-one strict ``findall`` over the raw text.  Any other text takes one
-general ``findall`` over its nonblank lines, with a pattern that never
-crosses a line, so row i is line i.  Either way the rows are checked
-column by column, and ids already ascending skip the reordering.  Errors
-are located on the nonblank lines; only a faulty text is walked line by
-line, to report its first error in file order.
+Canonical text (single spaces, owners and winners 0 or 1, blank lines
+allowed) that passes one strict line-anchored pattern is cut into columns
+by one ``str.split`` and stride slices, with no row per line; a game with
+a quoted name takes one strict ``findall``, any other text one general
+``findall`` over its nonblank lines, so row i is line i.  Successor lists
+are read by one ``json.loads`` of the joined column, or by ``int`` per
+record when that has leading zeros or other digits JSON rejects.  Ids
+already ascending skip the reordering.  Errors are located on the
+nonblank lines; only a faulty text is walked line by line.
 """
 
 from __future__ import annotations
@@ -65,15 +66,16 @@ _RECORD = _rows(
     r"\s*;\s*$"
 )
 _SOLUTION_LINE = _rows(r"\s*(?P<id>\d+)\s+(?P<winner>\d+)\s+(?P<choice>\d+|-)\s*$")
-_CANONICAL_HEADER = r"parity [0-9]+;\n"
-_CANONICAL_RECORD = (  # no control character, U+0085, U+2028 or U+2029 in a name
+_CANONICAL_HEADER = r"(?m)\s*parity [0-9]+;$"
+_CANONICAL_RECORD = r"(?m)^[0-9]+ [0-9]+ [01] [0-9]+(?:,[0-9]+)*;$"
+_NAMED_RECORD = (  # no control character, U+0085, U+2028 or U+2029 in a name
     r'(?m)^([0-9]+) ([0-9]+) ([01]) ([0-9]+(?:,[0-9]+)*)(?: ("[^"\x00-\x1f\x85\u2028\u2029]*"))?;$'
 )
-_CANONICAL_SOLUTION_LINE = r"(?m)^([0-9]+) ([01]) ([0-9]+|-)$"
+_CANONICAL_SOLUTION_LINE = r"(?m)^[0-9]+ [01] (?:[0-9]+|-)$"
 
 
 class _Lines:
-    """The rows of a text, and the first error among its nonblank lines."""
+    """The columns of a text, and the first error among its nonblank lines."""
 
     def __init__(self, text: str):
         self.text = text
@@ -82,23 +84,28 @@ class _Lines:
     def body(self) -> list[str]:
         return [*filter(str.strip, self.text.splitlines())]
 
-    def rows(self, canonical: str, general: str, head: bool = False) -> list[tuple] | None:
-        """The row of each line after the header (with ``head``), or None
-        when a line has none; a missing or malformed header raises.  Text
-        whose every line is one ``canonical`` match takes that one scan;
-        any other text one ``general`` scan of its nonblank lines."""
+    def columns(self, width: int, canonical: str, general: str, named: str | None = None):
+        """Whether every line after a game's header (given ``named``) has a row,
+        and the rows' columns; a bad header raises.  Blank or ``canonical`` lines
+        of ``width`` tokens are cut by one split; a named game whose lines all
+        match ``named`` takes that one scan; else one ``general`` scan."""
+        head = named is not None
         header = re.match(_CANONICAL_HEADER, self.text) if head else None
-        if header or not head:
-            start = header.end() if header else 0
-            rows = re.compile(canonical).findall(self.text, start)
-            if len(rows) == self.text.count("\n", start, -1) + 1:
-                return rows
+        start = header.end() if header else 0
+        if (header or not head) and '"' not in self.text:
+            if not re.sub(canonical, "", self.text[start:]).strip():
+                tokens = self.text.replace(";", "").split()
+                return True, [tokens[2 * head + k :: width] for k in range(width)]
+        elif header:
+            rows = re.compile(named).findall(self.text, start)
+            if len(rows) == self.text.count("\n", start, -1):
+                return True, [*zip(*rows)]
         if head and not self.body:
             raise ParseError(1, 1, "empty input, expected a parity header")
         if head and re.match(_HEADER, self.body[0]) is None:
             raise self.error(0, "malformed header, expected 'parity <max-id>;'")
         rows = re.findall(general, "\n".join(self.body[head:]))
-        return rows if len(rows) + head == len(self.body) else None
+        return len(rows) + head == len(self.body), [*zip(*rows)] or [()] * width
 
     def error(self, i: int, reason: str, column: int | None = None) -> ParseError:
         """A ParseError on nonblank line ``i``, by default at its first token."""
@@ -133,14 +140,20 @@ def parse_game(text: str) -> ParityGame:
 
     The records' shape and the range test below check all a game needs.
     """
+    import json  # noqa: PLC0415 - loaded by the first parse, not by importing pgsolve
     lines = _Lines(text)
-    rows = lines.rows(_CANONICAL_RECORD, _RECORD, head=True)
-    ids, priorities, owners, successors, names = [*zip(*rows or ())] or [()] * 5
+    found, (ids, priorities, owners, successors, *names) = lines.columns(
+        4, _CANONICAL_RECORD, _RECORD, _NAMED_RECORD
+    )
+    names = names[0] if names else ()  # cut columns have no names column
     try:
         ids, priorities, owners = (list(map(int, col)) for col in (ids, priorities, owners))
-        successors = [tuple(map(int, succ.split(","))) for succ in successors]
+        try:  # JSON reads the canonical spelling; int also leading zeros and other digits
+            successors = [*map(tuple, json.loads("[[" + "],[".join(successors) + "]]"))]
+        except ValueError:
+            successors = [tuple(map(int, succ.split(","))) for succ in successors]
         ordered = ids == [*range(len(ids))]
-        clean = rows is not None and (ordered or len(set(ids)) == len(ids))
+        clean = found and (ordered or len(set(ids)) == len(ids))
     except ValueError:
         clean = False
     if not (clean and set(owners) <= {0, 1}):
@@ -152,7 +165,7 @@ def parse_game(text: str) -> ParityGame:
             column = line.index(";") + 1 if ";" in line else len(line) + 1
             raise lines.error(i, "empty successor list", column)
         raise lines.error(i, reason or "malformed record")
-    if not rows:
+    if not ids:
         raise lines.error(0, "no vertex records after the header", 1)
     # Ids are distinct and nonnegative, so n records cover 0..n-1.
     n = max(ids) + 1
@@ -185,14 +198,13 @@ def emit_game(game: ParityGame) -> str:
 def parse_solution(text: str, game: ParityGame) -> Solution:
     """Parse a solution file for ``game``; every vertex exactly once."""
     lines = _Lines(text)
-    rows = lines.rows(_CANONICAL_SOLUTION_LINE, _SOLUTION_LINE)
-    ids, winners, moves = [*zip(*rows or ())] or [()] * 3
+    found, (ids, winners, moves) = lines.columns(3, _CANONICAL_SOLUTION_LINE, _SOLUTION_LINE)
     n = game.n
     try:
         ids, winners = list(map(int, ids)), list(map(int, winners))
         explicit = [*compress(ids, map("-".__ne__, moves))]
         moves = [*map(int, filter("-".__ne__, moves))]
-        clean = rows is not None and len(set(ids)) == len(ids)
+        clean = found and len(set(ids)) == len(ids)
     except ValueError:
         clean = False
     if not (clean and max(ids, default=-1) < n and set(winners) <= {0, 1}):

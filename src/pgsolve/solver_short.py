@@ -194,9 +194,7 @@ def combine_strategies(
         _require_winning(
             game, player, strategy, region, f"part {rank} is not winning on its region"
         )
-    union: set[int] = set()
-    for _, region in parts:
-        union |= region
+    union = set().union(*(region for _, region in parts))
     choices = {}
     for v in sorted(union):
         if game.owners[v] is not player:

@@ -1,12 +1,16 @@
 """The one-scan parsers against the line-by-line parsers they replaced.
 
-``parse_game`` and ``parse_solution`` read canonical text with one
-strict ``findall`` over the raw text, any other text with one general
-``findall`` over its nonblank lines, and walk the lines only to locate
-an error.  The references below are the parsers they replaced: one
-regex match and one record loop per line.  On valid and on mutated
-texts, canonical or not, both must give an equal game or solution, or
-a ``ParseError`` with equal line, column and reason.
+``parse_game`` and ``parse_solution`` cut canonical text, whose every
+line is blank or one strict record, into columns with one ``str.split``;
+a game with a quoted name takes one strict ``findall`` over the raw
+text, and any other text one general ``findall`` over its nonblank
+lines.  Successor lists are read with one ``json.loads``, and with
+``int`` per record when JSON rejects a spelling, such as a leading zero,
+that ``int`` reads.  The lines are walked only to locate an error.  The
+references below are the parsers they replaced: one regex match and one
+record loop per line.  On valid and on mutated texts, canonical or not,
+both must give an equal game or solution, or a ``ParseError`` with
+equal line, column and reason.
 """
 
 import re
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 from pgsolve import ParityGame, ParseError, Player, Solution, Strategy
 from pgsolve import emit_game, emit_solution, parse_game, parse_solution, solve_short
+from games import union_claim
 
 _HEADER = re.compile(r"\s*parity\s+(\d+)\s*;\s*$")
 _RECORD = re.compile(
@@ -243,6 +248,8 @@ def test_parse_solution_matches_the_reference(case):
 
 
 def test_fixed_cases_match_the_reference():
+    arena, _ = union_claim(40, 1)
+    emitted = emit_game(arena)
     games = [
         "",
         " \n\t\n",
@@ -281,6 +288,30 @@ def test_fixed_cases_match_the_reference():
         f"parity 1;\n{TOO_LONG} 1 0 1;\n1 2 1 0;\n",
         f"parity 1;\n0 {TOO_LONG} 0 1;\n1 2 1 0;\n",
         f"parity 1;\n0 1 0 1,{TOO_LONG};\n1 2 1 0;\n",
+        # the column cut: a leading zero in each numeric column, which JSON rejects
+        "parity 1;\n00 1 0 1;\n1 2 1 0;\n",
+        "parity 1;\n0 01 0 1;\n1 2 1 0;\n",
+        "parity 1;\n0 1 00 1;\n1 2 1 0;\n",
+        "parity 1;\n0 1 0 01;\n1 2 1 0;\n",
+        "parity 1;\n0 1 0 1,00;\n1 2 1 0;\n",
+        "parity 2;\n0 1 0 01;\n1 2 1 0;\n",
+        # a header alone, blank lines anywhere, names on some records only
+        "\n\nparity 0;\n\n",
+        "parity 0;\n\n \n",
+        'parity 2;\n0 1 0 1 "a";\n1 2 1 0;\n2 3 0 2,0 "";\n',
+        'parity 2;\n0 1 0 1;\n1 2 1 0 "b";\n2 3 0 2,0;\n',
+        "\nparity 1;\n\n0 1 0 1;\n\t\n1 2 1 0;",
+        "parity 1;\n0 1 0 1;\n\n1 2 1 0;\n0 1 0 1;\n",
+        "parity 2;\n0 1 0 1;\n\n1 2 1 3;\n",
+        # a successor too long for int and JSON on an otherwise canonical line
+        f"parity 1;\n0 1 0 {TOO_LONG};\n1 2 1 0;\n",
+        f"parity 1;\n0 1 0 1;\n1 2 1 0,{TOO_LONG}9;\n",
+        # a certify-like arena as emitted, then with a blank line or without the last newline
+        emitted,
+        emitted + "\n",
+        emitted.replace("\n", "\n\n", 7),
+        emitted[:-1],
+        emitted.replace(" 1,", " 01,", 1),
     ]
     for text in games:
         assert outcome(parse_game, text) == outcome(reference_parse_game, text)
@@ -310,6 +341,13 @@ def test_fixed_cases_match_the_reference():
         f"{TOO_LONG} 0 1\n1 1 0\n2 0 -\n",
         f"0 0 {TOO_LONG}\n1 1 0\n2 0 -\n",
         f"0 0 1\n1 1 0\n2 {TOO_LONG} -\n",
+        # the column cut: a leading zero in each column, blank lines, no lines
+        "00 0 1\n1 1 0\n2 0 -\n",
+        "0 00 1\n1 1 0\n2 0 -\n",
+        "0 0 01\n1 1 0\n2 0 -\n",
+        "\n0 0 1\n\n1 1 0\n \n2 0 -",
+        "\n\n",
+        "0 0 1\n\n1 1 0\n1 0 -\n",
     ]
     for text in solutions:
         assert outcome(parse_solution, text, game) == outcome(

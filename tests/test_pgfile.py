@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ from pgsolve import (
     solve_short,
     split_top,
 )
-from games import chain_game, random_corpus, two_cycle_game
+from games import chain_game, random_corpus, two_cycle_game, union_claim
+from pgsolve import pgfile
 
 DATA = Path(__file__).parent / "data"
 
@@ -277,3 +280,42 @@ def test_solution_error_number_too_long_for_int(line):
         parse_solution(f"0 1 -\n{line}\n2 1 -\n", chain_game())
     assert (err.value.line, err.value.column) == (2, 2)
     assert f"value has {len(TOO_LONG)} digits" in err.value.reason
+
+
+def test_blank_lines_and_no_last_newline_keep_the_column_cut():
+    """Emitted text with blank lines, or without its last newline, is cut
+    into columns like the text as emitted: the nonblank lines, which only
+    the general scan and error reports need, are never split out."""
+    arena, _ = union_claim(40, 2)
+    text = emit_game(arena)
+    for variant in (text, text + "\n", "\n" + text.replace(";\n", ";\n \n", 9), text[:-1]):
+        lines = pgfile._Lines(variant)
+        found, columns = lines.columns(
+            4, pgfile._CANONICAL_RECORD, pgfile._RECORD, pgfile._NAMED_RECORD
+        )
+        assert found and len(columns) == 4 and "body" not in vars(lines)
+        assert parse_game(variant) == arena
+
+
+def _peak(parse, *args) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parsers_peak_memory_stays_bounded():
+    """The tracemalloc peak of each parser on emitted text of about 3,400
+    vertices, in bytes per byte of text.  Canonical text is checked with
+    one ``re.sub`` of its line-anchored record pattern; a greedy
+    ``re.fullmatch`` of ``(?:record\\n)*`` instead keeps a backtracking
+    stack that grows with the text, and peaks at about 38 (game) and 40
+    (solution) bytes per byte.  A row tuple per line peaks at about 21
+    and 41; the column cut at about 17 and 27."""
+    arena, solution = union_claim(300, 1)
+    game_text, solution_text = emit_game(arena), emit_solution(arena, solution)
+    assert _peak(parse_game, game_text) <= 20 * len(game_text)
+    assert _peak(parse_solution, solution_text, arena) <= 33 * len(solution_text)
