@@ -19,15 +19,16 @@ fixed point on its own output.
 Solution files are one line per vertex: ``id winner choice`` with ``-``
 for a vertex where the owner's strategy has no explicit choice.
 
-Canonical text (single spaces, owners and winners 0 or 1, blank lines
-allowed) that passes one strict line-anchored pattern is cut into columns
-by one ``str.split`` and stride slices, with no row per line; a game with
-a quoted name takes one strict ``findall``, any other text one general
-``findall`` over its nonblank lines, so row i is line i.  Successor lists
-are read by one ``json.loads`` of the joined column, or by ``int`` per
-record when that has leading zeros or other digits JSON rejects.  Ids
-already ascending skip the reordering.  Errors are located on the
-nonblank lines; only a faulty text is walked line by line.
+Text has two read paths.  Canonical text (single spaces, owners and
+winners 0 or 1, no quoted name, blank lines allowed) that passes one
+strict line-anchored pattern is cut into columns by one ``str.split``
+and stride slices, with no row per line; any other text, named games
+included, takes one general ``findall`` over its nonblank lines, so row
+i is line i.  Successor lists are read by one ``json.loads`` of the
+joined column, or by ``int`` per record when that has leading zeros or
+other digits JSON rejects.  Ids already ascending skip the reordering.
+Errors are located on the nonblank lines; only a faulty text is walked
+line by line.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ _RECORD = _rows(
 _SOLUTION_LINE = _rows(r"\s*(?P<id>\d+)\s+(?P<winner>\d+)\s+(?P<choice>\d+|-)\s*$")
 _CANONICAL_HEADER = r"(?m)\s*parity [0-9]+;$"
 _CANONICAL_RECORD = r"(?m)^[0-9]+ [0-9]+ [01] [0-9]+(?:,[0-9]+)*;$"
-_NAMED_RECORD = (  # no control character, U+0085, U+2028 or U+2029 in a name
-    r'(?m)^([0-9]+) ([0-9]+) ([01]) ([0-9]+(?:,[0-9]+)*)(?: ("[^"\x00-\x1f\x85\u2028\u2029]*"))?;$'
-)
 _CANONICAL_SOLUTION_LINE = r"(?m)^[0-9]+ [01] (?:[0-9]+|-)$"
 
 
@@ -84,22 +82,16 @@ class _Lines:
     def body(self) -> list[str]:
         return [*filter(str.strip, self.text.splitlines())]
 
-    def columns(self, width: int, canonical: str, general: str, named: str | None = None):
-        """Whether every line after a game's header (given ``named``) has a row,
-        and the rows' columns; a bad header raises.  Blank or ``canonical`` lines
-        of ``width`` tokens are cut by one split; a named game whose lines all
-        match ``named`` takes that one scan; else one ``general`` scan."""
-        head = named is not None
+    def columns(self, width: int, canonical: str, general: str, head: bool = False):
+        """Whether every line after a game's header (given ``head``) has a row,
+        and the rows' columns; a bad header raises.  Text with no quote whose
+        lines are blank or ``canonical``, of ``width`` tokens, is cut by one
+        split; any other text takes one ``general`` scan."""
         header = re.match(_CANONICAL_HEADER, self.text) if head else None
-        start = header.end() if header else 0
         if (header or not head) and '"' not in self.text:
-            if not re.sub(canonical, "", self.text[start:]).strip():
+            if not re.sub(canonical, "", self.text[header.end() if header else 0 :]).strip():
                 tokens = self.text.replace(";", "").split()
                 return True, [tokens[2 * head + k :: width] for k in range(width)]
-        elif header:
-            rows = re.compile(named).findall(self.text, start)
-            if len(rows) == self.text.count("\n", start, -1):
-                return True, [*zip(*rows)]
         if head and not self.body:
             raise ParseError(1, 1, "empty input, expected a parity header")
         if head and re.match(_HEADER, self.body[0]) is None:
@@ -143,7 +135,7 @@ def parse_game(text: str) -> ParityGame:
     import json  # noqa: PLC0415 - loaded by the first parse, not by importing pgsolve
     lines = _Lines(text)
     found, (ids, priorities, owners, successors, *names) = lines.columns(
-        4, _CANONICAL_RECORD, _RECORD, _NAMED_RECORD
+        4, _CANONICAL_RECORD, _RECORD, True
     )
     names = names[0] if names else ()  # cut columns have no names column
     try:

@@ -53,6 +53,7 @@ from .solver_short import (
     _certified,
     _decide,
     _require_solution,
+    _solution,
     _unsplit,
     base_case_solve,
 )
@@ -92,7 +93,6 @@ class _Depth(NamedTuple):
     order: tuple[int, ...]  # the split set ascending: copy n + i is order[i]'s
     loser: Player  # the player k disfavours
     n: int
-    vertices: frozenset[int]  # range(n)
     arenas: tuple[ParityGame, ParityGame] | None  # debug: the stack before and after the split
     below: _Depth | _Bottom
 
@@ -191,7 +191,7 @@ def _check_round(
     merged = _unsplit(tau, depth.n, depth.order)
     for what, which, game, choices, region in (
         ("tau", "bumped", arena, tau, w1),
-        ("merged tau", "base", base, merged, w1 & depth.vertices),
+        ("merged tau", "base", base, merged, {v for v in w1 if v < depth.n}),
     ):
         try:
             witness = verify_strategy(game, player, Strategy(player, choices), region)
@@ -252,11 +252,6 @@ class _Bottom:
                 )
 
 
-def _solution(answer: _Answer) -> Solution:
-    (w0, w1), (sigma, tau) = answer
-    return Solution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
-
-
 def _tower(stack: _Stack, debug: bool) -> _Depth | _Bottom:
     """Split every depth of a public call once, top down, in place on its
     stack, and return the top depth.  A bump changes only priorities of
@@ -272,7 +267,7 @@ def _tower(stack: _Stack, debug: bool) -> _Depth | _Bottom:
         stack.split(order, k)
         if debug:
             arenas = arenas[1], stack.snapshot()
-        planned.append((k, order, _PLAYERS[1 - k % 2], n, frozenset(range(n)), arenas))
+        planned.append((k, order, _PLAYERS[1 - k % 2], n, arenas))
     depth = _Bottom(stack)
     for fields in reversed(planned):
         depth = _Depth(*fields, depth)
@@ -288,7 +283,7 @@ def _fixpoint(stack: _Stack, debug: bool, depth: _Depth | _Bottom, history: list
     # previous inner answer stands.
     if depth.__class__ is _Bottom:
         return depth.solve(debug)
-    k, order, loser, n, vertices, arenas, below = depth
+    k, order, loser, n, arenas, below = depth
     priorities, bumped, end = stack.priorities, stack.bumped, n + len(order)
     x, tau = frozenset(), {}
     while True:
@@ -323,8 +318,8 @@ def _fixpoint(stack: _Stack, debug: bool, depth: _Depth | _Bottom, history: list
                 f"fixpoint equivalence broken at vertex {v}: "
                 f"bumped={priorities[i] == k + 1}, losing={v in lost}"
             )
-    lost = lost & vertices
-    won = vertices - lost
+    lost = lost.difference(range(n, end))  # the regions partition range(end)
+    won = frozenset(regions[1 - loser]).difference(range(n, end))
     favoured = _unsplit(choices[1 - loser], n, order)
     disfavoured = _unsplit(tau, n, order)
     if loser is Player.P1:

@@ -309,12 +309,17 @@ def _solve_short(stack: _Stack, state: _Closure, relevant: list[int], debug: boo
         relevant = _relevant_vertices(stack, undecided, relevant)
 
 
+def _solution(answer: tuple) -> Solution:
+    """The Solution of ``((w0, w1), (sigma's, tau's choices))``."""
+    (w0, w1), (sigma, tau) = answer
+    return Solution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
+
+
 def _solve(game: ParityGame, debug: bool) -> Solution:
     stack = _Stack(game)
     state = _Closure(stack)
     _solve_short(stack, state, _relevant_vertices(game), debug)
-    (w0, w1), (sigma, tau) = state.regions, state.chosen
-    return Solution(w0, w1, Strategy(Player.P0, sigma), Strategy(Player.P1, tau))
+    return _solution((state.regions, state.chosen))
 
 
 def solve_short(game: ParityGame, *, debug: bool = False) -> Solution:

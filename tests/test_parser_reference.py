@@ -1,10 +1,10 @@
 """The one-scan parsers against the line-by-line parsers they replaced.
 
-``parse_game`` and ``parse_solution`` cut canonical text, whose every
-line is blank or one strict record, into columns with one ``str.split``;
-a game with a quoted name takes one strict ``findall`` over the raw
-text, and any other text one general ``findall`` over its nonblank
-lines.  Successor lists are read with one ``json.loads``, and with
+``parse_game`` and ``parse_solution`` have two read paths.  They cut
+canonical text, whose every line is blank or one strict record with no
+quoted name, into columns with one ``str.split``; any other text, named
+games included, takes one general ``findall`` over its nonblank lines.
+Successor lists are read with one ``json.loads``, and with
 ``int`` per record when JSON rejects a spelling, such as a leading zero,
 that ``int`` reads.  The lines are walked only to locate an error.  The
 references below are the parsers they replaced: one regex match and one
@@ -250,6 +250,8 @@ def test_parse_solution_matches_the_reference(case):
 def test_fixed_cases_match_the_reference():
     arena, _ = union_claim(40, 1)
     emitted = emit_game(arena)
+    header, first, rest = emitted.split("\n", 2)
+    named = f'{header}\n{first[:-1]} "v 0; w";\n{rest}'  # as emitted, vertex 0 named
     games = [
         "",
         " \n\t\n",
@@ -312,6 +314,14 @@ def test_fixed_cases_match_the_reference():
         emitted.replace("\n", "\n\n", 7),
         emitted[:-1],
         emitted.replace(" 1,", " 01,", 1),
+        # named games take the general scan: one blank line, no last newline,
+        # a name holding spaces and ";"
+        'parity 1;\n0 1 0 1 "v";\n\n1 2 1 0;\n',
+        'parity 1;\n0 1 0 1 "v";\n1 2 1 0 "w";',
+        'parity 1;\n0 1 0 1 "a b ; c;";\n1 2 1 0 " ;";\n',
+        named,
+        named.replace("\n", "\n\n", 2).replace("\n\n", "\n", 1),
+        named[:-1],
     ]
     for text in games:
         assert outcome(parse_game, text) == outcome(reference_parse_game, text)

@@ -290,9 +290,7 @@ def test_blank_lines_and_no_last_newline_keep_the_column_cut():
     text = emit_game(arena)
     for variant in (text, text + "\n", "\n" + text.replace(";\n", ";\n \n", 9), text[:-1]):
         lines = pgfile._Lines(variant)
-        found, columns = lines.columns(
-            4, pgfile._CANONICAL_RECORD, pgfile._RECORD, pgfile._NAMED_RECORD
-        )
+        found, columns = lines.columns(4, pgfile._CANONICAL_RECORD, pgfile._RECORD, True)
         assert found and len(columns) == 4 and "body" not in vars(lines)
         assert parse_game(variant) == arena
 

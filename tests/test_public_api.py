@@ -119,7 +119,7 @@ def test_every_public_name_is_exported_traced_or_allowed():
 # The lines of src/pgsolve/*.py, as ``wc -l`` counts them, may not pass
 # this ceiling: a change that adds lines pays for them by removing others,
 # or lowers the ceiling when it removes more than it adds.
-SOURCE_LINES = 2490
+SOURCE_LINES = 2482
 
 
 def test_source_does_not_grow():

@@ -224,6 +224,19 @@ def test_a_choice_that_is_not_an_int_is_a_strategy_error(choices, entry, vertex)
     assert check_solution(BRANCHING, solution) == Diagnostic(f"sigma on w0: {message}")
 
 
+@pytest.mark.parametrize(
+    "sigma, tau, clause",
+    [
+        (Strategy(Player.P1, {}), Strategy(Player.P1, {}), "sigma is not a P0 strategy"),
+        (Strategy(Player.P0, {}), Strategy(Player.P0, {}), "tau is not a P1 strategy"),
+    ],
+)
+def test_check_solution_rejects_a_strategy_of_the_wrong_player(sigma, tau, clause):
+    # chain_game's partition is certified with two empty strategies of the right players
+    solution = Solution(frozenset(), frozenset({0, 1, 2}), sigma, tau)
+    assert check_solution(chain_game(), solution) == Diagnostic(clause)
+
+
 def test_check_solution_reports_a_gap_before_an_unknown_vertex():
     game = chain_game()
     no_moves = Strategy(Player.P0, {}), Strategy(Player.P1, {})
