@@ -16,22 +16,21 @@ absorbing copies, so every depth's relevance, k and split set are fixed
 for a call: before the first round, each depth is split once, top down,
 in place on the call's one stack of its game's tables.  A round writes
 its bumps into its own copies' slots of the stack's priorities, logging
-each slot it changes, and solves the depth below again only when one
-changed.  Answers inside the recursion are pairs of regions and choice
-maps.  The depth with nothing to split decides on that stack and, at
-each later visit, re-decides only the vertices a bump can move: the
-predecessors of the logged slots.
+each slot it changes; one that changes none repeats the previous round,
+so it ends the visit unsolved.  Answers inside the recursion are pairs
+of regions and choice maps.  The depth with nothing to split decides on
+that stack and, at each later visit, re-decides only the vertices a
+bump can move: the predecessors of the logged slots.
 
-Rounds are plain tuples with choice dicts, composed by ``compose_tau``
-at every depth; FixpointStates are built only for ``history_out`` and
-failure dumps.  At every depth, monotone growth, strategy stability,
-the round bound and, at the fixpoint, the equivalence between bumped
-copies and losing originals are asserted in every run.
-``solve_constructive`` certifies its solution with one
-``check_solution``; the per-round verifier checks, the checks of every
-nested solution and a from-scratch base case beside every incremental
-one run only with ``debug=True``, on stack snapshots taken for them
-alone, one shared by each pair of adjacent depths.
+Rounds are plain tuples with choice dicts, a solved round's composed by
+``compose_tau``; FixpointStates are built only for ``history_out`` and
+failure dumps.  At every depth, growth and stability at each solved
+round, the round bound and, at the fixpoint, the equivalence between
+bumped copies and losing originals are asserted in every run.  A call
+certifies its solution with one ``check_solution``; the per-round
+verifier checks, the checks of every nested solution and a from-scratch
+base case beside every incremental one run only with ``debug=True``, on
+stack snapshots taken for them alone, one per pair of adjacent depths.
 """
 
 from __future__ import annotations
@@ -142,7 +141,7 @@ def lift_solution(record: _TransformRecord, solution: Solution) -> Solution:
 def compose_tau(tau: dict, settled: frozenset, w1: frozenset, fresh: dict) -> dict[int, int]:
     """``tau``'s choices, then ``fresh``'s on ``w1 - settled``, in a new dict: a round's
     strategy from the previous round's and its region ``settled``, called once per round
-    at every depth.  Regions only grow, so a vertex keeps its earliest round's choice."""
+    that solves the depth below.  Regions only grow, so a vertex keeps its earliest choice."""
     return {**tau, **{v: u for v, u in fresh.items() if v in w1 and v not in settled}}
 
 
@@ -161,11 +160,11 @@ def _check_round(
 ) -> None:
     """Assert the per-round guarantees of ``history``'s last round, dumping it on failure.
 
-    Growth and stability are tested inline at every round of every
-    depth; this runs in debug mode or when that test fails, to name the
-    round and the vertex.  The region grows monotonically and the
-    strategy never changes on the previous round's region, its ``x``;
-    each round is compared with the previous one only, and by
+    Growth and stability are tested inline at every solved round of
+    every depth; this runs in debug mode or when that test fails, to
+    name the round and the vertex.  The region grows monotonically and
+    the strategy never changes on the previous round's region, its
+    ``x``; each round is compared with the previous one only, and by
     transitivity the chain covers every earlier round.  When ``arena``,
     the bumped game, is given (debug mode): the round strategy wins its
     whole region there for its player, and merged back it wins the
@@ -277,10 +276,9 @@ def _tower(stack: _Stack, debug: bool) -> _Depth | _Bottom:
 def _fixpoint(stack: _Stack, debug: bool, depth: _Depth | _Bottom, history: list) -> _Answer:
     # One visit of ``depth`` on the call's stack, each round appending
     # (alpha, x, tau, w1) to ``history``.  A round writes its bumps into
-    # the copy slots n.. of the stack's priorities and logs each slot it
-    # changes for the bottom.  No other depth writes those slots, so a
-    # later round that logs none has the previous round's game, and the
-    # previous inner answer stands.
+    # the copy slots n.. of the stack's priorities, logging each slot it
+    # changes.  No other depth writes those slots, so a later round that
+    # logs none has the previous round's game, answer, region x and tau.
     if depth.__class__ is _Bottom:
         return depth.solve(debug)
     k, order, loser, n, arenas, below = depth
@@ -296,11 +294,13 @@ def _fixpoint(stack: _Stack, debug: bool, depth: _Depth | _Bottom, history: list
             if priorities[i] != p:
                 priorities[i] = p
                 bumped.append(i)
+        if alpha and len(bumped) == logged:
+            history.append((alpha, x, tau, x))
+            break
         arena = arenas[1]._relabelled(priorities=tuple(priorities[:end])) if debug else None
-        if not alpha or len(bumped) > logged:
-            inner = _fixpoint(stack, debug, below, [])
-            if debug:
-                _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
+        inner = _fixpoint(stack, debug, below, [])
+        if debug:
+            _require_solution(arena, _solution(inner), f"round {alpha} split-game solution")
         regions, choices = inner
         lost, before = frozenset(regions[loser]), tau
         tau = compose_tau(before, x, lost, choices[loser])
